@@ -99,36 +99,19 @@ def _correlation_sqrt(dim: int, zeta: float, theta: float) -> np.ndarray:
     return s
 
 
-def _as_gain(d, dim: int, name: str) -> np.ndarray:
-    g = np.asarray(d, dtype=np.float64)
-    if g.shape != (dim,):
-        raise ValueError(f"{name} must have shape ({dim},), got {g.shape}")
-    if not np.all(g > 0):
-        raise ValueError(f"{name} entries must be positive")
-    return g
-
-
-def generate_channel(
-    n: int,
-    m: int,
-    scenario: ChannelScenario,
-    rng_seed: int,
-    d_r=None,
-    d_t=None,
-) -> ChannelRealization:
+def generate_channel(n: int, m: int, scenario: ChannelScenario, rng_seed: int) -> ChannelRealization:
     """Draw one N x M channel matrix for the given scenario, deterministically.
 
     W entries come from the seeded Box-Muller stream in row-major order with
     per-entry variance 1.  Scenario assembly:
 
     * uncorrelated:     H = W
-    * user_correlated:  H = D_r W R_t^(1/2)
-    * bs_correlated:    H = R_r^(1/2) W D_t
+    * user_correlated:  H = W R_t^(1/2)
+    * bs_correlated:    H = R_r^(1/2) W
     * fully_correlated: H = R_r^(1/2) W R_t^(1/2)
 
-    D_r (length n) and D_t (length m) are positive per-antenna gains and
-    default to identity.  Identity factors are skipped outright so that a
-    zero correlation factor reproduces the uncorrelated draw bit for bit.
+    Identity factors are skipped outright so that a zero correlation
+    factor reproduces the uncorrelated draw bit for bit.
     """
     if m < 1 or n < m:
         raise ValueError(f"require N >= M >= 1, got N={n}, M={m}")
@@ -138,8 +121,4 @@ def generate_channel(
         h = _correlation_sqrt(n, scenario.zeta_r, scenario.theta) @ h
     if scenario.kind in (USER_CORRELATED, FULLY_CORRELATED) and scenario.zeta_t != 0.0:
         h = h @ _correlation_sqrt(m, scenario.zeta_t, scenario.theta)
-    if d_r is not None and scenario.kind == USER_CORRELATED:
-        h = _as_gain(d_r, n, "d_r")[:, None] * h
-    if d_t is not None and scenario.kind == BS_CORRELATED:
-        h = h * _as_gain(d_t, m, "d_t")[None, :]
     return ChannelRealization(H=h, scenario=scenario, seed=rng_seed)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .complexity import REPORT_COLUMNS, report_rows
@@ -28,7 +29,8 @@ def _parse_overrides(text: str | None) -> dict[str, object]:
     overrides: dict[str, object] = {}
     if not text:
         return overrides
-    for item in text.split(","):
+    # a comma inside [...] belongs to a list value, e.g. snr_db_list=[9,10]
+    for item in re.split(r",(?![^\[]*\])", text):
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key, value = item.split("=", 1)

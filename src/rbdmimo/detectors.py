@@ -97,6 +97,9 @@ def preprocess(h, y, sigma2: float) -> MmseProblem:
         raise ValueError(f"require N >= M, got N={n}, M={m}")
     if y.shape[0] != n:
         raise ValueError(f"dimension mismatch: H is {h.shape}, y has length {len(y)}")
+    for name, value in (("H", h), ("y", y), ("sigma2", sigma2)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} contains non-finite values")
     if sigma2 < 0:
         raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
     gram = h.conj().T @ h
@@ -137,13 +140,11 @@ def _result(s, iterations, res_norms, it_norms) -> DetectionResult:
     )
 
 
-def minres_detect(prob: MmseProblem, k_iters: int, counter=None, _alpha_sign: float = 1.0) -> DetectionResult:
+def minres_detect(prob: MmseProblem, k_iters: int, counter=None) -> DetectionResult:
     """Minimal-residual detection.
 
     Each iteration recomputes r = y_mf - A s by an explicit product, then
-    steps s <- s + alpha r with alpha = (r^H A r) / ||A r||^2.  The
-    `_alpha_sign` argument is a test hook that corrupts alpha for
-    mutation checks; leave it at 1.0.
+    steps s <- s + alpha r with alpha = (r^H A r) / ||A r||^2.
     """
     if k_iters < 1:
         raise ValueError(f"iteration count must be >= 1, got {k_iters}")
@@ -162,7 +163,7 @@ def minres_detect(prob: MmseProblem, k_iters: int, counter=None, _alpha_sign: fl
         if rn <= stop:
             return _result(s, k, res_norms, it_norms)
         ar = matvec(a, r, counter)
-        alpha = _alpha_sign * kernel_coeff(r, ar, ar, ar, counter)
+        alpha = kernel_coeff(r, ar, ar, ar, counter)
         s = kernel_mac(s, alpha, r, counter)
     # final trace entry is instrumentation, not an algorithm step
     res_norms.append(norm2(y - a @ s))

@@ -10,13 +10,10 @@ operation tallies on the caller's object (see `rbdmimo.complexity`).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
 CHOLESKY_PIVOT_TOL = 1e-14
-JACOBI_OFFDIAG_TOL = 1e-12
 
 
 class NotPositiveDefiniteError(ArithmeticError):
@@ -98,84 +95,49 @@ def cholesky_factor(a: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L @ L^H = A for Hermitian positive definite A.
 
     Raises NotPositiveDefiniteError (carrying the failing pivot index) when
-    a pivot falls below CHOLESKY_PIVOT_TOL.
+    a pivot falls below CHOLESKY_PIVOT_TOL, including the tiny positive
+    pivots that LAPACK accepts.
     """
     a = require_hermitian(a)
-    n = a.shape[0]
-    low = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        pivot = a[j, j].real - float(np.real(np.vdot(low[j, :j], low[j, :j])))
-        if pivot <= CHOLESKY_PIVOT_TOL:
-            raise NotPositiveDefiniteError(j, pivot)
-        diag = math.sqrt(pivot)
-        low[j, j] = diag
-        if j + 1 < n:
-            low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j].conj()) / diag
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(*_failing_pivot(a)) from None
+    pivots = low.diagonal().real ** 2
+    small = np.flatnonzero(pivots <= CHOLESKY_PIVOT_TOL)
+    if small.size:
+        raise NotPositiveDefiniteError(int(small[0]), float(pivots[small[0]]))
     return low
 
 
+def _failing_pivot(a: np.ndarray) -> tuple[int, float]:
+    """First pivot at or below CHOLESKY_PIVOT_TOL (or NaN), once LAPACK has failed.
+
+    Pivot j is the ratio of the leading principal minors of orders j+1 and
+    j.  Should rounding let every ratio pass, the smallest is reported.
+    """
+    minors = np.array([np.linalg.det(a[:k, :k]).real for k in range(a.shape[0] + 1)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pivots = minors[1:] / minors[:-1]
+    bad = np.flatnonzero(~(pivots > CHOLESKY_PIVOT_TOL))
+    j = int(bad[0]) if bad.size else int(np.argmin(pivots))
+    return j, float(pivots[j])
+
+
 def cholesky_solve(low: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Solve (L L^H) s = y by forward then backward substitution."""
+    """Solve (L L^H) s = y: forward solve with L, then backward with L^H."""
     low = as_complex_matrix(low)
     y = as_complex_vector(y)
     n = low.shape[0]
     if low.shape[1] != n or y.shape[0] != n:
         raise ValueError(f"dimension mismatch: L is {low.shape}, y has length {len(y)}")
-    z = np.zeros(n, dtype=np.complex128)
-    for i in range(n):
-        z[i] = (y[i] - low[i, :i] @ z[:i]) / low[i, i]
-    s = np.zeros(n, dtype=np.complex128)
-    for i in range(n - 1, -1, -1):
-        s[i] = (z[i] - low[i + 1:, i].conj() @ s[i + 1:]) / low[i, i].conj()
-    return s
+    return np.linalg.solve(low.conj().T, np.linalg.solve(low, y))
 
 
 def hermitian_eigen_extrema(a: np.ndarray) -> tuple[float, float]:
-    """Extreme eigenvalues (lambda_min, lambda_max) of a Hermitian matrix.
-
-    Cyclic Jacobi iteration with complex plane rotations; intended for the
-    small matrices (dimension <= 64) used in diagnostics and convergence
-    bounds.  Sweeps stop once the off-diagonal Frobenius norm drops below
-    JACOBI_OFFDIAG_TOL relative to the matrix scale.
-    """
-    a = require_hermitian(a)
-    n = a.shape[0]
-    if n == 1:
-        v = a[0, 0].real
-        return v, v
-    w = a.copy()
-    scale = max(1.0, float(np.linalg.norm(w)))
-    tol = JACOBI_OFFDIAG_TOL * scale
-    for _ in range(60):
-        off = math.sqrt(max(float(np.sum(np.abs(w) ** 2) - np.sum(np.abs(np.diag(w)) ** 2)), 0.0))
-        if off < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = w[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                phase = apq / abs(apq)
-                app = w[p, p].real
-                aqq = w[q, q].real
-                tau = (aqq - app) / (2.0 * abs(apq))
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                # columns: [p q] <- [p q] @ [[c, s], [-s e^{-i phi}, c e^{-i phi}]]
-                col_p = c * w[:, p] - (s * np.conj(phase)) * w[:, q]
-                col_q = s * w[:, p] + (c * np.conj(phase)) * w[:, q]
-                w[:, p] = col_p
-                w[:, q] = col_q
-                # rows: apply the conjugate transpose rotation from the left
-                row_p = c * w[p, :] - (s * phase) * w[q, :]
-                row_q = s * w[p, :] + (c * phase) * w[q, :]
-                w[p, :] = row_p
-                w[q, :] = row_q
-                w[p, q] = 0.0
-                w[q, p] = 0.0
-    eigs = np.real(np.diag(w))
-    return float(eigs.min()), float(eigs.max())
+    """Extreme eigenvalues (lambda_min, lambda_max) of a Hermitian matrix."""
+    eigs = np.linalg.eigvalsh(require_hermitian(a))
+    return float(eigs[0]), float(eigs[-1])
 
 
 def save_matrix(path, a: np.ndarray) -> None:

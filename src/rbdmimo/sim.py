@@ -30,7 +30,7 @@ from .detectors import (
     minres_detect,
     preprocess,
 )
-from .modem import awgn_add, qam_demodulate_hard, qam_modulate, qam_spec
+from .modem import SUPPORTED_ORDERS, awgn_add, qam_demodulate_hard, qam_modulate, qam_spec
 from .rngstream import mix_seed, uniform_stream
 
 SNR_CONVENTION = "sigma2 = M / 10^(snr_db/10) (per-receive-antenna SNR, unit symbol energy)"
@@ -66,6 +66,8 @@ class SimConfig:
     def __post_init__(self):
         if self.m < 1 or self.n < self.m:
             raise ConfigError(f"require N >= M >= 1, got N={self.n}, M={self.m}")
+        if self.qam_order not in SUPPORTED_ORDERS:
+            raise ConfigError(f"unsupported qam_order {self.qam_order}, expected one of {SUPPORTED_ORDERS}")
         if self.detector not in DETECTOR_NAMES:
             raise ConfigError(f"unknown detector {self.detector!r}, expected one of {DETECTOR_NAMES}")
         if self.k_iterations < 1:

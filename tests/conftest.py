@@ -1,5 +1,8 @@
-"""Shared fixtures: deterministic random MMSE problem instances."""
+"""Shared fixtures: deterministic random MMSE problem instances and fault injection."""
 
+import pytest
+
+import rbdmimo.detectors as detectors
 from rbdmimo.channel import ChannelScenario, generate_channel
 from rbdmimo.detectors import MmseProblem, preprocess
 from rbdmimo.rngstream import complex_normal, mix_seed, uniform_stream
@@ -21,3 +24,15 @@ def problem_batch(count, seed, m_range=(2, 16), n_factor_range=(2, 16), sigma2_r
         n = m * int(gen.integers(n_factor_range[0], n_factor_range[1] + 1))
         sigma2 = float(gen.uniform(*sigma2_range))
         yield make_problem(m, mix_seed(seed, i), n=n, sigma2=sigma2)
+
+
+def sign_flipped_minres(prob, k, **kwargs):
+    """minres_detect with its step coefficient negated, for mutation checks.
+
+    The fault lives only for this call: kernel_coeff is patched in the
+    detectors module and restored before returning.
+    """
+    coeff = detectors.kernel_coeff
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(detectors, "kernel_coeff", lambda *args, **kw: -coeff(*args, **kw))
+        return detectors.minres_detect(prob, k, **kwargs)

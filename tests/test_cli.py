@@ -3,9 +3,9 @@
 import json
 
 import pytest
+from conftest import sign_flipped_minres
 
 from rbdmimo.cli import main
-from rbdmimo.detectors import minres_detect
 from rbdmimo.selftest import run_selftest
 
 
@@ -48,6 +48,17 @@ class TestSimulate:
         ])
         assert code == 0
         assert out.read_text().splitlines()[1].startswith("cr,3,")
+
+    def test_override_list_with_scalar(self, config_file, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        code = main([
+            "simulate", "--config", str(config_file),
+            "--override", "snr_db_list=[1,2.5],detector=cr,k_iterations=2",
+            "--out", str(out),
+        ])
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(r[0], r[1], float(r[9])) for r in rows] == [("cr", "2", 1.0), ("cr", "2", 2.5)]
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
@@ -107,8 +118,7 @@ class TestSelftest:
     def test_injected_sign_error_named(self):
         # a corrupted step direction must be caught by the monotonicity check
         lines = []
-        broken = lambda prob, k, **kw: minres_detect(prob, k, _alpha_sign=-1.0, **kw)
-        failures = run_selftest(seed=7, detectors={"minres": broken}, emit=lines.append)
+        failures = run_selftest(seed=7, detectors={"minres": sign_flipped_minres}, emit=lines.append)
         assert any(f.startswith("minres residual monotonicity") for f in failures)
         assert any(line.startswith("FAIL minres residual monotonicity") for line in lines)
 

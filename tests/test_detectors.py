@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import make_problem, problem_batch
+from conftest import make_problem, problem_batch, sign_flipped_minres
 
 from rbdmimo.complexity import OpCounter
 from rbdmimo.detectors import (
@@ -68,6 +68,20 @@ class TestPreprocess:
             preprocess(np.zeros((2, 4), dtype=complex), np.zeros(2, dtype=complex), 0.1)
         with pytest.raises(ValueError):
             preprocess(np.zeros((4, 2), dtype=complex), np.zeros(3, dtype=complex), 0.1)
+
+    def test_rejects_non_finite_inputs(self):
+        h = np.ones((4, 2), dtype=complex)
+        y = np.ones(4, dtype=complex)
+        bad_h = h.copy()
+        bad_h[1, 0] = np.nan
+        bad_y = y.copy()
+        bad_y[3] = np.inf
+        with pytest.raises(ValueError, match="H contains non-finite"):
+            preprocess(bad_h, y, 0.1)
+        with pytest.raises(ValueError, match="y contains non-finite"):
+            preprocess(h, bad_y, 0.1)
+        with pytest.raises(ValueError, match="sigma2 contains non-finite"):
+            preprocess(h, y, float("nan"))
 
 
 class TestKernels:
@@ -140,7 +154,7 @@ class TestMinres:
 
     def test_alpha_sign_hook_breaks_descent(self):
         prob = make_problem(6, 509)
-        res = minres_detect(prob, 4, _alpha_sign=-1.0)
+        res = sign_flipped_minres(prob, 4)
         r = res.trace.residual_norms
         assert any(r[k + 1] > r[k] for k in range(len(r) - 1))
 

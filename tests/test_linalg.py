@@ -31,6 +31,20 @@ def naive_matvec(a, x):
     return out
 
 
+def recurrence_pivots(a):
+    """Independent column-by-column Cholesky pivots, up to the first non-positive one."""
+    m = a.shape[0]
+    low = np.zeros((m, m), dtype=complex)
+    pivots = []
+    for j in range(m):
+        pivots.append(a[j, j].real - np.vdot(low[j, :j], low[j, :j]).real)
+        if pivots[-1] <= 0:
+            break
+        low[j, j] = np.sqrt(pivots[-1])
+        low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j].conj()) / low[j, j]
+    return pivots
+
+
 def random_complex(gen, *shape):
     return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
 
@@ -117,6 +131,37 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefiniteError) as err:
             cholesky_factor(a)
         assert err.value.pivot_index == 1
+
+    def test_indefinite_4x4_carries_later_pivot_index(self):
+        # A = L D L^H with unit-lower L has Cholesky pivots D; the third is negative
+        low = np.array([[1, 0, 0, 0], [0.5, 1, 0, 0], [0.25, 0.5j, 1, 0], [1, 0, 0.5, 1]])
+        a = low @ np.diag([4.0, 1.0, -2.0, 1.0]) @ low.conj().T
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            cholesky_factor(a)
+        assert err.value.pivot_index == 2
+        assert err.value.pivot_value == pytest.approx(-2.0)
+
+    def test_tiny_positive_pivot_rejected(self):
+        # pivots 4, 1, 1e-15: LAPACK factors this, cholesky_factor must still reject pivot 2
+        a = np.array([[4.0, 2.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 1e-15]], dtype=complex)
+        np.linalg.cholesky(a)
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            cholesky_factor(a)
+        assert err.value.pivot_index == 2
+        assert err.value.pivot_value == pytest.approx(1e-15)
+
+    def test_failing_pivot_matches_recurrence(self):
+        gen = uniform_stream(112)
+        for _ in range(200):
+            m = int(gen.integers(2, 13))
+            a = random_spd(gen, m)
+            lo, hi = np.linalg.eigvalsh(a)[[0, -1]]
+            a = a - (lo + gen.uniform(0.05, 1.0) * (hi - lo)) * np.eye(m)  # indefinite
+            want = recurrence_pivots(a)
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                cholesky_factor(a)
+            assert err.value.pivot_index == len(want) - 1
+            assert abs(err.value.pivot_value - want[-1]) <= 1e-9 * np.abs(a).max()
 
     def test_reconstruction_random(self):
         gen = uniform_stream(104)

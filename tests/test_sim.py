@@ -65,6 +65,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_config(snr_db_list=(4.0, 0.0))
 
+    def test_rejects_unsupported_qam_order(self):
+        with pytest.raises(ConfigError, match=r"\(4, 16, 64\)"):
+            small_config(qam_order=32)
+
     def test_rejects_low_error_target(self):
         with pytest.raises(ConfigError):
             small_config(target_bit_errors=50)
