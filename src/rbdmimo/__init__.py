@@ -71,6 +71,7 @@ from .sim import (
     plot_data,
     read_results,
     run_ber_point,
+    run_frames,
     run_sweep,
     run_trial,
     snr_gap,

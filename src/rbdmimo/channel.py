@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import as_complex_matrix, require_hermitian
-from .rngstream import complex_normal, uniform_stream
+from .rngstream import complex_normal_rows
 
 UNCORRELATED = "uncorrelated"
 USER_CORRELATED = "user_correlated"
@@ -56,9 +56,11 @@ class ChannelScenario:
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
+    """H is N x M for one seed, or (B, N, M) for a sequence of B seeds."""
+
     H: np.ndarray
     scenario: ChannelScenario
-    seed: int
+    seed: int | tuple[int, ...]
 
 
 def correlation_matrix(dim: int, zeta: float, theta: float = 0.0) -> np.ndarray:
@@ -99,11 +101,13 @@ def _correlation_sqrt(dim: int, zeta: float, theta: float) -> np.ndarray:
     return s
 
 
-def generate_channel(n: int, m: int, scenario: ChannelScenario, rng_seed: int) -> ChannelRealization:
+def generate_channel(n: int, m: int, scenario: ChannelScenario, rng_seed) -> ChannelRealization:
     """Draw one N x M channel matrix for the given scenario, deterministically.
 
-    W entries come from the seeded Box-Muller stream in row-major order with
-    per-entry variance 1.  Scenario assembly:
+    Given a sequence of seeds instead of one, draws a (B, N, M) stack whose
+    matrix b is the draw for seed b.  W entries come from the seeded
+    Box-Muller stream in row-major order with per-entry variance 1.
+    Scenario assembly:
 
     * uncorrelated:     H = W
     * user_correlated:  H = W R_t^(1/2)
@@ -115,10 +119,13 @@ def generate_channel(n: int, m: int, scenario: ChannelScenario, rng_seed: int) -
     """
     if m < 1 or n < m:
         raise ValueError(f"require N >= M >= 1, got N={n}, M={m}")
-    gen = uniform_stream(rng_seed)
-    h = complex_normal(gen, n * m).reshape(n, m)
+    batched = not isinstance(rng_seed, (int, np.integer))
+    seeds = tuple(int(s) for s in rng_seed) if batched else (int(rng_seed),)
+    h = complex_normal_rows(seeds, n * m).reshape(len(seeds), n, m)
     if scenario.kind in (BS_CORRELATED, FULLY_CORRELATED) and scenario.zeta_r != 0.0:
         h = _correlation_sqrt(n, scenario.zeta_r, scenario.theta) @ h
     if scenario.kind in (USER_CORRELATED, FULLY_CORRELATED) and scenario.zeta_t != 0.0:
         h = h @ _correlation_sqrt(m, scenario.zeta_t, scenario.theta)
-    return ChannelRealization(H=h, scenario=scenario, seed=rng_seed)
+    if not batched:
+        return ChannelRealization(H=h[0], scenario=scenario, seed=seeds[0])
+    return ChannelRealization(H=h, scenario=scenario, seed=seeds)

@@ -18,6 +18,14 @@ Detectors are pure functions of (problem, iteration count); starting
 iterates are always zero and every trace therefore begins at
 ||y_mf||.  An iteration stops early once the residual falls below
 EARLY_STOP_REL times ||y_mf||.
+
+Every detector is written once over a leading batch axis: a problem may
+hold a (B, M, M) stack of matrices with (B, M) right-hand sides, and each
+frame of a batch gives exactly what it gives alone.  Early stop and
+Arnoldi breakdown are per-frame masks; a frame that has stopped gets zero
+step coefficients, so its iterate no longer moves, while the others go
+on.  A single problem is the batch of one and comes back with plain types:
+`iterations` an int, the trace entries lists of floats, `s_hat` 1-D.
 """
 
 from __future__ import annotations
@@ -27,15 +35,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    as_complex_matrix,
-    as_complex_vector,
     cholesky_factor,
     cholesky_solve,
-    hermitian_defect,
     hermitian_eigen_extrema,
     inner_hermitian,
     matvec,
     norm2,
+    require_hermitian,
 )
 
 EARLY_STOP_REL = 1e-13
@@ -47,31 +53,43 @@ DETECTOR_NAMES = ("cholesky", "minres", "gmres", "cr")
 
 @dataclass(frozen=True, eq=False)
 class MmseProblem:
-    """Preprocessed detection problem: A = G + sigma2 I, y_mf = H^H y."""
+    """Preprocessed detection problem: A = G + sigma2 I, y_mf = H^H y.
+
+    A is M x M with y_mf of length M, or a (B, M, M) stack with (B, M)
+    right-hand sides, one frame per row; sigma2 is one value or one per
+    frame.  Construction checks the shapes, sigma2 and that every A is
+    Hermitian and finite, so the detectors need not.
+    """
 
     A: np.ndarray
     y_mf: np.ndarray
-    sigma2: float
+    sigma2: float | np.ndarray
     N: int
     M: int
 
     def __post_init__(self):
-        a = as_complex_matrix(self.A)
-        y = as_complex_vector(self.y_mf)
-        if a.shape != (self.M, self.M) or y.shape != (self.M,):
+        a = np.asarray(self.A, dtype=np.complex128)
+        y = np.asarray(self.y_mf, dtype=np.complex128)
+        if a.ndim not in (2, 3) or a.shape[-2:] != (self.M, self.M) or y.shape != a.shape[:-1]:
             raise ValueError(
                 f"inconsistent problem dimensions: A {a.shape}, y_mf {y.shape}, M={self.M}"
             )
-        if self.sigma2 < 0:
-            raise ValueError(f"sigma2 must be >= 0, got {self.sigma2}")
-        defect = hermitian_defect(a)
-        if defect > 1e-10:
-            raise ValueError(f"A is not Hermitian within 1e-10 (defect {defect:.3g})")
+        sigma2 = np.asarray(self.sigma2, dtype=np.float64)
+        if sigma2.shape not in ((), a.shape[:-2]) or not (sigma2 >= 0).all():
+            raise ValueError(f"sigma2 must be >= 0, one value or one per frame, got {self.sigma2}")
+        require_hermitian(a, tol=1e-10)
+        object.__setattr__(self, "A", a)
+        object.__setattr__(self, "y_mf", y)
+        object.__setattr__(self, "sigma2", float(sigma2) if sigma2.ndim == 0 else sigma2)
 
 
 @dataclass
 class DetectionTrace:
-    """Per-iteration evidence: residual_norms[k] = ||y_mf - A s_k||, iterate_norms[k] = ||s_k||."""
+    """Per-iteration evidence: residual_norms[k] = ||y_mf - A s_k||, iterate_norms[k] = ||s_k||.
+
+    Lists of floats for one problem.  For a batch, (B, L) arrays whose row
+    b is NaN past frame b's last iteration.
+    """
 
     residual_norms: list[float] = field(default_factory=list)
     iterate_norms: list[float] = field(default_factory=list)
@@ -79,65 +97,104 @@ class DetectionTrace:
 
 @dataclass
 class DetectionResult:
+    """s_hat, iterations and trace; for a batch, (B, M), (B,) and (B, L) arrays."""
+
     s_hat: np.ndarray
-    iterations: int
+    iterations: int | np.ndarray
     trace: DetectionTrace
+
+    def frame(self, b: int) -> "DetectionResult":
+        """Frame b of a batched result, typed like the result for one problem."""
+        n = int(self.iterations[b]) + 1
+        return DetectionResult(
+            s_hat=self.s_hat[b],
+            iterations=n - 1,
+            trace=DetectionTrace(
+                residual_norms=self.trace.residual_norms[b, :n].tolist(),
+                iterate_norms=self.trace.iterate_norms[b, :n].tolist(),
+            ),
+        )
+
+
+def _frames(prob: MmseProblem, counter=None):
+    """(A, y_mf, single): the problem with a leading batch axis, and whether it had none."""
+    single = prob.A.ndim == 2
+    if counter is not None and not single:
+        raise ValueError("operation counts are per problem: count one problem, not a batch")
+    if single:
+        return prob.A[None], prob.y_mf[None], True
+    return prob.A, prob.y_mf, False
+
+
+def _result(s, iterations, residual_cols, iterate_cols, single: bool) -> DetectionResult:
+    """Assemble a result from per-step (B,) trace columns (a list, or an (L, B) array).
+
+    Each frame's trace has iterations + 1 entries.
+    """
+    res = np.array(residual_cols).T
+    its = np.array(iterate_cols).T
+    batch = DetectionResult(s_hat=s, iterations=iterations, trace=DetectionTrace(res, its))
+    if single:
+        return batch.frame(0)
+    past = np.arange(res.shape[-1]) > iterations[:, None]
+    res[past] = its[past] = np.nan
+    return batch
 
 
 def preprocess(h, y, sigma2: float) -> MmseProblem:
     """Form the MMSE problem from the channel and received vector.
 
-    The Gram matrix is mirrored from its lower triangle so A is exactly
-    Hermitian with a real diagonal.
+    h may be a (B, N, M) stack with y of shape (B, N).  The Gram matrix is
+    mirrored from its lower triangle so A is exactly Hermitian with a real
+    diagonal.
     """
-    h = as_complex_matrix(h)
-    y = as_complex_vector(y)
-    n, m = h.shape
+    h = np.asarray(h, dtype=np.complex128)
+    y = np.asarray(y, dtype=np.complex128)
+    if h.ndim not in (2, 3):
+        raise ValueError(f"expected an N x M channel or a stack of them, got ndim={h.ndim}")
+    n, m = h.shape[-2:]
     if n < m:
         raise ValueError(f"require N >= M, got N={n}, M={m}")
-    if y.shape[0] != n:
-        raise ValueError(f"dimension mismatch: H is {h.shape}, y has length {len(y)}")
+    if y.shape != h.shape[:-1]:
+        raise ValueError(f"dimension mismatch: H is {h.shape}, y is {y.shape}")
     for name, value in (("H", h), ("y", y), ("sigma2", sigma2)):
         if not np.isfinite(value).all():
             raise ValueError(f"{name} contains non-finite values")
     if sigma2 < 0:
         raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
-    gram = h.conj().T @ h
+    h_herm = h.conj().swapaxes(-1, -2)
+    gram = h_herm @ h
     lower = np.tril(gram, -1)
-    gram = lower + lower.conj().T + np.diag(gram.diagonal().real)
-    a = gram + sigma2 * np.eye(m)
-    y_mf = h.conj().T @ y
-    return MmseProblem(A=a, y_mf=y_mf, sigma2=float(sigma2), N=n, M=m)
+    a = lower + lower.conj().swapaxes(-1, -2)
+    diag = np.arange(m)
+    a[..., diag, diag] = gram[..., diag, diag].real + sigma2
+    return MmseProblem(A=a, y_mf=matvec(h_herm, y), sigma2=float(sigma2), N=n, M=m)
 
 
-def kernel_mac(x, a: complex, b, counter=None) -> np.ndarray:
-    """Multiply-accumulate kernel: x + a * b."""
-    x = as_complex_vector(x)
-    b = as_complex_vector(b)
-    if x.shape != b.shape:
-        raise ValueError(f"length mismatch: {len(x)} vs {len(b)}")
+def kernel_mac(x, a, b, counter=None) -> np.ndarray:
+    """Multiply-accumulate kernel: x + a * b, one coefficient per row of a batch."""
     if counter is not None:
-        counter.tally(mults=len(x), adds=len(x))
-    return x + a * b
+        counter.tally(mults=x.shape[-1], adds=x.shape[-1])
+    return x + (a[..., None] if isinstance(a, np.ndarray) else a) * b
 
 
-def kernel_coeff(m, n, p, q, counter=None) -> complex:
-    """Coefficient kernel: (m^H n) / (p^H q)."""
+def kernel_coeff(m, n, p, q, counter=None, live=None):
+    """Coefficient kernel: (m^H n) / (p^H q), one per row of a batch.
+
+    Rows outside the boolean mask `live` (frames that have stopped) get a
+    zero coefficient and are exempt from the degenerate-denominator check.
+    """
     den = inner_hermitian(p, q, counter)
-    if abs(den) < _DEGENERATE_DENOM:
-        raise ZeroDivisionError(f"degenerate coefficient denominator |p^H q| = {abs(den):.3g}")
+    if live is not None:
+        den = np.where(live, den, 1.0)
+    size = np.abs(den)
+    if np.count_nonzero(size < _DEGENERATE_DENOM):
+        raise ZeroDivisionError(f"degenerate coefficient denominator |p^H q| = {size.min():.3g}")
     num = inner_hermitian(m, n, counter)
     if counter is not None:
         counter.tally(mults=1)  # the division
-    return num / den
-
-
-def _result(s, iterations, res_norms, it_norms) -> DetectionResult:
-    return DetectionResult(
-        s_hat=s,
-        iterations=iterations,
-        trace=DetectionTrace(residual_norms=res_norms, iterate_norms=it_norms),
-    )
+    coeff = num / den
+    return coeff if live is None else np.where(live, coeff, 0.0)
 
 
 def minres_detect(prob: MmseProblem, k_iters: int, counter=None) -> DetectionResult:
@@ -148,27 +205,34 @@ def minres_detect(prob: MmseProblem, k_iters: int, counter=None) -> DetectionRes
     """
     if k_iters < 1:
         raise ValueError(f"iteration count must be >= 1, got {k_iters}")
-    a, y = prob.A, prob.y_mf
-    s = np.zeros(prob.M, dtype=np.complex128)
+    a, y, single = _frames(prob, counter)
+    s = np.zeros_like(y)
     stop = EARLY_STOP_REL * norm2(y)
-    res_norms: list[float] = []
-    it_norms: list[float] = []
+    iterations = np.full(len(y), k_iters)
+    running = np.ones(len(y), dtype=bool)
+    live = None
+    res_norms, iterates = [], []
     for k in range(k_iters):
         r = y - matvec(a, s, counter)
         if counter is not None:
             counter.tally(adds=prob.M)
         rn = norm2(r)
         res_norms.append(rn)
-        it_norms.append(norm2(s))
-        if rn <= stop:
-            return _result(s, k, res_norms, it_norms)
+        iterates.append(s)
+        stopped = running & (rn <= stop)
+        if np.count_nonzero(stopped):
+            iterations[stopped] = k
+            running = running & ~stopped
+            if not np.count_nonzero(running):
+                return _result(s, iterations, res_norms, norm2(np.array(iterates)), single)
+            live = running
         ar = matvec(a, r, counter)
-        alpha = kernel_coeff(r, ar, ar, ar, counter)
+        alpha = kernel_coeff(r, ar, ar, ar, counter, live)
         s = kernel_mac(s, alpha, r, counter)
     # final trace entry is instrumentation, not an algorithm step
-    res_norms.append(norm2(y - a @ s))
-    it_norms.append(norm2(s))
-    return _result(s, k_iters, res_norms, it_norms)
+    res_norms.append(norm2(y - matvec(a, s)))
+    iterates.append(s)
+    return _result(s, iterations, res_norms, norm2(np.array(iterates)), single)
 
 
 def cr_detect(prob: MmseProblem, k_iters: int, counter=None) -> DetectionResult:
@@ -180,8 +244,8 @@ def cr_detect(prob: MmseProblem, k_iters: int, counter=None) -> DetectionResult:
     """
     if k_iters < 1:
         raise ValueError(f"iteration count must be >= 1, got {k_iters}")
-    a, y = prob.A, prob.y_mf
-    s = np.zeros(prob.M, dtype=np.complex128)
+    a, y, single = _frames(prob, counter)
+    s = np.zeros_like(y)
     r = y - matvec(a, s, counter)
     if counter is not None:
         counter.tally(adds=prob.M)
@@ -190,25 +254,32 @@ def cr_detect(prob: MmseProblem, k_iters: int, counter=None) -> DetectionResult:
     m = matvec(a, r, counter)
     stop = EARLY_STOP_REL * norm2(y)
     res_norms = [norm2(r)]
-    it_norms = [norm2(s)]
-    iterations = k_iters
-    if res_norms[0] <= stop:
-        return _result(s, 0, res_norms, it_norms)
+    iterates = [s]
+    running = res_norms[0] > stop
+    iterations = np.where(running, k_iters, 0)
+    if not np.count_nonzero(running):
+        return _result(s, iterations, res_norms, norm2(np.array(iterates)), single)
+    live = None if running.all() else running
     for k in range(1, k_iters + 1):
-        alpha = kernel_coeff(r, m, e, e, counter)
+        alpha = kernel_coeff(r, m, e, e, counter, live)
         s = kernel_mac(s, alpha, p, counter)
         r_next = kernel_mac(r, -alpha, e, counter)
-        res_norms.append(norm2(r_next))
-        it_norms.append(norm2(s))
-        if res_norms[-1] <= stop:
-            iterations = k
-            break
+        rn = norm2(r_next)
+        res_norms.append(rn)
+        iterates.append(s)
+        stopped = running & (rn <= stop)
+        if np.count_nonzero(stopped):
+            iterations[stopped] = k
+            running = running & ~stopped
+            if not np.count_nonzero(running):
+                break
+            live = running
         m_next = matvec(a, r_next, counter)
-        beta = kernel_coeff(r_next, m_next, r, m, counter)
+        beta = kernel_coeff(r_next, m_next, r, m, counter, live)
         p = kernel_mac(r_next, beta, p, counter)
         e = kernel_mac(m_next, beta, e, counter)
         r, m = r_next, m_next
-    return _result(s, iterations, res_norms, it_norms)
+    return _result(s, iterations, res_norms, norm2(np.array(iterates)), single)
 
 
 @dataclass
@@ -217,83 +288,110 @@ class ArnoldiState:
 
     Q has orthonormal columns filled progressively; Hbar is upper
     Hessenberg.  `v` counts completed columns and `beta` is the norm of
-    the starting residual (breakdown tolerance scale).
+    the starting residual (breakdown tolerance scale).  Both are stored
+    vector by vector: basis[i] is column i of Q and columns[j] is column j
+    of Hbar.  For a batch every vector has a leading frame axis (Hbar's
+    columns a trailing one), and a frame that broke down gets zero basis
+    vectors from then on.
     """
 
-    Q: np.ndarray
-    Hbar: np.ndarray
-    beta: float
+    basis: np.ndarray
+    columns: np.ndarray
+    beta: float | np.ndarray
     v: int = 0
 
     @property
-    def breakdown_tol(self) -> float:
+    def Q(self) -> np.ndarray:
+        return np.moveaxis(self.basis, 0, -1)
+
+    @property
+    def Hbar(self) -> np.ndarray:
+        return self.columns.T
+
+    @property
+    def breakdown_tol(self):
         return ARNOLDI_BREAKDOWN_REL * self.beta
 
 
 def init_arnoldi(r0, v_max: int, counter=None) -> ArnoldiState:
-    r0 = as_complex_vector(r0)
+    r0 = np.asarray(r0, dtype=np.complex128)
     beta = norm2(r0)
-    if beta == 0.0:
+    if (beta == 0.0).any():
         raise ValueError("cannot start Arnoldi from a zero residual")
-    m = r0.shape[0]
-    q = np.zeros((m, v_max + 1), dtype=np.complex128)
-    q[:, 0] = r0 / beta
+    basis = np.zeros((v_max + 1, *r0.shape), dtype=np.complex128)
+    basis[0] = r0 / beta[..., None]
     if counter is not None:
-        counter.tally(mults=2 * m + 1)  # norm then the normalizing divisions
-    return ArnoldiState(Q=q, Hbar=np.zeros((v_max + 1, v_max), dtype=np.complex128), beta=beta)
+        counter.tally(mults=2 * r0.shape[-1] + 1)  # norm then the normalizing divisions
+    columns = np.zeros((v_max, v_max + 1, *r0.shape[:-1]), dtype=np.complex128)
+    return ArnoldiState(basis=basis, columns=columns, beta=beta)
 
 
-def arnoldi_step(a, state: ArnoldiState, j: int, counter=None) -> bool:
+def arnoldi_step(a, state: ArnoldiState, j: int, counter=None):
     """Extend the basis by column j (0-based) using modified Gram-Schmidt.
 
-    Returns True on happy breakdown (||w|| below tolerance after
-    orthogonalization), in which case no new basis vector is added and the
-    Krylov space is invariant: the least-squares iterate is exact.
+    Returns True (per frame) on happy breakdown (||w|| below tolerance
+    after orthogonalization), in which case no new basis vector is added
+    and the Krylov space is invariant: the least-squares iterate is exact.
     """
     if j != state.v:
         raise ValueError(f"state holds {state.v} completed columns, cannot extend column {j}")
-    w = matvec(a, state.Q[:, j], counter)
+    basis, h_col = state.basis, state.columns[j]
+    w = matvec(a, basis[j], counter)
     for i in range(j + 1):
-        hij = inner_hermitian(state.Q[:, i], w, counter)
-        state.Hbar[i, j] = hij
-        w = kernel_mac(w, -hij, state.Q[:, i], counter)
+        hij = inner_hermitian(basis[i], w, counter)
+        h_col[i] = hij
+        w = kernel_mac(w, -hij, basis[i], counter)
     wn = norm2(w)
     if counter is not None:
-        counter.tally(mults=len(w) + 1)  # norm accumulation plus square root
-    state.Hbar[j + 1, j] = wn
+        counter.tally(mults=w.shape[-1] + 1)  # norm accumulation plus square root
+    h_col[j + 1] = wn
     state.v = j + 1
-    if wn <= state.breakdown_tol:
-        return True
-    state.Q[:, j + 1] = w / wn
+    happy = wn <= state.breakdown_tol
+    if np.count_nonzero(happy):
+        basis[j + 1] = np.where(happy[..., None], 0.0, w / np.where(happy, 1.0, wn)[..., None])
+        return happy
+    basis[j + 1] = w / wn[..., None]
     if counter is not None:
-        counter.tally(mults=len(w))
-    return False
+        counter.tally(mults=w.shape[-1])
+    return happy
 
 
 @dataclass
 class GivensChain:
     """Accumulated plane rotations triangularizing the Hessenberg matrix.
 
-    rotations[i] = (c, b) with c^2 + b^2 = 1 annihilates subdiagonal i;
-    g is the rotated beta * e1 right-hand side, so |g[j+1]| is the running
-    least-squares residual after j+1 columns.  R collects the triangular
-    columns.  The rotation parameters are real, which triangularizes the
-    numerically real Hessenberg produced by Hermitian inputs.
+    rotations[i] = (c, b) with c^2 + b^2 = 1 annihilates subdiagonal i,
+    and `product` is the product of all rotations so far, which applies
+    them to a new column in one matrix-vector product.  g is the rotated
+    beta * e1 right-hand side, beta times the first column of the product,
+    so |g[j+1]| is the running least-squares residual after j+1 columns.
+    R collects the triangular columns.  The rotation parameters are real,
+    which triangularizes the numerically real Hessenberg produced by
+    Hermitian inputs.  For a batch every array has a leading frame axis
+    and each (c, b) is a pair of (B,) arrays.
     """
 
-    rotations: list[tuple[float, float]]
-    g: np.ndarray
+    rotations: list
+    beta: float | np.ndarray
     R: np.ndarray
+    product: np.ndarray
 
     @property
-    def residual_estimate(self) -> float:
-        return float(abs(self.g[len(self.rotations)]))
+    def g(self) -> np.ndarray:
+        return self.beta[..., None] * self.product[..., 0]
+
+    @property
+    def residual_estimate(self):
+        return self.beta * np.abs(self.product[..., len(self.rotations), 0])
 
 
-def init_givens(beta: float, v_max: int) -> GivensChain:
-    g = np.zeros(v_max + 1, dtype=np.complex128)
-    g[0] = beta
-    return GivensChain(rotations=[], g=g, R=np.zeros((v_max, v_max), dtype=np.complex128))
+def init_givens(beta, v_max: int) -> GivensChain:
+    beta = np.asarray(beta, dtype=np.float64)
+    product = np.zeros((*beta.shape, v_max + 1, v_max + 1), dtype=np.complex128)
+    diag = np.arange(v_max + 1)
+    product[..., diag, diag] = 1.0
+    r = np.zeros((*beta.shape, v_max, v_max), dtype=np.complex128)
+    return GivensChain(rotations=[], beta=beta, R=r, product=product)
 
 
 def givens_lsq_update(chain: GivensChain, hbar_col, j: int, counter=None) -> np.ndarray:
@@ -302,52 +400,66 @@ def givens_lsq_update(chain: GivensChain, hbar_col, j: int, counter=None) -> np.
     Applies the j previous rotations, forms the new rotation (c, b)
     annihilating the trailing (rho, sigma) pair with
     c = rho / sqrt(rho^2 + sigma^2), b = sigma / sqrt(rho^2 + sigma^2),
-    stores the finished R column, and rotates g.  Returns the R column.
+    stores the finished R column, and folds the rotation into the
+    product (which rotates g).  Returns the R column.
     """
     if len(chain.rotations) != j:
         raise ValueError(f"chain holds {len(chain.rotations)} rotations, cannot update column {j}")
-    col = np.array(as_complex_vector(hbar_col)[: j + 2], dtype=np.complex128)
-    for i, (c, b) in enumerate(chain.rotations):
-        top = c * col[i] + b * col[i + 1]
-        col[i + 1] = -b * col[i] + c * col[i + 1]
-        col[i] = top
-        if counter is not None:
-            counter.tally(mults=4, adds=2)
-    rho = float(col[j].real)
-    sigma = float(col[j + 1].real)
-    if rho == 0.0 and sigma == 0.0:
-        c, b = 1.0, 0.0
+    col = np.asarray(hbar_col, dtype=np.complex128)
+    product = chain.product
+    # the previous rotations touch entries 0..j only
+    head = matvec(product[..., : j + 1, : j + 1], col[..., : j + 1])
+    sub = col[..., j + 1]
+    if counter is not None:
+        counter.tally(mults=4 * j, adds=2 * j)
+    rho = head[..., j].real
+    hyp = np.hypot(rho, sub.real)
+    flat = hyp == 0.0
+    if np.count_nonzero(flat):
+        hyp = np.where(flat, 1.0, hyp)
+        c, b = np.where(flat, 1.0, rho / hyp), sub.real / hyp
     else:
-        hyp = float(np.hypot(rho, sigma))
-        c, b = rho / hyp, sigma / hyp
+        c, b = rho / hyp, sub.real / hyp
         if counter is not None:
             counter.tally(mults=5)  # rho^2, sigma^2, sqrt, two divisions
     chain.rotations.append((c, b))
-    col[j] = c * col[j] + b * col[j + 1]
-    chain.R[: j + 1, j] = col[: j + 1]
-    g_top = c * chain.g[j] + b * chain.g[j + 1]
-    chain.g[j + 1] = -b * chain.g[j] + c * chain.g[j + 1]
-    chain.g[j] = g_top
+    r_col = head.copy()
+    r_col[..., j] = c * head[..., j] + b * sub
+    chain.R[..., : j + 1, j] = r_col
+    # row j+1 of the product is still e_{j+1}, so the rotation mixes two rows
+    row_j, row_next = product[..., j, : j + 2], product[..., j + 1, : j + 2]
+    row_next[..., : j + 1] = -b[..., None] * row_j[..., : j + 1]
+    row_next[..., j + 1] = c
+    row_j *= c[..., None]
+    row_j[..., j + 1] = b
     if counter is not None:
         counter.tally(mults=8, adds=4)
-    return chain.R[: j + 1, j].copy()
+    return r_col
+
+
+def _partial_solutions(r: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(..., V, V) array whose column v-1 is the solution of R[:v, :v] p = g[:v], zero-padded.
+
+    R^-1 is upper triangular, so its leading v x v block inverts R[:v, :v]
+    and p_v is the running sum of R^-1[:, l] g[l] over l < v.
+    """
+    diag = np.abs(r.diagonal(0, -2, -1))
+    if np.count_nonzero(diag < _DEGENERATE_DENOM):
+        i = tuple(np.argwhere(diag < _DEGENERATE_DENOM)[0])
+        raise ZeroDivisionError(f"singular triangular factor: |R({i[-1]},{i[-1]})| = {diag[i]:.3g}")
+    return np.cumsum(np.linalg.inv(r) * g[..., None, :], axis=-1)
 
 
 def hessenberg_back_substitute(r, g, counter=None) -> np.ndarray:
-    """Solve the upper-triangular system R p = g by back substitution."""
-    r = as_complex_matrix(r)
-    g = as_complex_vector(g)
-    v = g.shape[0]
-    if r.shape != (v, v):
-        raise ValueError(f"dimension mismatch: R is {r.shape}, g has length {v}")
-    p = np.zeros(v, dtype=np.complex128)
-    for i in range(v - 1, -1, -1):
-        if abs(r[i, i]) < _DEGENERATE_DENOM:
-            raise ZeroDivisionError(f"singular triangular factor: |R({i},{i})| = {abs(r[i, i]):.3g}")
-        p[i] = (g[i] - r[i, i + 1:] @ p[i + 1:]) / r[i, i]
+    """Solve the upper-triangular system R p = g (one per row of a batch)."""
+    r = np.asarray(r, dtype=np.complex128)
+    g = np.asarray(g, dtype=np.complex128)
+    v = g.shape[-1]
+    if r.shape != (*g.shape, v):
+        raise ValueError(f"dimension mismatch: R is {r.shape}, g is {g.shape}")
     if counter is not None:
         counter.tally(mults=v * (v + 1) // 2, adds=v * (v - 1) // 2)
-    return p
+    return _partial_solutions(r, g)[..., -1]
 
 
 def gmres_detect(prob: MmseProblem, v_iters: int, counter=None) -> DetectionResult:
@@ -355,57 +467,80 @@ def gmres_detect(prob: MmseProblem, v_iters: int, counter=None) -> DetectionResu
 
     Runs Arnoldi for at most min(v_iters, M) columns, folds each Hessenberg
     column into the QR factorization as it appears, and performs the
-    triangular solve and solution update s = Q p once, after the loop or at
-    breakdown.  The trace holds the rotated-residual magnitudes |gamma_j|;
-    the final one is cross-checked against the explicitly formed residual.
+    triangular solve and solution update s = Q p once, after the loop.  The
+    trace holds the rotated-residual magnitudes |gamma_j|; the final one is
+    cross-checked against the explicitly formed residual, frame by frame.
+    The iterate norms ||s_j|| = ||p_j|| (by orthonormality) come from the
+    same triangular solve, since R[:j, :j] and g[:j] are final after step j.
     """
     if v_iters < 1:
         raise ValueError(f"iteration count must be >= 1, got {v_iters}")
-    a, y = prob.A, prob.y_mf
+    a, y, single = _frames(prob, counter)
+    frames = len(y)
     v_max = min(v_iters, prob.M)
-    s = np.zeros(prob.M, dtype=np.complex128)
+    s = np.zeros_like(y)
     r0 = y - matvec(a, s, counter)
     if counter is not None:
         counter.tally(adds=prob.M)
     beta = norm2(r0)
+    running = (beta > EARLY_STOP_REL * norm2(y)) & (beta != 0.0)
+    iterations = np.where(running, v_max, 0)
     res_norms = [beta]
-    it_norms = [0.0]
-    if beta <= EARLY_STOP_REL * norm2(y) or beta == 0.0:
-        return _result(s, 0, res_norms, it_norms)
-    state = init_arnoldi(r0, v_max, counter)
+    if not np.count_nonzero(running):
+        return _result(s, iterations, res_norms, [np.zeros(frames)], single)
+    # frames done at step 0 run on an all-zero basis, which breaks down at once
+    state = init_arnoldi(np.where(running[:, None], r0, 1.0), v_max, counter)
+    state.basis[0] *= running[:, None]
     chain = init_givens(beta, v_max)
     stop = EARLY_STOP_REL * beta
     for j in range(v_max):
         happy = arnoldi_step(a, state, j, counter)
-        givens_lsq_update(chain, state.Hbar[:, j], j, counter)
-        res_norms.append(chain.residual_estimate)
-        v = j + 1
-        # iterate norm ||s_j|| = ||p_j|| by orthonormality; diagnostic only
-        it_norms.append(norm2(hessenberg_back_substitute(chain.R[:v, :v], chain.g[:v])))
-        if happy or chain.residual_estimate <= stop:
-            break
+        givens_lsq_update(chain, state.Hbar[..., j], j, counter)
+        estimate = chain.residual_estimate
+        res_norms.append(estimate)
+        stopped = running & (happy | (estimate <= stop))
+        if np.count_nonzero(stopped):
+            iterations[stopped] = j + 1
+            running = running & ~stopped
+            if not np.count_nonzero(running):
+                break
+            state.basis[j + 1] *= running[:, None]
     v = state.v
-    p = hessenberg_back_substitute(chain.R[:v, :v], chain.g[:v], counter)
-    s = state.Q[:, :v] @ p
+    r, g = chain.R[..., :v, :v], chain.g[..., :v]
+    if np.count_nonzero(iterations != v):
+        # pad each frame's triangle with the identity past its last column
+        short = np.arange(v) >= iterations[:, None]
+        r = np.where(short[:, None, :], np.eye(v), r)
+        g = np.where(short, 0.0, g)
+    partial = _partial_solutions(r, g)
+    # running sums over the columns, which padding zeros cannot reorder, keep
+    # s and the iterate norms of a frame the same in any batch; s is copied
+    # out so that a result does not hold on to every partial sum
+    s = np.cumsum(state.basis[:v] * partial[..., -1].T[..., None], axis=0)[-1].copy()
     if counter is not None:
+        counter.tally(mults=v * (v + 1) // 2, adds=v * (v - 1) // 2)  # the triangular solve
         counter.tally(mults=prob.M * v, adds=prob.M * max(v - 1, 0))
-    explicit = norm2(y - a @ s)
-    if abs(explicit - res_norms[-1]) > 1e-8 * max(beta, 1.0):
+    explicit = norm2(y - matvec(a, s))
+    # a stopped frame's later rotations are identities, so its row of the
+    # product still holds its last rotated residual
+    rotated = beta * np.abs(chain.product[np.arange(frames), iterations, 0])
+    bad = np.flatnonzero(np.abs(explicit - rotated) > 1e-8 * np.maximum(beta, 1.0))
+    if bad.size:
+        b = bad[0]
         raise ArithmeticError(
-            f"rotated residual {res_norms[-1]:.3g} disagrees with explicit residual {explicit:.3g}"
+            f"rotated residual {rotated[b]:.3g} disagrees with explicit residual {explicit[b]:.3g}"
+            + ("" if single else f" in frame {b}")
         )
-    return _result(s, v, res_norms, it_norms)
+    norms = np.sqrt(np.cumsum(partial.real**2 + partial.imag**2, axis=-2)[:, -1])
+    return _result(s, iterations, res_norms, [np.zeros(frames), *norms.T], single)
 
 
 def exact_detect(prob: MmseProblem) -> DetectionResult:
     """Cholesky ground-truth detection: solve A s = y_mf directly."""
-    low = cholesky_factor(prob.A)
-    s = cholesky_solve(low, prob.y_mf)
-    trace = DetectionTrace(
-        residual_norms=[norm2(prob.y_mf - prob.A @ s)],
-        iterate_norms=[norm2(s)],
-    )
-    return DetectionResult(s_hat=s, iterations=0, trace=trace)
+    a, y, single = _frames(prob)
+    s = cholesky_solve(cholesky_factor(a), y)
+    residual = norm2(y - matvec(a, s))
+    return _result(s, np.zeros(len(y), dtype=int), [residual], [norm2(s)], single)
 
 
 @dataclass(frozen=True)

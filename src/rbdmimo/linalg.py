@@ -1,8 +1,12 @@
 """Dense complex linear algebra primitives and the exact Cholesky solver.
 
 Vectors are 1-D complex128 ndarrays and matrices are 2-D complex128
-ndarrays throughout the package.  The serialization order for the text
-fixture format is column-major; in-memory layout is whatever numpy uses.
+ndarrays throughout the package; a batch of frames stacks them along a
+leading axis, which the products, norms, Hermitian checks and Cholesky
+routines accept as is.  These primitives do not re-validate their
+operands: problems are checked once, when an `MmseProblem` is built.  The
+serialization order for the text fixture format is column-major;
+in-memory layout is whatever numpy uses.
 
 All functions are pure; the optional `counter` arguments only accumulate
 operation tallies on the caller's object (see `rbdmimo.complexity`).
@@ -50,63 +54,69 @@ def as_complex_vector(x) -> np.ndarray:
 
 
 def hermitian_defect(a: np.ndarray) -> float:
-    """max_ij |A(i,j) - conj(A(j,i))|, zero for exactly Hermitian input."""
-    a = as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
+    """max |A(i,j) - conj(A(j,i))| over every matrix of a (..., M, M) stack.
+
+    Zero for exactly Hermitian input, NaN when an entry is NaN.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"matrix is not square: {a.shape}")
-    return float(np.abs(a - a.conj().T).max()) if a.size else 0.0
+    return float(np.abs(a - a.conj().swapaxes(-1, -2)).max()) if a.size else 0.0
 
 
 def require_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    a = as_complex_matrix(a)
+    """The (..., M, M) stack as complex128, or ValueError if any matrix is not
+    Hermitian within tol or holds a non-finite entry."""
+    a = np.asarray(a, dtype=np.complex128)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite values")
     defect = hermitian_defect(a)
-    if defect > tol:
+    if not defect <= tol:
         raise ValueError(f"matrix is not Hermitian within {tol:g} (defect {defect:.3g})")
     return a
 
 
 def matvec(a: np.ndarray, x: np.ndarray, counter=None) -> np.ndarray:
-    """Matrix-vector product A @ x with dimension checking."""
-    a = as_complex_matrix(a)
-    x = as_complex_vector(x)
-    if a.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: A is {a.shape}, x has length {len(x)}")
+    """Matrix-vector product A @ x, for one matrix or a (B, M, M) stack against (B, M)."""
     if counter is not None:
-        counter.tally_matvec(a.shape[0], a.shape[1])
-    return a @ x
+        counter.tally_matvec(a.shape[-2], a.shape[-1])
+    return np.matvec(a, x)
 
 
-def inner_hermitian(x: np.ndarray, y: np.ndarray, counter=None) -> complex:
-    """Hermitian inner product x^H y (first argument conjugated)."""
-    x = as_complex_vector(x)
-    y = as_complex_vector(y)
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
+def inner_hermitian(x: np.ndarray, y: np.ndarray, counter=None):
+    """Hermitian inner product x^H y (first argument conjugated) over the last axis."""
     if counter is not None:
-        counter.tally(mults=len(x), adds=max(len(x) - 1, 0))
-    return complex(np.vdot(x, y))
+        counter.tally(mults=x.shape[-1], adds=max(x.shape[-1] - 1, 0))
+    return np.vecdot(x, y)
 
 
-def norm2(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x))
+def norm2(x: np.ndarray):
+    """Euclidean norm over the last axis."""
+    return np.sqrt(np.vecdot(x, x).real)
 
 
 def cholesky_factor(a: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L @ L^H = A for Hermitian positive definite A.
 
-    Raises NotPositiveDefiniteError (carrying the failing pivot index) when
-    a pivot falls below CHOLESKY_PIVOT_TOL, including the tiny positive
-    pivots that LAPACK accepts.
+    A may be a (B, M, M) stack.  Raises NotPositiveDefiniteError (carrying
+    the failing pivot index of the first failing matrix) when a pivot falls
+    below CHOLESKY_PIVOT_TOL, including the tiny positive pivots that
+    LAPACK accepts.
     """
     a = require_hermitian(a)
     try:
         low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(*_failing_pivot(a)) from None
-    pivots = low.diagonal().real ** 2
-    small = np.flatnonzero(pivots <= CHOLESKY_PIVOT_TOL)
-    if small.size:
-        raise NotPositiveDefiniteError(int(small[0]), float(pivots[small[0]]))
+        for one in a.reshape(-1, *a.shape[-2:]):
+            try:
+                np.linalg.cholesky(one)
+            except np.linalg.LinAlgError:
+                raise NotPositiveDefiniteError(*_failing_pivot(one)) from None
+        raise
+    pivots = low.diagonal(0, -2, -1).real ** 2
+    if np.count_nonzero(pivots <= CHOLESKY_PIVOT_TOL):
+        first = tuple(np.argwhere(pivots <= CHOLESKY_PIVOT_TOL)[0])
+        raise NotPositiveDefiniteError(int(first[-1]), float(pivots[first]))
     return low
 
 
@@ -125,18 +135,22 @@ def _failing_pivot(a: np.ndarray) -> tuple[int, float]:
 
 
 def cholesky_solve(low: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Solve (L L^H) s = y: forward solve with L, then backward with L^H."""
-    low = as_complex_matrix(low)
-    y = as_complex_vector(y)
-    n = low.shape[0]
-    if low.shape[1] != n or y.shape[0] != n:
-        raise ValueError(f"dimension mismatch: L is {low.shape}, y has length {len(y)}")
-    return np.linalg.solve(low.conj().T, np.linalg.solve(low, y))
+    """Solve (L L^H) s = y: forward solve with L, then backward with L^H.
+
+    L may be a (B, M, M) stack with y of shape (B, M).
+    """
+    low = np.asarray(low, dtype=np.complex128)
+    y = np.asarray(y, dtype=np.complex128)
+    n = low.shape[-1]
+    if low.ndim not in (2, 3) or low.shape[-2] != n or y.shape != low.shape[:-1]:
+        raise ValueError(f"dimension mismatch: L is {low.shape}, y is {y.shape}")
+    forward = np.linalg.solve(low, y[..., None])
+    return np.linalg.solve(low.conj().swapaxes(-1, -2), forward)[..., 0]
 
 
 def hermitian_eigen_extrema(a: np.ndarray) -> tuple[float, float]:
     """Extreme eigenvalues (lambda_min, lambda_max) of a Hermitian matrix."""
-    eigs = np.linalg.eigvalsh(require_hermitian(a))
+    eigs = np.linalg.eigvalsh(require_hermitian(as_complex_matrix(a)))
     return float(eigs[0]), float(eigs[-1])
 
 

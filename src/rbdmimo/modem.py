@@ -6,6 +6,8 @@ second half the quadrature axis.  Within an axis the bit group is read
 MSB first as a binary-reflected Gray codeword, with the all-zeros word
 mapping to the most negative amplitude level.  Constellations are scaled
 to unit average symbol energy.
+
+Every function also takes a batch of frames, one frame per row.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import as_complex_vector
-from .rngstream import complex_normal, uniform_stream
+from .rngstream import complex_normal_rows
 
 SUPPORTED_ORDERS = (4, 16, 64)
 
@@ -54,20 +55,22 @@ def _axis_tables(order: int):
 
 
 def qam_modulate(bits, spec: QamSpec) -> np.ndarray:
-    """Map a {0,1} bit block onto unit-energy QAM symbols."""
+    """Map {0,1} bits, one block per row, onto unit-energy QAM symbols."""
     bits = np.asarray(bits, dtype=np.int64)
-    if bits.ndim != 1 or bits.size % spec.bits_per_symbol != 0:
+    if bits.ndim not in (1, 2):
+        raise ValueError(f"expected one bit block or a batch of blocks, got ndim={bits.ndim}")
+    if bits.shape[-1] % spec.bits_per_symbol != 0:
         raise ValueError(
-            f"bit count {bits.size} is not a multiple of bits_per_symbol={spec.bits_per_symbol}"
+            f"bit count {bits.shape[-1]} is not a multiple of bits_per_symbol={spec.bits_per_symbol}"
         )
     if bits.size and (bits.min() < 0 or bits.max() > 1):
         raise ValueError("bits must be 0 or 1")
     _, gray_to_idx, levels = _axis_tables(spec.order)
     half = spec.bits_per_symbol // 2
-    groups = bits.reshape(-1, spec.bits_per_symbol)
+    groups = bits.reshape(*bits.shape[:-1], -1, spec.bits_per_symbol)
     weights = 1 << np.arange(half - 1, -1, -1)
-    gray_i = groups[:, :half] @ weights
-    gray_q = groups[:, half:] @ weights
+    gray_i = groups[..., :half] @ weights
+    gray_q = groups[..., half:] @ weights
     return spec.scale * (levels[gray_to_idx[gray_i]] + 1j * levels[gray_to_idx[gray_q]])
 
 
@@ -77,7 +80,9 @@ def qam_demodulate_hard(symbols, spec: QamSpec) -> np.ndarray:
     Per-axis threshold slicing; equivalent to full nearest-neighbor search
     over the constellation because the lattice is separable.
     """
-    symbols = as_complex_vector(symbols)
+    symbols = np.asarray(symbols, dtype=np.complex128)
+    if symbols.ndim not in (1, 2):
+        raise ValueError(f"expected symbols of one frame or a batch of frames, got ndim={symbols.ndim}")
     idx_to_gray, _, _ = _axis_tables(spec.order)
     side = idx_to_gray.shape[0]
     half = spec.bits_per_symbol // 2
@@ -85,19 +90,30 @@ def qam_demodulate_hard(symbols, spec: QamSpec) -> np.ndarray:
 
     def slice_axis(u):
         i = np.clip(np.rint((u / spec.scale + (side - 1)) / 2.0), 0, side - 1).astype(np.int64)
-        gray = idx_to_gray[i]
-        return (gray[:, None] >> shifts) & 1
+        return (idx_to_gray[i][..., None] >> shifts) & 1
 
-    bits = np.empty((symbols.size, spec.bits_per_symbol), dtype=np.int64)
-    bits[:, :half] = slice_axis(symbols.real)
-    bits[:, half:] = slice_axis(symbols.imag)
-    return bits.reshape(-1)
+    bits = np.empty((*symbols.shape, spec.bits_per_symbol), dtype=np.int64)
+    bits[..., :half] = slice_axis(symbols.real)
+    bits[..., half:] = slice_axis(symbols.imag)
+    return bits.reshape(*symbols.shape[:-1], -1)
 
 
-def awgn_add(x, sigma2: float, rng_seed: int) -> np.ndarray:
-    """Add circularly-symmetric complex Gaussian noise of per-entry variance sigma2."""
+def awgn_add(x, sigma2: float, rng_seed) -> np.ndarray:
+    """Add circularly-symmetric complex Gaussian noise of per-entry variance sigma2.
+
+    x is one frame with one integer rng_seed, or a (B, N) batch with a
+    sequence of B seeds, one per row.
+    """
+    if not np.isfinite(sigma2):
+        raise ValueError("sigma2 contains non-finite values")
     if sigma2 < 0:
         raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
-    x = as_complex_vector(x)
-    gen = uniform_stream(rng_seed)
-    return x + complex_normal(gen, x.size, variance=sigma2)
+    x = np.asarray(x, dtype=np.complex128)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"expected one frame or a batch of frames, got ndim={x.ndim}")
+    if not np.isfinite(x).all():
+        raise ValueError("x contains non-finite values")
+    seeds = [rng_seed] if x.ndim == 1 else list(rng_seed)
+    if x.ndim == 2 and len(seeds) != x.shape[0]:
+        raise ValueError(f"need one seed per row: {x.shape[0]} rows, {len(seeds)} seeds")
+    return x + complex_normal_rows(seeds, x.shape[-1], variance=sigma2).reshape(x.shape)

@@ -5,6 +5,12 @@ a counter-based uniform generator (Philox), so identical seeds reproduce
 identical values regardless of call order or parallel scheduling.  Normal
 variates are produced by the Box-Muller transform applied to that uniform
 stream; complex Gaussians take one Box-Muller pair per entry.
+
+The `*_rows` functions draw one row per seed for a batch of frames.  Each
+row is exactly what a fresh `uniform_stream(seed)` gives, but the rows come
+from one Philox per call whose state is reset per seed (`Philox(key=seed)`
+also reads the OS entropy pool for a seed it then discards), and the
+Box-Muller transform runs once over the whole batch.
 """
 
 from __future__ import annotations
@@ -46,22 +52,72 @@ def uniform_stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
 
 
-def normal_pairs(gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n independent N(0,1) pairs via Box-Muller on the uniform stream.
+def _row_streams(seeds):
+    """Yield one generator, reset in turn to a fresh uniform_stream(seed) for each seed.
 
+    Writing the Philox state with the seed in key[0] is bit-identical to
+    building Philox(key=seed), and much cheaper.  The generator belongs to
+    this call, so concurrent callers cannot interleave their streams.
+    """
+    key = np.zeros(2, dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    gen = np.random.Generator(np.random.Philox(0))
+    for seed in seeds:
+        key[0] = int(seed) & _MASK64
+        gen.bit_generator.state = state
+        yield gen
+
+
+def uniform_bits_rows(seeds, n: int) -> np.ndarray:
+    """(len(seeds), n) bits in {0, 1}: row b is uniform_stream(seeds[b]).integers(0, 2, n)."""
+    bits = np.empty((len(seeds), n), dtype=np.int64)
+    for row, gen in zip(bits, _row_streams(seeds)):
+        row[:] = gen.integers(0, 2, size=n)
+    return bits
+
+
+def _complex_normals(u1: np.ndarray, u2: np.ndarray, variance: float) -> np.ndarray:
+    """sqrt(variance / 2) * (z0 + 1j z1) for Box-Muller pairs (z0, z1) of the uniforms.
+
+    Computed in place over u1 and u2, which must be uniforms in [0, 1);
     u1 is mapped into (0, 1] so the logarithm stays finite.
     """
-    u1 = 1.0 - gen.random(n)
-    u2 = gen.random(n)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = (2.0 * np.pi) * u2
-    return radius * np.cos(angle), radius * np.sin(angle)
+    radius = np.subtract(1.0, u1, out=u1)
+    np.log(radius, out=radius)
+    np.multiply(radius, -2.0, out=radius)
+    np.sqrt(radius, out=radius)
+    angle = np.multiply(u2, 2.0 * np.pi, out=u2)
+    z0 = np.cos(angle)
+    z0 *= radius
+    z1 = np.sin(angle, out=angle)
+    z1 *= radius
+    out = np.empty(z0.shape, dtype=np.complex128)
+    scale = np.sqrt(variance / 2.0)
+    np.multiply(z0, scale, out=out.real)
+    np.multiply(z1, scale, out=out.imag)
+    return out
 
 
 def complex_normal(gen: np.random.Generator, n: int, variance: float = 1.0) -> np.ndarray:
     """n circularly-symmetric complex Gaussians with per-entry variance `variance`.
 
-    Each entry uses one Box-Muller pair, variance/2 per real dimension.
+    Each entry uses one Box-Muller pair, variance/2 per real dimension; the
+    first n uniforms of the stream feed the radii, the next n the angles.
     """
-    z0, z1 = normal_pairs(gen, n)
-    return np.sqrt(variance / 2.0) * (z0 + 1j * z1)
+    u = gen.random(2 * n)
+    return _complex_normals(u[:n], u[n:], variance)
+
+
+def complex_normal_rows(seeds, n: int, variance: float = 1.0) -> np.ndarray:
+    """(len(seeds), n) complex Gaussians: row b is complex_normal(uniform_stream(seeds[b]), n, variance)."""
+    u = np.empty((len(seeds), 2, n))
+    for row, gen in zip(u, _row_streams(seeds)):
+        gen.random(out=row.reshape(-1))
+    return _complex_normals(u[:, 0], u[:, 1], variance)

@@ -20,7 +20,7 @@ from .detectors import (
     residual_bound_minres,
 )
 from .rngstream import mix_seed
-from .sim import SimConfig, run_trial
+from .sim import SimConfig, run_frames, run_trial
 
 
 class CheckFailure(AssertionError):
@@ -143,7 +143,8 @@ def check_matvec_budget(seed, detectors):
 
 
 def check_determinism(seed, detectors):
-    """Identical (config, seed) trials produce identical error counts."""
+    """Identical (config, seed) trials produce identical error counts, and a
+    chunk of frames gives each frame what run_trial gives it alone."""
     config = SimConfig(
         n=16, m=4, qam_order=16, detector="cr", k_iterations=3,
         snr_db_list=(6.0,), master_seed=seed,
@@ -152,6 +153,11 @@ def check_determinism(seed, detectors):
     second = run_trial(config, 6.0, mix_seed(seed, 0, 0))
     if first != second:
         raise CheckFailure("trial determinism", f"{first} != {second}")
+    seeds = [mix_seed(seed, 0, t) for t in range(8)]
+    chunk = run_frames(config, 0.0, seeds).tolist()
+    alone = [run_trial(config, 0.0, t)[0] for t in seeds]
+    if chunk != alone:
+        raise CheckFailure("trial determinism", f"chunk errors {chunk} != per-frame errors {alone}")
 
 
 CHECKS = (

@@ -6,6 +6,13 @@ Every random draw derives from (master_seed, snr_index, trial_index)
 through the documented 64-bit mixer, so any subset of points reproduces
 exactly, in any execution order, serial or parallel.
 
+Frames run in chunks of up to FRAMES_PER_BATCH: `run_frames` draws,
+detects and demaps a whole chunk as stacked arrays, and each frame of the
+chunk equals `run_trial` on its own seed.  `run_ber_point` adds up the
+per-frame errors and stops at the first frame where the serial stop rule
+holds, so frames, bits, errors and flags do not depend on the chunk size,
+and the seeding contract is unchanged.
+
 SNR convention: sigma2 = M / 10^(snr_db / 10), i.e. per-receive-antenna
 SNR at unit average symbol energy.  Detector comparisons are SNR gaps
 between curves and are invariant to this choice.
@@ -30,8 +37,9 @@ from .detectors import (
     minres_detect,
     preprocess,
 )
+from .linalg import matvec
 from .modem import SUPPORTED_ORDERS, awgn_add, qam_demodulate_hard, qam_modulate, qam_spec
-from .rngstream import mix_seed, uniform_stream
+from .rngstream import mix_seed, uniform_bits_rows
 
 SNR_CONVENTION = "sigma2 = M / 10^(snr_db/10) (per-receive-antenna SNR, unit symbol energy)"
 
@@ -39,6 +47,7 @@ FLAG_OK = "ok"
 FLAG_BELOW_RESOLUTION = "below_resolution"
 
 MIN_FRAMES_PER_POINT = 10
+FRAMES_PER_BATCH = 16
 
 RESULT_COLUMNS = [
     "detector", "k", "N", "M", "qam", "scenario", "zeta_t", "zeta_r",
@@ -116,47 +125,56 @@ def _detect(config: SimConfig, prob):
     return cr_detect(prob, config.k_iterations)
 
 
-def run_trial(config: SimConfig, snr_db: float, trial_seed: int) -> tuple[int, int]:
-    """One frame; returns (bit_errors, bits_sent).  Deterministic in trial_seed.
+def run_frames(config: SimConfig, snr_db: float, trial_seeds) -> np.ndarray:
+    """Bit errors of each frame of a chunk, one frame per trial seed.
 
     Sub-streams: mix_seed(trial_seed, 0) for bits, (..., 1) for the channel,
     (..., 2) for the noise.
     """
     spec = qam_spec(config.qam_order)
     n_bits = config.m * spec.bits_per_symbol
-    bits = uniform_stream(mix_seed(trial_seed, 0)).integers(0, 2, size=n_bits)
+    bits = uniform_bits_rows([mix_seed(t, 0) for t in trial_seeds], n_bits)
     symbols = qam_modulate(bits, spec)
-    h = generate_channel(config.n, config.m, config.scenario, mix_seed(trial_seed, 1)).H
+    h = generate_channel(config.n, config.m, config.scenario, [mix_seed(t, 1) for t in trial_seeds]).H
     sigma2 = snr_to_sigma2(snr_db, config.m)
-    y = awgn_add(h @ symbols, sigma2, mix_seed(trial_seed, 2))
-    prob = preprocess(h, y, sigma2)
-    detected = _detect(config, prob)
+    y = awgn_add(matvec(h, symbols), sigma2, [mix_seed(t, 2) for t in trial_seeds])
+    detected = _detect(config, preprocess(h, y, sigma2))
     bits_hat = qam_demodulate_hard(detected.s_hat, spec)
-    return int(np.count_nonzero(bits_hat != bits)), n_bits
+    return np.count_nonzero(bits_hat != bits, axis=-1)
+
+
+def run_trial(config: SimConfig, snr_db: float, trial_seed: int) -> tuple[int, int]:
+    """One frame; returns (bit_errors, bits_sent).  Deterministic in trial_seed."""
+    errors = run_frames(config, snr_db, [trial_seed])
+    return int(errors[0]), config.m * qam_spec(config.qam_order).bits_per_symbol
 
 
 def run_ber_point(config: SimConfig, snr_db: float, snr_index: int | None = None) -> BerPoint:
     """Accumulate trials at one SNR until target_bit_errors or max_bits.
 
     At least MIN_FRAMES_PER_POINT frames are always run.  Points that stop
-    short of the error target carry the below-resolution flag.
+    short of the error target carry the below-resolution flag.  Frames run
+    in chunks no longer than the frames left to the bit budget, and the
+    point ends at the first frame that meets the stop rule.
     """
     if snr_index is None:
         try:
             snr_index = config.snr_db_list.index(float(snr_db))
         except ValueError:
             raise ValueError(f"snr_db {snr_db} is not in the configured sweep list") from None
-    errors = 0
-    bits = 0
-    frames = 0
-    while True:
-        trial_seed = mix_seed(config.master_seed, snr_index, frames)
-        e, b = run_trial(config, snr_db, trial_seed)
-        errors += e
-        bits += b
-        frames += 1
-        if frames >= MIN_FRAMES_PER_POINT and (errors >= config.target_bit_errors or bits >= config.max_bits):
-            break
+    n_bits = config.m * qam_spec(config.qam_order).bits_per_symbol
+    # the bit budget ends a point at this frame, whatever its error count
+    last_frame = max(MIN_FRAMES_PER_POINT, -(-config.max_bits // n_bits))
+    errors = frames = 0
+    done = False
+    while not done:
+        counts = np.arange(frames + 1, min(frames + FRAMES_PER_BATCH, last_frame) + 1)
+        seeds = [mix_seed(config.master_seed, snr_index, t) for t in range(frames, counts[-1])]
+        totals = errors + np.cumsum(run_frames(config, snr_db, seeds))
+        stops = ((counts >= MIN_FRAMES_PER_POINT) & (totals >= config.target_bit_errors)) | (counts == last_frame)
+        end = int(np.argmax(stops)) if stops.any() else len(counts) - 1
+        frames, errors, done = int(counts[end]), int(totals[end]), bool(stops[end])
+    bits = frames * n_bits
     flag = FLAG_OK if errors >= config.target_bit_errors else FLAG_BELOW_RESOLUTION
     return BerPoint(
         snr_db=float(snr_db),
@@ -340,8 +358,18 @@ _CONFIG_KEYS = {
 }
 
 
+def _integer(raw: dict, key: str, default=None) -> int:
+    """raw[key] as an int; bools and non-integral numbers are rejected, not truncated."""
+    value = raw.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def config_from_dict(raw: dict) -> SimConfig:
-    """Build a SimConfig from parsed JSON, rejecting unknown keys."""
+    """Build a SimConfig from parsed JSON, rejecting unknown keys and inexact integers."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     unknown = set(raw) - _CONFIG_KEYS
@@ -364,16 +392,16 @@ def config_from_dict(raw: dict) -> SimConfig:
             theta=float(scenario_raw.get("theta_rad", 0.0)),
         )
         return SimConfig(
-            n=int(raw["n"]),
-            m=int(raw["m"]),
-            qam_order=int(raw["qam_order"]),
+            n=_integer(raw, "n"),
+            m=_integer(raw, "m"),
+            qam_order=_integer(raw, "qam_order"),
             detector=str(raw["detector"]),
-            k_iterations=int(raw["k_iterations"]),
+            k_iterations=_integer(raw, "k_iterations"),
             snr_db_list=tuple(float(s) for s in raw["snr_db_list"]),
             scenario=scenario,
-            target_bit_errors=int(raw.get("target_bit_errors", 500)),
-            max_bits=int(raw.get("max_bits", 20_000_000)),
-            master_seed=int(raw.get("master_seed", 0)),
+            target_bit_errors=_integer(raw, "target_bit_errors", 500),
+            max_bits=_integer(raw, "max_bits", 20_000_000),
+            master_seed=_integer(raw, "master_seed", 0),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None

@@ -98,6 +98,14 @@ class TestGenerateChannel:
         rt_sqrt = matrix_sqrt_psd(correlation_matrix(3, 0.4, 0.3))
         assert np.abs(h - w @ rt_sqrt).max() < 1e-12
 
+    def test_seed_sequence_stacks_single_draws(self):
+        sc = ChannelScenario("fully_correlated", zeta_t=0.2, zeta_r=0.3)
+        seeds = [mix_seed(31, i) for i in range(4)]
+        stack = generate_channel(8, 4, sc, seeds)
+        assert stack.H.shape == (4, 8, 4) and stack.seed == tuple(seeds)
+        for seed, h in zip(seeds, stack.H):
+            assert np.array_equal(h, generate_channel(8, 4, sc, seed).H)
+
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
             generate_channel(2, 4, ChannelScenario(), 0)

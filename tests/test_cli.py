@@ -122,6 +122,18 @@ class TestSelftest:
         assert any(f.startswith("minres residual monotonicity") for f in failures)
         assert any(line.startswith("FAIL minres residual monotonicity") for line in lines)
 
+    def test_batch_order_fault_named(self, monkeypatch):
+        # channels drawn in reversed seed order within a chunk: each frame alone is
+        # unaffected, so only the chunk-against-run_trial comparison can catch it
+        import rbdmimo.channel as channel_mod
+
+        draw = channel_mod.complex_normal_rows
+        monkeypatch.setattr(channel_mod, "complex_normal_rows", lambda seeds, n: draw(seeds[::-1], n))
+        lines = []
+        failures = run_selftest(seed=7, emit=lines.append)
+        assert [f.split(":")[0] for f in failures] == ["trial determinism"]
+        assert "FAIL trial determinism: chunk errors" in "\n".join(lines)
+
     def test_cli_reports_failure_exit_1(self, capsys, monkeypatch):
         import rbdmimo.cli as cli_mod
 

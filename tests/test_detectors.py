@@ -397,11 +397,87 @@ class TestProblemValidation:
     def test_rejects_non_hermitian(self):
         a = np.eye(2, dtype=complex)
         a[0, 1] = 1e-6
-        with pytest.raises(ValueError):
-            MmseProblem(A=a, y_mf=np.zeros(2, dtype=complex), sigma2=0.1, N=4, M=2)
+        nan = np.array([[1.0, np.nan], [np.nan, 1.0]], dtype=complex)
+        for bad in (a, nan, np.stack([np.eye(2, dtype=complex), a])):
+            y = np.zeros(bad.shape[:-1], dtype=complex)
+            with pytest.raises(ValueError):
+                MmseProblem(A=bad, y_mf=y, sigma2=0.1, N=4, M=2)
+
+    def test_rejects_bad_sigma2(self):
+        for sigma2 in (-0.1, float("nan"), np.array([0.1, 0.2, 0.3])):
+            with pytest.raises(ValueError, match="sigma2"):
+                MmseProblem(
+                    A=np.stack([np.eye(2, dtype=complex)] * 2), y_mf=np.zeros((2, 2), dtype=complex),
+                    sigma2=sigma2, N=4, M=2,
+                )
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             MmseProblem(
                 A=np.eye(3, dtype=complex), y_mf=np.zeros(2, dtype=complex), sigma2=0.1, N=4, M=3
             )
+
+
+def stack_problems(problems) -> MmseProblem:
+    return MmseProblem(
+        A=np.stack([p.A for p in problems]), y_mf=np.stack([p.y_mf for p in problems]),
+        sigma2=np.array([p.sigma2 for p in problems]), N=problems[0].N, M=problems[0].M,
+    )
+
+
+def assert_same_result(got, want):
+    assert np.array_equal(got.s_hat, want.s_hat)
+    assert got.iterations == want.iterations
+    assert got.trace.residual_norms == want.trace.residual_norms
+    assert got.trace.iterate_norms == want.trace.iterate_norms
+
+
+class TestBatch:
+    """A batch of frames gives each frame exactly what it gives alone."""
+
+    def test_preprocess_stack_matches_single_frames(self):
+        gen = uniform_stream(530)
+        h = random_complex(gen, 3, 12, 4)
+        y = random_complex(gen, 3, 12)
+        batch = preprocess(h, y, 0.4)
+        for i in range(3):
+            one = preprocess(h[i], y[i], 0.4)
+            assert np.array_equal(batch.A[i], one.A) and np.array_equal(batch.y_mf[i], one.y_mf)
+
+    @pytest.mark.parametrize("detect", [minres_detect, cr_detect, gmres_detect])
+    def test_mixed_chunk_with_early_stop(self, detect):
+        # identity-like A stops cr and minres after one step and breaks gmres down
+        # at its first column, A with two or three distinct eigenvalues breaks
+        # gmres down at its second or third; a zero right-hand side stops
+        # every detector at 0
+        quick = toy_problem([1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 2.0j, -1.0, 0.5, 1j])
+        two = toy_problem([1.0, 2.0, 1.0, 2.0, 2.0], [1.0, 2.0j, -1.0, 0.5, 1j])
+        three = toy_problem([1.0, 2.0, 3.0, 2.0, 3.0], [1.0, 2.0j, -1.0, 0.5, 1j])
+        idle = toy_problem([1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 0.0, 0.0, 0.0, 0.0])
+        ordinary = [make_problem(5, 531 + i, sigma2=0.2) for i in range(3)]
+        frames = [ordinary[0], quick, two, ordinary[1], idle, three, ordinary[2]]
+        batch = detect(stack_problems(frames), 5)
+        assert batch.s_hat.shape == (7, 5) and batch.iterations.shape == (7,)
+        for i, prob in enumerate(frames):
+            assert_same_result(batch.frame(i), detect(prob, 5))
+        assert batch.iterations[1] < 5 and batch.iterations[4] == 0
+        assert np.isnan(batch.trace.residual_norms[4, 1:]).all()
+        if detect is gmres_detect:
+            assert batch.iterations.tolist() == [5, 1, 2, 5, 0, 3, 5]
+
+    def test_exact_stack_matches_single_frames(self):
+        frames = [make_problem(5, 540 + i) for i in range(4)]
+        batch = exact_detect(stack_problems(frames))
+        for i, prob in enumerate(frames):
+            assert_same_result(batch.frame(i), exact_detect(prob))
+
+    def test_counter_takes_one_problem(self):
+        batch = stack_problems([make_problem(3, 550), make_problem(3, 551)])
+        with pytest.raises(ValueError, match="one problem"):
+            cr_detect(batch, 2, counter=OpCounter())
+
+    def test_degenerate_denominator_of_a_live_frame_raises(self):
+        # a zero matrix gives a zero denominator on a frame that is still running
+        zero = MmseProblem(A=np.zeros((2, 2), dtype=complex), y_mf=np.ones(2, dtype=complex), sigma2=0.0, N=2, M=2)
+        with pytest.raises(ZeroDivisionError):
+            cr_detect(stack_problems([make_problem(2, 552), zero]), 2)

@@ -13,6 +13,7 @@ from rbdmimo.linalg import (
     load_matrix,
     load_vector,
     matvec,
+    require_hermitian,
     save_matrix,
     save_vector,
 )
@@ -43,6 +44,9 @@ def recurrence_pivots(a):
         low[j, j] = np.sqrt(pivots[-1])
         low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j].conj()) / low[j, j]
     return pivots
+
+
+NAN_MATRIX = [[1.0, np.nan], [np.nan, 1.0]]
 
 
 def random_complex(gen, *shape):
@@ -163,6 +167,29 @@ class TestCholesky:
             assert err.value.pivot_index == len(want) - 1
             assert abs(err.value.pivot_value - want[-1]) <= 1e-9 * np.abs(a).max()
 
+    def test_rejects_non_finite(self):
+        for a in (NAN_MATRIX, [[np.inf, 0.0], [0.0, 1.0]]):
+            with pytest.raises(ValueError, match="non-finite"):
+                cholesky_factor(np.array(a, dtype=complex))
+
+    def test_stack_matches_single_matrices(self):
+        gen = uniform_stream(113)
+        a = np.stack([random_spd(gen, 5) for _ in range(4)])
+        y = random_complex(gen, 4, 5)
+        low = cholesky_factor(a)
+        s = cholesky_solve(low, y)
+        for i in range(4):
+            assert np.array_equal(low[i], cholesky_factor(a[i]))
+            assert np.array_equal(s[i], cholesky_solve(low[i], y[i]))
+
+    def test_stack_reports_first_failing_matrix(self):
+        gen = uniform_stream(114)
+        bad = np.diag([1.0, 2.0, -1.0]).astype(complex)
+        a = np.stack([random_spd(gen, 3), bad, random_spd(gen, 3)])
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            cholesky_factor(a)
+        assert err.value.pivot_index == 2
+
     def test_reconstruction_random(self):
         gen = uniform_stream(104)
         for _ in range(30):
@@ -241,8 +268,9 @@ class TestEigenExtrema:
             assert quad <= hi * nrm * (1 + 1e-12) + 1e-12
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_eigen_extrema(np.array([[1.0, 2.0], [3.0, 1.0]], dtype=complex))
+        for a in ([[1.0, 2.0], [3.0, 1.0]], NAN_MATRIX):
+            with pytest.raises(ValueError):
+                hermitian_eigen_extrema(np.array(a, dtype=complex))
 
 
 class TestHermitianDefect:
@@ -255,6 +283,12 @@ class TestHermitianDefect:
         a = np.eye(3, dtype=complex)
         a[0, 1] = 1e-6
         assert hermitian_defect(a) > 1e-7
+
+    def test_nan_entry_fails_require_hermitian(self):
+        # a NaN defect compares false against any tolerance; it must still fail
+        assert np.isnan(hermitian_defect(np.array(NAN_MATRIX, dtype=complex)))
+        with pytest.raises(ValueError, match="non-finite"):
+            require_hermitian(np.array(NAN_MATRIX, dtype=complex))
 
 
 class TestTextFormat:

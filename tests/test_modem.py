@@ -96,6 +96,17 @@ def test_slicing_matches_exhaustive_search(order):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_batch_rows_match_single_blocks(order):
+    spec = qam_spec(order)
+    bits = uniform_stream(500 + order).integers(0, 2, size=(5, 3 * spec.bits_per_symbol))
+    symbols = qam_modulate(bits, spec)
+    assert symbols.shape == (5, 3)
+    for row, got in zip(bits, symbols):
+        assert np.array_equal(got, qam_modulate(row, spec))
+    assert np.array_equal(qam_demodulate_hard(symbols, spec), bits)
+
+
 def test_bit_count_validation():
     with pytest.raises(ValueError):
         qam_modulate(np.array([0, 1, 0]), qam_spec(16))
@@ -109,6 +120,26 @@ class TestAwgn:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             awgn_add(np.zeros(2, dtype=complex), -1.0, 0)
+
+    def test_rejects_non_finite(self):
+        x = np.zeros(4, dtype=complex)
+        for sigma2 in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="sigma2 contains non-finite"):
+                awgn_add(x, sigma2, 0)
+        for bad in (np.inf, np.nan, complex(0, np.inf)):
+            y = x.copy()
+            y[2] = bad
+            with pytest.raises(ValueError, match="x contains non-finite"):
+                awgn_add(y, 1.0, 0)
+
+    def test_batch_rows_match_single_frames(self):
+        x = np.arange(12, dtype=complex).reshape(3, 4)
+        seeds = [5, 6, 7]
+        batch = awgn_add(x, 0.5, seeds)
+        for row, seed, got in zip(x, seeds, batch):
+            assert np.array_equal(got, awgn_add(row, 0.5, seed))
+        with pytest.raises(ValueError, match="one seed per row"):
+            awgn_add(x, 0.5, seeds[:2])
 
     def test_deterministic(self):
         x = np.zeros(16, dtype=complex)

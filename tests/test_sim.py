@@ -9,6 +9,7 @@ from rbdmimo.channel import ChannelScenario, generate_channel
 from rbdmimo.detectors import exact_detect, preprocess
 from rbdmimo.modem import qam_demodulate_hard, qam_modulate, qam_spec
 from rbdmimo.rngstream import mix_seed, uniform_stream
+import rbdmimo.sim as sim
 from rbdmimo.sim import (
     FLAG_BELOW_RESOLUTION,
     FLAG_OK,
@@ -22,6 +23,7 @@ from rbdmimo.sim import (
     plot_data,
     read_results,
     run_ber_point,
+    run_frames,
     run_sweep,
     run_trial,
     snr_gap,
@@ -79,6 +81,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="bandwidth"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("key,value", [("n", 16.9), ("m", True), ("k_iterations", 2.5)])
+    def test_inexact_integers_rejected(self, key, value):
+        raw = config_as_dict(small_config())
+        raw[key] = value
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(raw)
+
+    def test_integral_float_accepted(self):
+        raw = config_as_dict(small_config())
+        raw["n"] = 16.0
+        assert config_from_dict(raw) == small_config()
+
     def test_dict_roundtrip(self):
         cfg = small_config()
         assert config_from_dict(config_as_dict(cfg)) == cfg
@@ -112,6 +126,14 @@ class TestRunTrial:
     def test_repeatable(self):
         cfg = small_config()
         assert run_trial(cfg, 4.0, 999) == run_trial(cfg, 4.0, 999)
+
+    @pytest.mark.parametrize("detector", ["cholesky", "minres", "gmres", "cr"])
+    def test_chunk_matches_single_frames(self, detector):
+        cfg = small_config(detector=detector, k_iterations=2)
+        seeds = [mix_seed(78, t) for t in range(12)]
+        chunk = run_frames(cfg, 0.0, seeds)
+        assert chunk.tolist() == [run_trial(cfg, 0.0, t)[0] for t in seeds]
+        assert chunk.sum() > 0
 
     def test_cr_full_rank_matches_cholesky_decisions(self):
         cfg_cr = small_config(detector="cr", k_iterations=4)  # K = M
@@ -158,6 +180,18 @@ class TestSweep:
     def test_serial_parallel_identical(self):
         cfg = small_config()
         assert run_sweep(cfg, workers=None) == run_sweep(cfg, workers=3)
+
+    @pytest.mark.parametrize("detector", ["cholesky", "gmres", "cr"])
+    def test_chunk_size_and_workers_invariant(self, monkeypatch, detector):
+        # error-target points (0 dB) stop mid-chunk; budget points (8 dB) at the budget
+        cfg = small_config(detector=detector, max_bits=4_000)
+        reference = run_sweep(cfg)
+        assert {p.flag for p in reference.points} == {FLAG_OK, FLAG_BELOW_RESOLUTION}
+        for size in (1, 4096):
+            monkeypatch.setattr(sim, "FRAMES_PER_BATCH", size)
+            assert run_sweep(cfg) == reference
+        monkeypatch.setattr(sim, "FRAMES_PER_BATCH", 3)
+        assert run_sweep(cfg, workers=3) == reference
 
     def test_rerun_identical(self):
         cfg = small_config()
