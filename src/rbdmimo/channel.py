@@ -26,13 +26,27 @@ FULLY_CORRELATED = "fully_correlated"
 SCENARIO_KINDS = (UNCORRELATED, USER_CORRELATED, BS_CORRELATED, FULLY_CORRELATED)
 
 
+class ConfigError(ValueError):
+    """Invalid simulation configuration or config file."""
+
+
+def finite_real(name: str, value) -> float:
+    """value as a float; bools, strings and non-finite numbers raise ConfigError naming `name`."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    if not np.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ChannelScenario:
     """Correlation configuration driving channel generation.
 
     kind selects which correlation factors apply; the unused zeta values
     must be zero (uncorrelated forces both, user_correlated forces zeta_r,
-    bs_correlated forces zeta_t).
+    bs_correlated forces zeta_t).  zeta_t, zeta_r and theta are stored as
+    floats.
     """
 
     kind: str = UNCORRELATED
@@ -42,16 +56,18 @@ class ChannelScenario:
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
-            raise ValueError(f"unknown scenario kind {self.kind!r}, expected one of {SCENARIO_KINDS}")
+            raise ConfigError(f"unknown scenario kind {self.kind!r}, expected one of {SCENARIO_KINDS}")
+        for name in ("zeta_t", "zeta_r", "theta"):
+            object.__setattr__(self, name, finite_real(name, getattr(self, name)))
         for name, value in (("zeta_t", self.zeta_t), ("zeta_r", self.zeta_r)):
             if not (0.0 <= value < 1.0):
-                raise ValueError(f"{name} must lie in [0, 1), got {value}")
+                raise ConfigError(f"{name} must lie in [0, 1), got {value}")
         if self.kind == UNCORRELATED and (self.zeta_t != 0.0 or self.zeta_r != 0.0):
-            raise ValueError("uncorrelated scenario requires zeta_t = zeta_r = 0")
+            raise ConfigError("uncorrelated scenario requires zeta_t = zeta_r = 0")
         if self.kind == USER_CORRELATED and self.zeta_r != 0.0:
-            raise ValueError("user_correlated scenario requires zeta_r = 0")
+            raise ConfigError("user_correlated scenario requires zeta_r = 0")
         if self.kind == BS_CORRELATED and self.zeta_t != 0.0:
-            raise ValueError("bs_correlated scenario requires zeta_t = 0")
+            raise ConfigError("bs_correlated scenario requires zeta_t = 0")
 
 
 @dataclass(frozen=True, eq=False)

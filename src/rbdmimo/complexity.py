@@ -28,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelScenario, generate_channel
-from .detectors import MmseProblem, cr_detect, gmres_detect, minres_detect, preprocess
+from .detectors import ITERATIVE_DETECTORS, MmseProblem, preprocess
 from .rngstream import complex_normal, mix_seed, uniform_stream
 
-COUNTED_ALGORITHMS = ("minres", "gmres", "cr")
+COUNTED_ALGORITHMS = tuple(ITERATIVE_DETECTORS)
 
 COUNTING_CONVENTION = (
     "complex multiplication = 1; division and square root = 1 each; "
@@ -139,9 +139,6 @@ def cholesky_cost(m: int) -> Cost:
     )
 
 
-_DETECTOR_FNS = {"minres": minres_detect, "gmres": gmres_detect, "cr": cr_detect}
-
-
 def measured_cost(algorithm: str, prob: MmseProblem, k: int) -> Cost:
     """Run the detector with instrumented kernels and report actual counts."""
     return measured_counter(algorithm, prob, k).cost()
@@ -149,10 +146,10 @@ def measured_cost(algorithm: str, prob: MmseProblem, k: int) -> Cost:
 
 def measured_counter(algorithm: str, prob: MmseProblem, k: int) -> OpCounter:
     """Like measured_cost but returns the full counter (including matvec tally)."""
-    if algorithm not in _DETECTOR_FNS:
+    if algorithm not in ITERATIVE_DETECTORS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {COUNTED_ALGORITHMS}")
     counter = OpCounter()
-    _DETECTOR_FNS[algorithm](prob, k, counter=counter)
+    ITERATIVE_DETECTORS[algorithm](prob, k, counter=counter)
     return counter
 
 

@@ -48,8 +48,6 @@ EARLY_STOP_REL = 1e-13
 ARNOLDI_BREAKDOWN_REL = 1e-13
 _DEGENERATE_DENOM = 1e-300
 
-DETECTOR_NAMES = ("cholesky", "minres", "gmres", "cr")
-
 
 @dataclass(frozen=True, eq=False)
 class MmseProblem:
@@ -543,6 +541,10 @@ def exact_detect(prob: MmseProblem) -> DetectionResult:
     return _result(s, np.zeros(len(y), dtype=int), [residual], [norm2(s)], single)
 
 
+ITERATIVE_DETECTORS = {"minres": minres_detect, "gmres": gmres_detect, "cr": cr_detect}
+DETECTOR_NAMES = ("cholesky", *ITERATIVE_DETECTORS)
+
+
 @dataclass(frozen=True)
 class ConvergenceBound:
     """Spectral quantities governing per-iteration residual contraction."""
@@ -558,6 +560,13 @@ class ConvergenceBound:
         """Squared-residual contraction factor 1 - mu(A) mu(A^-1), in [0, 1)."""
         return 1.0 - self.mu_a * self.mu_a_inv
 
+    def gmres_factor(self, k: int) -> float:
+        """Residual-norm bound factor ((tau2^2 - 1) / tau2^2)^(k/2) after k gmres steps."""
+        if k < 0:
+            raise ValueError(f"iteration count must be >= 0, got {k}")
+        tau_sq = self.tau2 ** 2
+        return float(((tau_sq - 1.0) / tau_sq) ** (k / 2.0))
+
 
 def residual_bound_minres(a) -> ConvergenceBound:
     """Contraction bound for minimal-residual iterations on Hermitian PD A."""
@@ -569,8 +578,4 @@ def residual_bound_minres(a) -> ConvergenceBound:
 
 def residual_bound_gmres(a, k: int) -> float:
     """Residual-norm bound factor ((tau2^2 - 1) / tau2^2)^(k/2) for Hermitian PD A."""
-    if k < 0:
-        raise ValueError(f"iteration count must be >= 0, got {k}")
-    bound = residual_bound_minres(a)
-    tau_sq = bound.tau2 ** 2
-    return float(((tau_sq - 1.0) / tau_sq) ** (k / 2.0))
+    return residual_bound_minres(a).gmres_factor(k)

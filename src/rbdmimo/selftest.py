@@ -2,8 +2,7 @@
 
 Each check raises CheckFailure with a diagnostic on violation.  The suite
 covers the load-bearing invariants at small scale (M <= 8) and finishes in
-a few seconds.  Detector callables are injectable so mutation tests can
-verify that a corrupted implementation is caught by name.
+a few seconds.
 """
 
 from __future__ import annotations
@@ -11,14 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .complexity import analytic_cost, cholesky_cost, measured_counter, random_problem
-from .detectors import (
-    cr_detect,
-    exact_detect,
-    gmres_detect,
-    minres_detect,
-    residual_bound_gmres,
-    residual_bound_minres,
-)
+from .detectors import cr_detect, exact_detect, gmres_detect, minres_detect, residual_bound_minres
 from .rngstream import mix_seed
 from .sim import SimConfig, run_frames, run_trial
 
@@ -36,24 +28,24 @@ def _problems(seed, count=20, m_max=8):
         yield random_problem(m, mix_seed(seed, i, 2), n=4 * m, sigma2=sigma2)
 
 
-def check_oracle_equivalence(seed, detectors):
+def check_oracle_equivalence(seed):
     """cr(K=M) and gmres(V=M) match the Cholesky solution to 1e-8 relative."""
     for prob in _problems(seed):
         exact = exact_detect(prob).s_hat
         scale = np.linalg.norm(exact)
-        for name in ("cr", "gmres"):
-            got = detectors[name](prob, prob.M).s_hat
+        for name, detect in (("cr", cr_detect), ("gmres", gmres_detect)):
+            got = detect(prob, prob.M).s_hat
             rel = np.linalg.norm(got - exact) / scale
             if rel > 1e-8:
                 raise CheckFailure("oracle equivalence", f"{name} off by {rel:.3g} at M={prob.M}")
 
 
-def check_minres_monotonicity(seed, detectors):
+def check_minres_monotonicity(seed):
     """minres residual norms never increase and obey the contraction factor."""
     for prob in _problems(seed):
         bound = residual_bound_minres(prob.A)
         factor = bound.minres_step_factor
-        res = detectors["minres"](prob, prob.M).trace.residual_norms
+        res = minres_detect(prob, prob.M).trace.residual_norms
         for k in range(len(res) - 1):
             if res[k + 1] > res[k] * (1 + 1e-12):
                 raise CheckFailure(
@@ -67,12 +59,13 @@ def check_minres_monotonicity(seed, detectors):
                 )
 
 
-def check_gmres_bound(seed, detectors):
+def check_gmres_bound(seed):
     """gmres residuals stay below the condition-number bound at every step."""
     for prob in _problems(seed):
-        res = detectors["gmres"](prob, prob.M).trace.residual_norms
+        bound = residual_bound_minres(prob.A)
+        res = gmres_detect(prob, prob.M).trace.residual_norms
         for k in range(len(res)):
-            limit = residual_bound_gmres(prob.A, k) * res[0] + 1e-12 * res[0]
+            limit = bound.gmres_factor(k) * res[0] + 1e-12 * res[0]
             if res[k] > limit:
                 raise CheckFailure(
                     "gmres residual bound",
@@ -80,10 +73,10 @@ def check_gmres_bound(seed, detectors):
                 )
 
 
-def check_cr_monotonicity(seed, detectors):
+def check_cr_monotonicity(seed):
     """cr residuals strictly decrease while iterate norms never decrease."""
     for prob in _problems(seed):
-        trace = detectors["cr"](prob, prob.M).trace
+        trace = cr_detect(prob, prob.M).trace
         res, its = trace.residual_norms, trace.iterate_norms
         for k in range(len(res) - 1):
             if not res[k + 1] < res[k]:
@@ -98,12 +91,12 @@ def check_cr_monotonicity(seed, detectors):
                 )
 
 
-def check_gmres_cr_agreement(seed, detectors):
+def check_gmres_cr_agreement(seed):
     """gmres and cr residual histories agree on Hermitian PD systems."""
     for prob in _problems(seed):
         k = min(prob.M, 6)
-        res_g = detectors["gmres"](prob, k).trace.residual_norms
-        res_c = detectors["cr"](prob, k).trace.residual_norms
+        res_g = gmres_detect(prob, k).trace.residual_norms
+        res_c = cr_detect(prob, k).trace.residual_norms
         for i in range(min(len(res_g), len(res_c))):
             if abs(res_g[i] - res_c[i]) > 1e-6 * max(res_g[0], 1e-30):
                 raise CheckFailure(
@@ -112,7 +105,7 @@ def check_gmres_cr_agreement(seed, detectors):
                 )
 
 
-def check_complexity_tables(seed, detectors):
+def check_complexity_tables(seed):
     """Closed-form counts hit the spot values and order cr < minres < gmres."""
     spots = {"minres": 816, "gmres": 1648, "cr": 576}
     for algorithm, want in spots.items():
@@ -130,7 +123,7 @@ def check_complexity_tables(seed, detectors):
         )
 
 
-def check_matvec_budget(seed, detectors):
+def check_matvec_budget(seed):
     """Instrumented product counts: 2k for minres, one per cr iteration after init."""
     prob = random_problem(8, mix_seed(seed, 99))
     k = 4
@@ -142,7 +135,7 @@ def check_matvec_budget(seed, detectors):
         raise CheckFailure("matvec budget", f"cr used {got} products, want {k + 3}")
 
 
-def check_determinism(seed, detectors):
+def check_determinism(seed):
     """Identical (config, seed) trials produce identical error counts, and a
     chunk of frames gives each frame what run_trial gives it alone."""
     config = SimConfig(
@@ -172,16 +165,12 @@ CHECKS = (
 )
 
 
-def run_selftest(seed: int = 2024, detectors=None, emit=print) -> list[str]:
+def run_selftest(seed: int = 2024, emit=print) -> list[str]:
     """Run every named check; returns the list of failure messages."""
-    detectors = dict(detectors or {})
-    detectors.setdefault("minres", minres_detect)
-    detectors.setdefault("gmres", gmres_detect)
-    detectors.setdefault("cr", cr_detect)
     failures = []
     for name, check in CHECKS:
         try:
-            check(seed, detectors)
+            check(seed)
         except CheckFailure as exc:
             failures.append(str(exc))
             emit(f"FAIL {exc}")

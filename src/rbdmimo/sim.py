@@ -24,19 +24,12 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .channel import ChannelScenario, generate_channel
-from .detectors import (
-    DETECTOR_NAMES,
-    cr_detect,
-    exact_detect,
-    gmres_detect,
-    minres_detect,
-    preprocess,
-)
+from .channel import ChannelScenario, ConfigError, finite_real, generate_channel
+from .detectors import DETECTOR_NAMES, ITERATIVE_DETECTORS, exact_detect, preprocess
 from .linalg import matvec
 from .modem import SUPPORTED_ORDERS, awgn_add, qam_demodulate_hard, qam_modulate, qam_spec
 from .rngstream import mix_seed, uniform_bits_rows
@@ -54,13 +47,18 @@ RESULT_COLUMNS = [
     "theta_rad", "snr_db", "bits", "errors", "ber", "flag",
 ]
 
-
-class ConfigError(ValueError):
-    """Invalid simulation configuration or config file."""
+_INTEGER_FIELDS = ("n", "m", "qam_order", "k_iterations", "target_bit_errors", "max_bits", "master_seed")
 
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One seeded sweep, validated on construction.
+
+    This is the one check of a config, whichever route built it: the
+    integer fields take integral numbers and store ints, and a bad type or
+    value raises ConfigError naming the field.
+    """
+
     n: int
     m: int
     qam_order: int
@@ -73,6 +71,15 @@ class SimConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, (float, np.floating)) and float(value).is_integer():
+                value = int(value)
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not isinstance(self.scenario, ChannelScenario):
+            raise ConfigError(f"scenario must be a ChannelScenario, got {self.scenario!r}")
         if self.m < 1 or self.n < self.m:
             raise ConfigError(f"require N >= M >= 1, got N={self.n}, M={self.m}")
         if self.qam_order not in SUPPORTED_ORDERS:
@@ -81,7 +88,9 @@ class SimConfig:
             raise ConfigError(f"unknown detector {self.detector!r}, expected one of {DETECTOR_NAMES}")
         if self.k_iterations < 1:
             raise ConfigError(f"k_iterations must be >= 1, got {self.k_iterations}")
-        snrs = tuple(float(s) for s in self.snr_db_list)
+        if not isinstance(self.snr_db_list, (list, tuple)):
+            raise ConfigError(f"snr_db_list must be a list or tuple, got {self.snr_db_list!r}")
+        snrs = tuple(finite_real("snr_db_list", s) for s in self.snr_db_list)
         if not snrs:
             raise ConfigError("snr_db_list must not be empty")
         if any(b <= a for a, b in zip(snrs, snrs[1:])):
@@ -118,11 +127,7 @@ def snr_to_sigma2(snr_db: float, m: int) -> float:
 def _detect(config: SimConfig, prob):
     if config.detector == "cholesky":
         return exact_detect(prob)
-    if config.detector == "minres":
-        return minres_detect(prob, config.k_iterations)
-    if config.detector == "gmres":
-        return gmres_detect(prob, config.k_iterations)
-    return cr_detect(prob, config.k_iterations)
+    return ITERATIVE_DETECTORS[config.detector](prob, config.k_iterations)
 
 
 def run_frames(config: SimConfig, snr_db: float, trial_seeds) -> np.ndarray:
@@ -352,30 +357,20 @@ def snr_gap(points_a, points_b, ber_level: float) -> float:
 
 
 _SCENARIO_KEYS = {"kind", "zeta_t", "zeta_r", "theta_rad"}
-_CONFIG_KEYS = {
-    "n", "m", "qam_order", "detector", "k_iterations", "snr_db_list",
-    "scenario", "target_bit_errors", "max_bits", "master_seed",
-}
-
-
-def _integer(raw: dict, key: str, default=None) -> int:
-    """raw[key] as an int; bools and non-integral numbers are rejected, not truncated."""
-    value = raw.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
+_CONFIG_FIELDS = fields(SimConfig)
 
 
 def config_from_dict(raw: dict) -> SimConfig:
-    """Build a SimConfig from parsed JSON, rejecting unknown keys and inexact integers."""
+    """Build a SimConfig from parsed JSON.
+
+    Only unknown and missing keys are checked here; SimConfig checks the values.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - {f.name for f in _CONFIG_FIELDS}
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    missing = {"n", "m", "qam_order", "detector", "k_iterations", "snr_db_list"} - set(raw)
+    missing = {f.name for f in _CONFIG_FIELDS if f.default is MISSING} - set(raw)
     if missing:
         raise ConfigError(f"missing config key(s): {', '.join(sorted(missing))}")
     scenario_raw = raw.get("scenario", {})
@@ -384,27 +379,8 @@ def config_from_dict(raw: dict) -> SimConfig:
     unknown = set(scenario_raw) - _SCENARIO_KEYS
     if unknown:
         raise ConfigError(f"unknown scenario key(s): {', '.join(sorted(unknown))}")
-    try:
-        scenario = ChannelScenario(
-            kind=scenario_raw.get("kind", "uncorrelated"),
-            zeta_t=float(scenario_raw.get("zeta_t", 0.0)),
-            zeta_r=float(scenario_raw.get("zeta_r", 0.0)),
-            theta=float(scenario_raw.get("theta_rad", 0.0)),
-        )
-        return SimConfig(
-            n=_integer(raw, "n"),
-            m=_integer(raw, "m"),
-            qam_order=_integer(raw, "qam_order"),
-            detector=str(raw["detector"]),
-            k_iterations=_integer(raw, "k_iterations"),
-            snr_db_list=tuple(float(s) for s in raw["snr_db_list"]),
-            scenario=scenario,
-            target_bit_errors=_integer(raw, "target_bit_errors", 500),
-            max_bits=_integer(raw, "max_bits", 20_000_000),
-            master_seed=_integer(raw, "master_seed", 0),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    scenario = {("theta" if key == "theta_rad" else key): value for key, value in scenario_raw.items()}
+    return SimConfig(**{**raw, "scenario": ChannelScenario(**scenario)})
 
 
 def load_config(path) -> SimConfig:
@@ -419,32 +395,20 @@ def load_config(path) -> SimConfig:
 
 
 def apply_overrides(config: SimConfig, overrides: dict[str, object]) -> SimConfig:
-    """Apply flat or dotted key=value overrides on top of a config."""
-    cfg_kwargs: dict[str, object] = {}
-    scenario_kwargs: dict[str, object] = {}
+    """Apply flat or dotted key=value overrides on top of a config.
+
+    The overrides are merged into the config's dict form, which then goes
+    through config_from_dict exactly like a config file.
+    """
+    merged = config_as_dict(config)
     for key, value in overrides.items():
+        section, sub = merged, key
         if key.startswith("scenario."):
-            sub = key.split(".", 1)[1]
-            if sub not in _SCENARIO_KEYS:
-                raise ConfigError(f"unknown override key: {key}")
-            scenario_kwargs["theta" if sub == "theta_rad" else sub] = value
-        elif key in _CONFIG_KEYS - {"scenario"}:
-            cfg_kwargs[key] = value
-        else:
+            section, sub = merged["scenario"], key[len("scenario."):]
+        if sub not in section or (section is merged and sub == "scenario"):
             raise ConfigError(f"unknown override key: {key}")
-    try:
-        if scenario_kwargs:
-            cfg_kwargs["scenario"] = replace(config.scenario, **scenario_kwargs)
-        if "snr_db_list" in cfg_kwargs:
-            raw = cfg_kwargs["snr_db_list"]
-            if not isinstance(raw, (list, tuple)):
-                raise ConfigError("snr_db_list override must be a JSON list")
-            cfg_kwargs["snr_db_list"] = tuple(float(s) for s in raw)
-        return replace(config, **cfg_kwargs)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from None
+        section[sub] = value
+    return config_from_dict(merged)
 
 
 def config_as_dict(config: SimConfig) -> dict:

@@ -77,6 +77,13 @@ class TestSimulate:
         code = main(["simulate", "--config", str(config_file), "--override", "qam=64"])
         assert code == 2
 
+    def test_inexact_integer_override_exit_2(self, config_file, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        code = main(["simulate", "--config", str(config_file), "--override", "n=16.9", "--out", str(out)])
+        assert code == 2
+        assert "n must be an integer, got 16.9" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestComplexity:
     def test_grid_row_count(self, tmp_path):
@@ -115,10 +122,13 @@ class TestSelftest:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_injected_sign_error_named(self):
+    def test_injected_sign_error_named(self, monkeypatch):
         # a corrupted step direction must be caught by the monotonicity check
+        import rbdmimo.selftest as selftest_mod
+
+        monkeypatch.setattr(selftest_mod, "minres_detect", sign_flipped_minres)
         lines = []
-        failures = run_selftest(seed=7, detectors={"minres": sign_flipped_minres}, emit=lines.append)
+        failures = run_selftest(seed=7, emit=lines.append)
         assert any(f.startswith("minres residual monotonicity") for f in failures)
         assert any(line.startswith("FAIL minres residual monotonicity") for line in lines)
 

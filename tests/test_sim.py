@@ -81,17 +81,38 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="bandwidth"):
             config_from_dict(raw)
 
-    @pytest.mark.parametrize("key,value", [("n", 16.9), ("m", True), ("k_iterations", 2.5)])
+    @pytest.mark.parametrize("key,value", [
+        ("n", 16.9), ("m", True), ("k_iterations", 2.5), ("master_seed", 1.5), ("max_bits", 4000.7),
+        ("snr_db_list", [math.nan]), ("snr_db_list", [math.inf]), ("snr_db_list", "5"),
+        ("scenario.theta_rad", math.nan), ("scenario.theta_rad", "x"),
+    ])
     def test_inexact_integers_rejected(self, key, value):
+        # SimConfig(...), config_from_dict and apply_overrides reject the value alike
         raw = config_as_dict(small_config())
-        raw[key] = value
-        with pytest.raises(ConfigError, match=key):
-            config_from_dict(raw)
+        if key.startswith("scenario."):
+            raw["scenario"][key.split(".")[1]] = value
+            name = "theta"
+            direct = lambda: small_config(scenario=ChannelScenario(theta=value))  # noqa: E731
+        else:
+            raw[key] = value
+            name = key
+            direct = lambda: small_config(**{key: value})  # noqa: E731
+        for build in (direct, lambda: config_from_dict(raw), lambda: apply_overrides(small_config(), {key: value})):
+            with pytest.raises(ConfigError, match=name):
+                build()
 
     def test_integral_float_accepted(self):
         raw = config_as_dict(small_config())
         raw["n"] = 16.0
         assert config_from_dict(raw) == small_config()
+
+    def test_numpy_integer_accepted(self):
+        for cfg in (
+            small_config(n=np.int64(16), master_seed=np.uint64(11)),
+            apply_overrides(small_config(), {"n": np.int32(16), "max_bits": np.int64(40_000)}),
+        ):
+            assert cfg == small_config()
+            assert type(cfg.n) is int and type(cfg.master_seed) is int and type(cfg.max_bits) is int
 
     def test_dict_roundtrip(self):
         cfg = small_config()
