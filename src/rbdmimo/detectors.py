@@ -10,9 +10,20 @@ the residual norm ||y_mf - A s_k|| per step:
   iteration after initialization.
 
 exact_detect is the Cholesky ground truth.  All iterations are expressed
-through two shared kernels, a multiply-accumulate update and a ratio of
-Hermitian inner products, so instrumented operation counts line up with
-the unified accounting in `rbdmimo.complexity`.
+through two shared kernels, a multiply-accumulate update (kernel_mac) and
+a ratio of Hermitian inner products (kernel_coeff), so instrumented
+operation counts line up with the unified accounting in
+`rbdmimo.complexity`.
+
+The iterations run at the interpreter floor: each arithmetic step is one
+numpy call, and the vectors live in buffers made once per call and then
+updated in place (kernel_mac writes into `out`; the iterates s_0..s_k of
+cr and minres share one history array, which the iterate-norm trace
+reads; the Arnoldi basis and Hessenberg columns are filled where they
+lie).  An in-place step takes the operands of the plain expression in the
+same order, so it rounds exactly as the allocating form does.  Operation
+tallies are added once per step, and only when a counter is passed: with
+none, counting costs an `is None` test or two per step.
 
 Detectors are pure functions of (problem, iteration count); starting
 iterates are always zero and every trace therefore begins at
@@ -35,10 +46,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    cholesky_factor,
+    cholesky_lower,
     cholesky_solve,
     hermitian_eigen_extrema,
-    inner_hermitian,
     matvec,
     norm2,
     require_hermitian,
@@ -169,11 +179,15 @@ def preprocess(h, y, sigma2: float) -> MmseProblem:
     return MmseProblem(A=a, y_mf=matvec(h_herm, y), sigma2=float(sigma2), N=n, M=m)
 
 
-def kernel_mac(x, a, b, counter=None) -> np.ndarray:
-    """Multiply-accumulate kernel: x + a * b, one coefficient per row of a batch."""
+def kernel_mac(x, a, b, counter=None, out=None) -> np.ndarray:
+    """Multiply-accumulate kernel: x + a * b, one coefficient per row of a batch.
+
+    With `out` the result is written there; out may be b, not x.
+    """
     if counter is not None:
         counter.tally(mults=x.shape[-1], adds=x.shape[-1])
-    return x + (a[..., None] if isinstance(a, np.ndarray) else a) * b
+    prod = np.multiply(a[..., None] if isinstance(a, np.ndarray) else a, b, out)
+    return np.add(x, prod, out)
 
 
 def kernel_coeff(m, n, p, q, counter=None, live=None):
@@ -182,17 +196,31 @@ def kernel_coeff(m, n, p, q, counter=None, live=None):
     Rows outside the boolean mask `live` (frames that have stopped) get a
     zero coefficient and are exempt from the degenerate-denominator check.
     """
-    den = inner_hermitian(p, q, counter)
+    den = np.vecdot(p, q)
     if live is not None:
         den = np.where(live, den, 1.0)
     size = np.abs(den)
     if np.count_nonzero(size < _DEGENERATE_DENOM):
         raise ZeroDivisionError(f"degenerate coefficient denominator |p^H q| = {size.min():.3g}")
-    num = inner_hermitian(m, n, counter)
     if counter is not None:
-        counter.tally(mults=1)  # the division
-    coeff = num / den
+        counter.tally(*_coeff_ops(p.shape[-1]))
+    coeff = np.divide(np.vecdot(m, n), den)
     return coeff if live is None else np.where(live, coeff, 0.0)
+
+
+def _coeff_ops(size: int) -> tuple[int, int]:
+    """(mults, adds) of one coefficient on length-`size` vectors: two inner
+    products and the division."""
+    return 2 * size + 1, 2 * max(size - 1, 0)
+
+
+def _steps(k_iters: int, y: np.ndarray):
+    """Iterate history s_0..s_k (zero start) and residual-norm rows for k steps.
+
+    A result copies its iterate out of the history, so it does not keep the
+    history alive.
+    """
+    return np.zeros((k_iters + 1, *y.shape), dtype=np.complex128), np.empty((k_iters + 1, len(y)))
 
 
 def minres_detect(prob: MmseProblem, k_iters: int, counter=None) -> DetectionResult:
@@ -204,33 +232,37 @@ def minres_detect(prob: MmseProblem, k_iters: int, counter=None) -> DetectionRes
     if k_iters < 1:
         raise ValueError(f"iteration count must be >= 1, got {k_iters}")
     a, y, single = _frames(prob, counter)
-    s = np.zeros_like(y)
+    size = prob.M
+    coeff_mults, coeff_adds = _coeff_ops(size)
+    hist, res = _steps(k_iters, y)
+    r = np.empty_like(y)
     stop = EARLY_STOP_REL * norm2(y)
     iterations = np.full(len(y), k_iters)
     running = np.ones(len(y), dtype=bool)
     live = None
-    res_norms, iterates = [], []
     for k in range(k_iters):
-        r = y - matvec(a, s, counter)
+        np.subtract(y, np.matvec(a, hist[k]), r)
+        np.sqrt(np.vecdot(r, r).real, res[k])
         if counter is not None:
-            counter.tally(adds=prob.M)
-        rn = norm2(r)
-        res_norms.append(rn)
-        iterates.append(s)
-        stopped = running & (rn <= stop)
+            counter.tally_matvec(size, size)
+            counter.tally(adds=size)
+        # live is None while every frame runs
+        stopped = res[k] <= stop if live is None else running & (res[k] <= stop)
         if np.count_nonzero(stopped):
             iterations[stopped] = k
             running = running & ~stopped
             if not np.count_nonzero(running):
-                return _result(s, iterations, res_norms, norm2(np.array(iterates)), single)
+                return _result(hist[k].copy(), iterations, res[: k + 1], norm2(hist[: k + 1]), single)
             live = running
-        ar = matvec(a, r, counter)
-        alpha = kernel_coeff(r, ar, ar, ar, counter, live)
-        s = kernel_mac(s, alpha, r, counter)
+        ar = np.matvec(a, r)
+        alpha = kernel_coeff(r, ar, ar, ar, live=live)
+        kernel_mac(hist[k], alpha, r, out=hist[k + 1])
+        if counter is not None:
+            counter.tally_matvec(size, size)
+            counter.tally(mults=coeff_mults + size, adds=coeff_adds + size)
     # final trace entry is instrumentation, not an algorithm step
-    res_norms.append(norm2(y - matvec(a, s)))
-    iterates.append(s)
-    return _result(s, iterations, res_norms, norm2(np.array(iterates)), single)
+    res[k_iters] = norm2(y - matvec(a, hist[k_iters]))
+    return _result(hist[k_iters].copy(), iterations, res, norm2(hist), single)
 
 
 def cr_detect(prob: MmseProblem, k_iters: int, counter=None) -> DetectionResult:
@@ -238,46 +270,56 @@ def cr_detect(prob: MmseProblem, k_iters: int, counter=None) -> DetectionResult:
 
     Initialization computes r0 = y_mf - A s0, e0 = A p0 and m0 = A r0 as
     written, then each iteration performs exactly one product m_k = A r_k
-    and updates e_k by the recurrence e_k = m_k + beta_k e_{k-1}.
+    and updates e_k by the recurrence e_k = m_k + beta_k e_{k-1}.  r and m
+    alternate between two buffers, p and e are updated in place.
     """
     if k_iters < 1:
         raise ValueError(f"iteration count must be >= 1, got {k_iters}")
     a, y, single = _frames(prob, counter)
-    s = np.zeros_like(y)
-    r = y - matvec(a, s, counter)
+    size = prob.M
+    coeff_mults, coeff_adds = _coeff_ops(size)
+    hist, res = _steps(k_iters, y)
+    r = y - matvec(a, hist[0], counter)
     if counter is not None:
-        counter.tally(adds=prob.M)
+        counter.tally(adds=size)
     p = r.copy()
     e = matvec(a, p, counter)
     m = matvec(a, r, counter)
     stop = EARLY_STOP_REL * norm2(y)
-    res_norms = [norm2(r)]
-    iterates = [s]
-    running = res_norms[0] > stop
+    res[0] = norm2(r)
+    running = res[0] > stop
     iterations = np.where(running, k_iters, 0)
     if not np.count_nonzero(running):
-        return _result(s, iterations, res_norms, norm2(np.array(iterates)), single)
+        return _result(hist[0].copy(), iterations, res[:1], norm2(hist[:1]), single)
     live = None if running.all() else running
+    r_next, m_next = np.empty_like(r), np.empty_like(m)
+    last = k_iters
     for k in range(1, k_iters + 1):
-        alpha = kernel_coeff(r, m, e, e, counter, live)
-        s = kernel_mac(s, alpha, p, counter)
-        r_next = kernel_mac(r, -alpha, e, counter)
-        rn = norm2(r_next)
-        res_norms.append(rn)
-        iterates.append(s)
-        stopped = running & (rn <= stop)
+        alpha = kernel_coeff(r, m, e, e, live=live)
+        kernel_mac(hist[k - 1], alpha, p, out=hist[k])
+        kernel_mac(r, -alpha, e, out=r_next)
+        np.sqrt(np.vecdot(r_next, r_next).real, res[k])
+        if counter is not None:
+            counter.tally(mults=coeff_mults + 2 * size, adds=coeff_adds + 2 * size)
+        # live is None while every frame runs
+        stopped = res[k] <= stop if live is None else running & (res[k] <= stop)
         if np.count_nonzero(stopped):
             iterations[stopped] = k
             running = running & ~stopped
             if not np.count_nonzero(running):
+                last = k
                 break
             live = running
-        m_next = matvec(a, r_next, counter)
-        beta = kernel_coeff(r_next, m_next, r, m, counter, live)
-        p = kernel_mac(r_next, beta, p, counter)
-        e = kernel_mac(m_next, beta, e, counter)
-        r, m = r_next, m_next
-    return _result(s, iterations, res_norms, norm2(np.array(iterates)), single)
+        np.matvec(a, r_next, m_next)
+        beta = kernel_coeff(r_next, m_next, r, m, live=live)
+        kernel_mac(r_next, beta, p, out=p)
+        kernel_mac(m_next, beta, e, out=e)
+        if counter is not None:
+            counter.tally_matvec(size, size)
+            counter.tally(mults=coeff_mults + 2 * size, adds=coeff_adds + 2 * size)
+        r, r_next = r_next, r
+        m, m_next = m_next, m
+    return _result(hist[last].copy(), iterations, res[: last + 1], norm2(hist[: last + 1]), single)
 
 
 @dataclass
@@ -286,17 +328,27 @@ class ArnoldiState:
 
     Q has orthonormal columns filled progressively; Hbar is upper
     Hessenberg.  `v` counts completed columns and `beta` is the norm of
-    the starting residual (breakdown tolerance scale).  Both are stored
-    vector by vector: basis[i] is column i of Q and columns[j] is column j
-    of Hbar.  For a batch every vector has a leading frame axis (Hbar's
-    columns a trailing one), and a frame that broke down gets zero basis
-    vectors from then on.
+    the starting residual, which scales the breakdown tolerance.  Both are
+    stored vector by vector: basis[i] is column i of Q and columns[j] is
+    column j of Hbar.  For a batch every vector has a leading frame axis
+    (Hbar's columns a trailing one), and a frame that broke down gets zero
+    basis vectors from then on.  The steps work on views with a frame
+    axis, made once: a single problem is a batch of one there.
     """
 
     basis: np.ndarray
     columns: np.ndarray
     beta: float | np.ndarray
     v: int = 0
+    breakdown_tol: float | np.ndarray = field(init=False)
+    _vectors: list = field(init=False, repr=False)
+    _columns: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.breakdown_tol = ARNOLDI_BREAKDOWN_REL * self.beta
+        batched = self.basis.ndim == 3
+        self._vectors = list(self.basis if batched else self.basis[:, None])
+        self._columns = self.columns if batched else self.columns[..., None]
 
     @property
     def Q(self) -> np.ndarray:
@@ -306,15 +358,11 @@ class ArnoldiState:
     def Hbar(self) -> np.ndarray:
         return self.columns.T
 
-    @property
-    def breakdown_tol(self):
-        return ARNOLDI_BREAKDOWN_REL * self.beta
-
 
 def init_arnoldi(r0, v_max: int, counter=None) -> ArnoldiState:
     r0 = np.asarray(r0, dtype=np.complex128)
     beta = norm2(r0)
-    if (beta == 0.0).any():
+    if np.count_nonzero(beta == 0.0):
         raise ValueError("cannot start Arnoldi from a zero residual")
     basis = np.zeros((v_max + 1, *r0.shape), dtype=np.complex128)
     basis[0] = r0 / beta[..., None]
@@ -327,31 +375,42 @@ def init_arnoldi(r0, v_max: int, counter=None) -> ArnoldiState:
 def arnoldi_step(a, state: ArnoldiState, j: int, counter=None):
     """Extend the basis by column j (0-based) using modified Gram-Schmidt.
 
+    w = A q_j is formed in the slot of q_{j+1} and orthogonalized there in
+    place: for each earlier q_i, h_ij = q_i^H w goes straight into Hbar and
+    w -= h_ij q_i, which rounds exactly as w + (-h_ij) q_i.
+
     Returns True (per frame) on happy breakdown (||w|| below tolerance
     after orthogonalization), in which case no new basis vector is added
     and the Krylov space is invariant: the least-squares iterate is exact.
     """
     if j != state.v:
         raise ValueError(f"state holds {state.v} completed columns, cannot extend column {j}")
-    basis, h_col = state.basis, state.columns[j]
-    w = matvec(a, basis[j], counter)
-    for i in range(j + 1):
-        hij = inner_hermitian(basis[i], w, counter)
-        h_col[i] = hij
-        w = kernel_mac(w, -hij, basis[i], counter)
+    vectors, h_col = state._vectors, state._columns[j]
+    size = state.basis.shape[-1]
+    w = np.matvec(a, vectors[j], vectors[j + 1])
+    scratch = np.empty_like(w)
+    # the interpreter floor: three numpy calls per inner step, looked up once
+    vecdot, multiply, subtract = np.vecdot, np.multiply, np.subtract
+    for q, h, h_rows in zip(vectors, h_col[: j + 1], h_col[: j + 1, :, None]):
+        vecdot(q, w, h)
+        multiply(h_rows, q, scratch)
+        subtract(w, scratch, w)
     wn = norm2(w)
-    if counter is not None:
-        counter.tally(mults=w.shape[-1] + 1)  # norm accumulation plus square root
     h_col[j + 1] = wn
     state.v = j + 1
     happy = wn <= state.breakdown_tol
-    if np.count_nonzero(happy):
-        basis[j + 1] = np.where(happy[..., None], 0.0, w / np.where(happy, 1.0, wn)[..., None])
-        return happy
-    basis[j + 1] = w / wn[..., None]
     if counter is not None:
-        counter.tally(mults=w.shape[-1])
-    return happy
+        # the product, j+1 inner products and updates, the norm and its square root
+        counter.tally_matvec(size, size)
+        counter.tally(mults=(j + 1) * 2 * size + size + 1, adds=(j + 1) * (2 * size - 1))
+    if np.count_nonzero(happy):
+        np.divide(w, np.where(happy, 1.0, wn)[:, None], w)
+        w[happy] = 0.0
+    else:
+        np.divide(w, wn[:, None], w)
+        if counter is not None:
+            counter.tally(mults=size)
+    return happy if state.basis.ndim == 3 else happy[0]
 
 
 @dataclass
@@ -398,40 +457,39 @@ def givens_lsq_update(chain: GivensChain, hbar_col, j: int, counter=None) -> np.
     Applies the j previous rotations, forms the new rotation (c, b)
     annihilating the trailing (rho, sigma) pair with
     c = rho / sqrt(rho^2 + sigma^2), b = sigma / sqrt(rho^2 + sigma^2),
-    stores the finished R column, and folds the rotation into the
-    product (which rotates g).  Returns the R column.
+    writes the finished column of R in place, and folds the rotation into
+    the product (which rotates g).  Returns the R column, a view into R.
     """
     if len(chain.rotations) != j:
         raise ValueError(f"chain holds {len(chain.rotations)} rotations, cannot update column {j}")
     col = np.asarray(hbar_col, dtype=np.complex128)
     product = chain.product
     # the previous rotations touch entries 0..j only
-    head = matvec(product[..., : j + 1, : j + 1], col[..., : j + 1])
-    sub = col[..., j + 1]
-    if counter is not None:
-        counter.tally(mults=4 * j, adds=2 * j)
-    rho = head[..., j].real
-    hyp = np.hypot(rho, sub.real)
-    flat = hyp == 0.0
-    if np.count_nonzero(flat):
+    head = np.matvec(product[..., : j + 1, : j + 1], col[..., : j + 1])
+    diag, sub = head[..., j], col[..., j + 1]
+    rho, sigma = diag.real, sub.real
+    hyp = np.hypot(rho, sigma)
+    if np.count_nonzero(hyp) < hyp.size:
+        # a zero pair keeps the identity rotation
+        flat = hyp == 0.0
         hyp = np.where(flat, 1.0, hyp)
-        c, b = np.where(flat, 1.0, rho / hyp), sub.real / hyp
+        c, b = np.where(flat, 1.0, rho / hyp), sigma / hyp
+        extra = 0
     else:
-        c, b = rho / hyp, sub.real / hyp
-        if counter is not None:
-            counter.tally(mults=5)  # rho^2, sigma^2, sqrt, two divisions
+        c, b = rho / hyp, sigma / hyp
+        extra = 5  # rho^2, sigma^2, sqrt, two divisions
     chain.rotations.append((c, b))
-    r_col = head.copy()
-    r_col[..., j] = c * head[..., j] + b * sub
-    chain.R[..., : j + 1, j] = r_col
+    r_col = chain.R[..., : j + 1, j]
+    r_col[...] = head
+    np.add(c * diag, b * sub, r_col[..., j])
     # row j+1 of the product is still e_{j+1}, so the rotation mixes two rows
     row_j, row_next = product[..., j, : j + 2], product[..., j + 1, : j + 2]
-    row_next[..., : j + 1] = -b[..., None] * row_j[..., : j + 1]
+    np.multiply(-b[..., None], row_j[..., : j + 1], row_next[..., : j + 1])
     row_next[..., j + 1] = c
     row_j *= c[..., None]
     row_j[..., j + 1] = b
     if counter is not None:
-        counter.tally(mults=8, adds=4)
+        counter.tally(mults=4 * j + extra + 8, adds=2 * j + 4)
     return r_col
 
 
@@ -491,10 +549,11 @@ def gmres_detect(prob: MmseProblem, v_iters: int, counter=None) -> DetectionResu
     state.basis[0] *= running[:, None]
     chain = init_givens(beta, v_max)
     stop = EARLY_STOP_REL * beta
+    columns, product = state.columns, chain.product
     for j in range(v_max):
         happy = arnoldi_step(a, state, j, counter)
-        givens_lsq_update(chain, state.Hbar[..., j], j, counter)
-        estimate = chain.residual_estimate
+        givens_lsq_update(chain, columns[j].T, j, counter)
+        estimate = beta * np.abs(product[:, j + 1, 0])  # chain.residual_estimate
         res_norms.append(estimate)
         stopped = running & (happy | (estimate <= stop))
         if np.count_nonzero(stopped):
@@ -522,9 +581,9 @@ def gmres_detect(prob: MmseProblem, v_iters: int, counter=None) -> DetectionResu
     # a stopped frame's later rotations are identities, so its row of the
     # product still holds its last rotated residual
     rotated = beta * np.abs(chain.product[np.arange(frames), iterations, 0])
-    bad = np.flatnonzero(np.abs(explicit - rotated) > 1e-8 * np.maximum(beta, 1.0))
-    if bad.size:
-        b = bad[0]
+    bad = np.abs(explicit - rotated) > 1e-8 * np.maximum(beta, 1.0)
+    if np.count_nonzero(bad):
+        b = np.flatnonzero(bad)[0]
         raise ArithmeticError(
             f"rotated residual {rotated[b]:.3g} disagrees with explicit residual {explicit[b]:.3g}"
             + ("" if single else f" in frame {b}")
@@ -534,9 +593,13 @@ def gmres_detect(prob: MmseProblem, v_iters: int, counter=None) -> DetectionResu
 
 
 def exact_detect(prob: MmseProblem) -> DetectionResult:
-    """Cholesky ground-truth detection: solve A s = y_mf directly."""
+    """Cholesky ground-truth detection: solve A s = y_mf directly.
+
+    The problem has already checked that A is Hermitian and finite, so only
+    the pivots are checked here.
+    """
     a, y, single = _frames(prob)
-    s = cholesky_solve(cholesky_factor(a), y)
+    s = cholesky_solve(cholesky_lower(a), y)
     residual = norm2(y - matvec(a, s))
     return _result(s, np.zeros(len(y), dtype=int), [residual], [norm2(s)], single)
 

@@ -98,12 +98,19 @@ def norm2(x: np.ndarray):
 def cholesky_factor(a: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L @ L^H = A for Hermitian positive definite A.
 
-    A may be a (B, M, M) stack.  Raises NotPositiveDefiniteError (carrying
-    the failing pivot index of the first failing matrix) when a pivot falls
-    below CHOLESKY_PIVOT_TOL, including the tiny positive pivots that
-    LAPACK accepts.
+    A may be a (B, M, M) stack.  Checks that A is Hermitian and finite
+    (require_hermitian), then factors it with cholesky_lower.
     """
-    a = require_hermitian(a)
+    return cholesky_lower(require_hermitian(a))
+
+
+def cholesky_lower(a: np.ndarray) -> np.ndarray:
+    """cholesky_factor for a complex128 stack already known to be Hermitian and finite.
+
+    Raises NotPositiveDefiniteError (carrying the failing pivot index of the
+    first failing matrix) when a pivot falls below CHOLESKY_PIVOT_TOL,
+    including the tiny positive pivots that LAPACK accepts.
+    """
     try:
         low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:

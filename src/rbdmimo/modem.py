@@ -29,6 +29,7 @@ class QamSpec:
     scale: float
 
 
+@lru_cache(maxsize=8)
 def qam_spec(order: int) -> QamSpec:
     """Constellation parameters for a supported square order (4, 16, 64)."""
     if order not in SUPPORTED_ORDERS:

@@ -25,26 +25,51 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def splitmix64(x: int) -> int:
-    """One splitmix64 step: 64-bit add-gamma then xor-shift-multiply finalizer."""
+def splitmix64(x):
+    """One splitmix64 step: 64-bit add-gamma then xor-shift-multiply finalizer.
+
+    x is an int in [0, 2**64) or a uint64 array; the masks make int
+    arithmetic wrap exactly as uint64 arithmetic does.
+    """
     x = (x + _GAMMA) & _MASK64
     z = (x ^ (x >> 30)) * _MIX1 & _MASK64
     z = (z ^ (z >> 27)) * _MIX2 & _MASK64
     return (z ^ (z >> 31)) & _MASK64
 
 
-def mix_seed(*components: int) -> int:
+def _component(c):
+    """A seed component modulo 2**64: an int, or a uint64 array for an integer array."""
+    if not isinstance(c, np.ndarray):
+        return int(c) & _MASK64
+    if c.dtype.kind not in "iu":
+        raise TypeError(f"seed components must be integers, got an array of {c.dtype}")
+    return c.astype(np.uint64)  # signed values wrap, as int & _MASK64 does
+
+
+def mix_seed(*components):
     """Fold integer components into a single 64-bit seed.
 
-    The running state is xored with each component and passed through
-    splitmix64, so the result depends on both the values and their order.
-    This is the documented mixing function behind all derived seeds
-    (per-trial, per-purpose sub-streams).
+    The running state is xored with each component (taken modulo 2**64)
+    and passed through splitmix64, so the result depends on both the
+    values and their order.  This is the documented mixing function behind
+    all derived seeds (per-trial, per-purpose sub-streams).  Components
+    may be integer arrays, which broadcast together: the result is then a
+    uint64 array of the seeds the ints would give one by one.
     """
     acc = 0x8BADF00D5EEDC0DE
     for c in components:
-        acc = splitmix64(acc ^ (int(c) & _MASK64))
+        acc = splitmix64(acc ^ _component(c))
     return acc
+
+
+def seed_array(seeds) -> np.ndarray:
+    """uint64 array of 64-bit seeds from an integer array or a sequence of ints.
+
+    Each seed is taken modulo 2**64, as mix_seed takes its components.
+    """
+    if isinstance(seeds, np.ndarray):
+        return _component(seeds)
+    return np.array([int(s) & _MASK64 for s in seeds], dtype=np.uint64)
 
 
 def uniform_stream(seed: int) -> np.random.Generator:

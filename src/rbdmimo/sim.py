@@ -32,7 +32,7 @@ from .channel import ChannelScenario, ConfigError, finite_real, generate_channel
 from .detectors import DETECTOR_NAMES, ITERATIVE_DETECTORS, exact_detect, preprocess
 from .linalg import matvec
 from .modem import SUPPORTED_ORDERS, awgn_add, qam_demodulate_hard, qam_modulate, qam_spec
-from .rngstream import mix_seed, uniform_bits_rows
+from .rngstream import mix_seed, seed_array, uniform_bits_rows
 
 SNR_CONVENTION = "sigma2 = M / 10^(snr_db/10) (per-receive-antenna SNR, unit symbol energy)"
 
@@ -41,6 +41,7 @@ FLAG_BELOW_RESOLUTION = "below_resolution"
 
 MIN_FRAMES_PER_POINT = 10
 FRAMES_PER_BATCH = 16
+_SUB_STREAMS = np.arange(3)  # bits, channel, noise
 
 RESULT_COLUMNS = [
     "detector", "k", "N", "M", "qam", "scenario", "zeta_t", "zeta_r",
@@ -100,6 +101,8 @@ class SimConfig:
             raise ConfigError(f"target_bit_errors must be >= 100, got {self.target_bit_errors}")
         if self.max_bits < 1:
             raise ConfigError(f"max_bits must be >= 1, got {self.max_bits}")
+        if not 0 <= self.master_seed < 1 << 64:
+            raise ConfigError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -133,16 +136,19 @@ def _detect(config: SimConfig, prob):
 def run_frames(config: SimConfig, snr_db: float, trial_seeds) -> np.ndarray:
     """Bit errors of each frame of a chunk, one frame per trial seed.
 
-    Sub-streams: mix_seed(trial_seed, 0) for bits, (..., 1) for the channel,
-    (..., 2) for the noise.
+    trial_seeds is an integer array or a sequence of ints, each taken
+    modulo 2**64 (see seed_array).  Sub-streams: mix_seed(trial_seed, 0)
+    for bits, (..., 1) for the channel, (..., 2) for the noise, derived for
+    the whole chunk at once.
     """
     spec = qam_spec(config.qam_order)
     n_bits = config.m * spec.bits_per_symbol
-    bits = uniform_bits_rows([mix_seed(t, 0) for t in trial_seeds], n_bits)
+    sub_seeds = mix_seed(seed_array(trial_seeds)[:, None], _SUB_STREAMS).T
+    bits = uniform_bits_rows(sub_seeds[0], n_bits)
     symbols = qam_modulate(bits, spec)
-    h = generate_channel(config.n, config.m, config.scenario, [mix_seed(t, 1) for t in trial_seeds]).H
+    h = generate_channel(config.n, config.m, config.scenario, sub_seeds[1]).H
     sigma2 = snr_to_sigma2(snr_db, config.m)
-    y = awgn_add(matvec(h, symbols), sigma2, [mix_seed(t, 2) for t in trial_seeds])
+    y = awgn_add(matvec(h, symbols), sigma2, sub_seeds[2])
     detected = _detect(config, preprocess(h, y, sigma2))
     bits_hat = qam_demodulate_hard(detected.s_hat, spec)
     return np.count_nonzero(bits_hat != bits, axis=-1)
@@ -174,7 +180,7 @@ def run_ber_point(config: SimConfig, snr_db: float, snr_index: int | None = None
     done = False
     while not done:
         counts = np.arange(frames + 1, min(frames + FRAMES_PER_BATCH, last_frame) + 1)
-        seeds = [mix_seed(config.master_seed, snr_index, t) for t in range(frames, counts[-1])]
+        seeds = mix_seed(config.master_seed, snr_index, np.arange(frames, counts[-1]))
         totals = errors + np.cumsum(run_frames(config, snr_db, seeds))
         stops = ((counts >= MIN_FRAMES_PER_POINT) & (totals >= config.target_bit_errors)) | (counts == last_frame)
         end = int(np.argmax(stops)) if stops.any() else len(counts) - 1

@@ -84,6 +84,13 @@ class TestSimulate:
         assert "n must be an integer, got 16.9" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_seed_outside_64_bits_exit_2(self, config_file, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        code = main(["simulate", "--config", str(config_file), "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        assert "master_seed must lie in [0, 2**64), got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestComplexity:
     def test_grid_row_count(self, tmp_path):

@@ -1,0 +1,98 @@
+"""Property tests of the detector invariants and the modem round trip.
+
+Examples come from the deterministic hypothesis profile in conftest.py.
+"""
+
+import numpy as np
+from conftest import make_problem
+from hypothesis import given
+from hypothesis import strategies as st
+
+from rbdmimo.detectors import MmseProblem, cr_detect, exact_detect, gmres_detect, minres_detect
+from rbdmimo.modem import SUPPORTED_ORDERS, qam_demodulate_hard, qam_modulate, qam_spec
+from rbdmimo.rngstream import uniform_stream
+
+DETECTORS = {"minres": minres_detect, "cr": cr_detect, "gmres": gmres_detect}
+
+# one random detection problem: M users, N = M x factor antennas, noise level, seed
+problems = st.builds(
+    lambda m, factor, sigma2, seed: make_problem(m, seed, n=m * factor, sigma2=sigma2),
+    m=st.integers(2, 16),
+    factor=st.integers(2, 16),
+    sigma2=st.floats(0.01, 1.0),
+    seed=st.integers(0, 2**32),
+)
+
+
+def relative_error(got, want) -> float:
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+@given(problems)
+def test_full_depth_krylov_matches_exact(prob):
+    # acceptance criterion 1's bound, scaled by cond(A) as the benchmark's oracle check is
+    want = exact_detect(prob).s_hat
+    tol = 1e-8 * np.linalg.cond(prob.A)
+    assert relative_error(cr_detect(prob, prob.M).s_hat, want) <= tol
+    assert relative_error(gmres_detect(prob, prob.M).s_hat, want) <= tol
+
+
+@given(problems, st.integers(1, 12))
+def test_residual_traces_never_increase(prob, k):
+    for detect in (minres_detect, cr_detect):
+        r = detect(prob, k).trace.residual_norms
+        assert all(b <= a * (1 + 1e-12) for a, b in zip(r, r[1:]))
+
+
+@given(problems)
+def test_rotated_gmres_residual_equals_explicit(prob):
+    # the first j steps of a full run are the whole of a j-step run, so trace
+    # entry j is the rotated residual of the j-step iterate
+    full = gmres_detect(prob, prob.M)
+    scale = np.linalg.norm(prob.y_mf)
+    for j in range(1, full.iterations + 1):
+        s = gmres_detect(prob, j).s_hat
+        explicit = np.linalg.norm(prob.y_mf - prob.A @ s)
+        assert abs(full.trace.residual_norms[j] - explicit) <= 1e-9 * scale
+
+
+def toy_frame(kind: int, m: int, seed: int) -> MmseProblem:
+    """A frame that runs to the end (kind 0), breaks down or stops early after
+    about `kind` steps (A with `kind` distinct eigenvalues), or stops at 0 (kind 4,
+    zero right-hand side)."""
+    gen = uniform_stream(seed)
+    q, _ = np.linalg.qr(gen.standard_normal((m, m)) + 1j * gen.standard_normal((m, m)))
+    eig = gen.uniform(0.2, 3.0, m) if kind in (0, 4) else gen.choice(gen.uniform(0.2, 3.0, kind), m)
+    a = (q * eig) @ q.conj().T
+    y = gen.standard_normal(m) + 1j * gen.standard_normal(m)
+    return MmseProblem(A=(a + a.conj().T) / 2, y_mf=0.0 * y if kind == 4 else y, sigma2=0.0, N=m, M=m)
+
+
+@given(
+    st.sampled_from(sorted(DETECTORS)),
+    st.integers(2, 6),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2**32)), min_size=1, max_size=6),
+    st.integers(1, 8),
+)
+def test_batch_frames_equal_single_calls(name, m, kinds, k):
+    detect = DETECTORS[name]
+    frames = [toy_frame(kind, m, seed) for kind, seed in kinds]
+    batch = detect(
+        MmseProblem(A=np.stack([f.A for f in frames]), y_mf=np.stack([f.y_mf for f in frames]),
+                    sigma2=0.0, N=m, M=m),
+        k,
+    )
+    for i, frame in enumerate(frames):
+        got, want = batch.frame(i), detect(frame, k)
+        assert np.array_equal(got.s_hat, want.s_hat)
+        assert got.iterations == want.iterations
+        assert got.trace.residual_norms == want.trace.residual_norms
+        assert got.trace.iterate_norms == want.trace.iterate_norms
+
+
+@given(st.sampled_from(SUPPORTED_ORDERS), st.integers(1, 3), st.integers(1, 8), st.integers(0, 2**32))
+def test_modulate_then_demap_returns_bits(order, frames, symbols, seed):
+    spec = qam_spec(order)
+    bits = uniform_stream(seed).integers(0, 2, size=(frames, symbols * spec.bits_per_symbol))
+    assert np.array_equal(qam_demodulate_hard(qam_modulate(bits, spec), spec), bits)
+    assert np.array_equal(qam_demodulate_hard(qam_modulate(bits[0], spec), spec), bits[0])

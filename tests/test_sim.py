@@ -101,6 +101,23 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match=name):
                 build()
 
+    @pytest.mark.parametrize("seed", [-1, -(2**64) + 5, 2**64, 2**64 + 5])
+    def test_master_seed_outside_64_bits_rejected(self, seed):
+        # mix_seed takes seeds modulo 2**64, so each of these would alias a seed in range
+        raw = config_as_dict(small_config())
+        raw["master_seed"] = seed
+        for build in (
+            lambda: small_config(master_seed=seed),
+            lambda: config_from_dict(raw),
+            lambda: apply_overrides(small_config(), {"master_seed": seed}),
+        ):
+            with pytest.raises(ConfigError, match=r"master_seed must lie in \[0, 2\*\*64\)"):
+                build()
+
+    def test_master_seed_range_ends_accepted(self):
+        assert small_config(master_seed=0).master_seed == 0
+        assert apply_overrides(small_config(), {"master_seed": 2**64 - 1}).master_seed == 2**64 - 1
+
     def test_integral_float_accepted(self):
         raw = config_as_dict(small_config())
         raw["n"] = 16.0
