@@ -15,15 +15,17 @@ a ratio of Hermitian inner products (kernel_coeff), so instrumented
 operation counts line up with the unified accounting in
 `rbdmimo.complexity`.
 
-The iterations run at the interpreter floor: each arithmetic step is one
-numpy call, and the vectors live in buffers made once per call and then
-updated in place (kernel_mac writes into `out`; the iterates s_0..s_k of
-cr and minres share one history array, which the iterate-norm trace
-reads; the Arnoldi basis and Hessenberg columns are filled where they
-lie).  An in-place step takes the operands of the plain expression in the
-same order, so it rounds exactly as the allocating form does.  Operation
-tallies are added once per step, and only when a counter is passed: with
-none, counting costs an `is None` test or two per step.
+gmres, the bulk of the Krylov work, runs in place: the Arnoldi step
+forms and orthogonalizes each basis vector in its slot of the basis
+(three numpy calls per modified Gram-Schmidt step, h_ij written straight
+into the Hessenberg column), and the Givens update writes R and the
+rotated product rows where they lie.  An in-place step takes the operands
+of the plain expression in the same order, so it rounds exactly as the
+allocating form does.  cr and minres already make one numpy call per
+arithmetic step and keep the allocating form.  The kernels do not count:
+each detector adds its operation tallies once per step, from the rules
+in _inner_ops, _mac_ops and _coeff_ops, and only when a counter is
+passed.
 
 Detectors are pure functions of (problem, iteration count); starting
 iterates are always zero and every trace therefore begins at
@@ -179,18 +181,12 @@ def preprocess(h, y, sigma2: float) -> MmseProblem:
     return MmseProblem(A=a, y_mf=matvec(h_herm, y), sigma2=float(sigma2), N=n, M=m)
 
 
-def kernel_mac(x, a, b, counter=None, out=None) -> np.ndarray:
-    """Multiply-accumulate kernel: x + a * b, one coefficient per row of a batch.
-
-    With `out` the result is written there; out may be b, not x.
-    """
-    if counter is not None:
-        counter.tally(mults=x.shape[-1], adds=x.shape[-1])
-    prod = np.multiply(a[..., None] if isinstance(a, np.ndarray) else a, b, out)
-    return np.add(x, prod, out)
+def kernel_mac(x, a, b) -> np.ndarray:
+    """Multiply-accumulate kernel: x + a * b, one coefficient per row of a batch."""
+    return x + (a[..., None] if isinstance(a, np.ndarray) else a) * b
 
 
-def kernel_coeff(m, n, p, q, counter=None, live=None):
+def kernel_coeff(m, n, p, q, live=None):
     """Coefficient kernel: (m^H n) / (p^H q), one per row of a batch.
 
     Rows outside the boolean mask `live` (frames that have stopped) get a
@@ -202,25 +198,24 @@ def kernel_coeff(m, n, p, q, counter=None, live=None):
     size = np.abs(den)
     if np.count_nonzero(size < _DEGENERATE_DENOM):
         raise ZeroDivisionError(f"degenerate coefficient denominator |p^H q| = {size.min():.3g}")
-    if counter is not None:
-        counter.tally(*_coeff_ops(p.shape[-1]))
-    coeff = np.divide(np.vecdot(m, n), den)
+    coeff = np.vecdot(m, n) / den
     return coeff if live is None else np.where(live, coeff, 0.0)
 
 
+def _inner_ops(size: int) -> tuple[int, int]:
+    """(mults, adds) of one Hermitian inner product of length-`size` vectors."""
+    return size, max(size - 1, 0)
+
+
+def _mac_ops(size: int) -> tuple[int, int]:
+    """(mults, adds) of one kernel_mac on length-`size` vectors."""
+    return size, size
+
+
 def _coeff_ops(size: int) -> tuple[int, int]:
-    """(mults, adds) of one coefficient on length-`size` vectors: two inner
-    products and the division."""
-    return 2 * size + 1, 2 * max(size - 1, 0)
-
-
-def _steps(k_iters: int, y: np.ndarray):
-    """Iterate history s_0..s_k (zero start) and residual-norm rows for k steps.
-
-    A result copies its iterate out of the history, so it does not keep the
-    history alive.
-    """
-    return np.zeros((k_iters + 1, *y.shape), dtype=np.complex128), np.empty((k_iters + 1, len(y)))
+    """(mults, adds) of one kernel_coeff: two inner products and the division."""
+    mults, adds = _inner_ops(size)
+    return 2 * mults + 1, 2 * adds
 
 
 def minres_detect(prob: MmseProblem, k_iters: int, counter=None) -> DetectionResult:
@@ -234,35 +229,38 @@ def minres_detect(prob: MmseProblem, k_iters: int, counter=None) -> DetectionRes
     a, y, single = _frames(prob, counter)
     size = prob.M
     coeff_mults, coeff_adds = _coeff_ops(size)
-    hist, res = _steps(k_iters, y)
-    r = np.empty_like(y)
+    mac_mults, mac_adds = _mac_ops(size)
+    s = np.zeros_like(y)
     stop = EARLY_STOP_REL * norm2(y)
     iterations = np.full(len(y), k_iters)
     running = np.ones(len(y), dtype=bool)
     live = None
+    res_norms, iterates = [], []
     for k in range(k_iters):
-        np.subtract(y, np.matvec(a, hist[k]), r)
-        np.sqrt(np.vecdot(r, r).real, res[k])
+        r = y - np.matvec(a, s)
         if counter is not None:
             counter.tally_matvec(size, size)
             counter.tally(adds=size)
-        # live is None while every frame runs
-        stopped = res[k] <= stop if live is None else running & (res[k] <= stop)
+        rn = norm2(r)
+        res_norms.append(rn)
+        iterates.append(s)
+        stopped = running & (rn <= stop)
         if np.count_nonzero(stopped):
             iterations[stopped] = k
             running = running & ~stopped
             if not np.count_nonzero(running):
-                return _result(hist[k].copy(), iterations, res[: k + 1], norm2(hist[: k + 1]), single)
+                return _result(s, iterations, res_norms, norm2(np.array(iterates)), single)
             live = running
         ar = np.matvec(a, r)
-        alpha = kernel_coeff(r, ar, ar, ar, live=live)
-        kernel_mac(hist[k], alpha, r, out=hist[k + 1])
+        alpha = kernel_coeff(r, ar, ar, ar, live)
+        s = kernel_mac(s, alpha, r)
         if counter is not None:
             counter.tally_matvec(size, size)
-            counter.tally(mults=coeff_mults + size, adds=coeff_adds + size)
+            counter.tally(coeff_mults + mac_mults, coeff_adds + mac_adds)
     # final trace entry is instrumentation, not an algorithm step
-    res[k_iters] = norm2(y - matvec(a, hist[k_iters]))
-    return _result(hist[k_iters].copy(), iterations, res, norm2(hist), single)
+    res_norms.append(norm2(y - matvec(a, s)))
+    iterates.append(s)
+    return _result(s, iterations, res_norms, norm2(np.array(iterates)), single)
 
 
 def cr_detect(prob: MmseProblem, k_iters: int, counter=None) -> DetectionResult:
@@ -270,56 +268,54 @@ def cr_detect(prob: MmseProblem, k_iters: int, counter=None) -> DetectionResult:
 
     Initialization computes r0 = y_mf - A s0, e0 = A p0 and m0 = A r0 as
     written, then each iteration performs exactly one product m_k = A r_k
-    and updates e_k by the recurrence e_k = m_k + beta_k e_{k-1}.  r and m
-    alternate between two buffers, p and e are updated in place.
+    and updates e_k by the recurrence e_k = m_k + beta_k e_{k-1}.
     """
     if k_iters < 1:
         raise ValueError(f"iteration count must be >= 1, got {k_iters}")
     a, y, single = _frames(prob, counter)
     size = prob.M
     coeff_mults, coeff_adds = _coeff_ops(size)
-    hist, res = _steps(k_iters, y)
-    r = y - matvec(a, hist[0], counter)
+    mac_mults, mac_adds = _mac_ops(size)
+    s = np.zeros_like(y)
+    r = y - matvec(a, s, counter)
     if counter is not None:
         counter.tally(adds=size)
     p = r.copy()
     e = matvec(a, p, counter)
     m = matvec(a, r, counter)
     stop = EARLY_STOP_REL * norm2(y)
-    res[0] = norm2(r)
-    running = res[0] > stop
+    res_norms = [norm2(r)]
+    iterates = [s]
+    running = res_norms[0] > stop
     iterations = np.where(running, k_iters, 0)
     if not np.count_nonzero(running):
-        return _result(hist[0].copy(), iterations, res[:1], norm2(hist[:1]), single)
+        return _result(s, iterations, res_norms, norm2(np.array(iterates)), single)
     live = None if running.all() else running
-    r_next, m_next = np.empty_like(r), np.empty_like(m)
-    last = k_iters
     for k in range(1, k_iters + 1):
-        alpha = kernel_coeff(r, m, e, e, live=live)
-        kernel_mac(hist[k - 1], alpha, p, out=hist[k])
-        kernel_mac(r, -alpha, e, out=r_next)
-        np.sqrt(np.vecdot(r_next, r_next).real, res[k])
+        alpha = kernel_coeff(r, m, e, e, live)
+        s = kernel_mac(s, alpha, p)
+        r_next = kernel_mac(r, -alpha, e)
         if counter is not None:
-            counter.tally(mults=coeff_mults + 2 * size, adds=coeff_adds + 2 * size)
-        # live is None while every frame runs
-        stopped = res[k] <= stop if live is None else running & (res[k] <= stop)
+            counter.tally(coeff_mults + 2 * mac_mults, coeff_adds + 2 * mac_adds)
+        rn = norm2(r_next)
+        res_norms.append(rn)
+        iterates.append(s)
+        stopped = running & (rn <= stop)
         if np.count_nonzero(stopped):
             iterations[stopped] = k
             running = running & ~stopped
             if not np.count_nonzero(running):
-                last = k
                 break
             live = running
-        np.matvec(a, r_next, m_next)
-        beta = kernel_coeff(r_next, m_next, r, m, live=live)
-        kernel_mac(r_next, beta, p, out=p)
-        kernel_mac(m_next, beta, e, out=e)
+        m_next = np.matvec(a, r_next)
+        beta = kernel_coeff(r_next, m_next, r, m, live)
+        p = kernel_mac(r_next, beta, p)
+        e = kernel_mac(m_next, beta, e)
         if counter is not None:
             counter.tally_matvec(size, size)
-            counter.tally(mults=coeff_mults + 2 * size, adds=coeff_adds + 2 * size)
-        r, r_next = r_next, r
-        m, m_next = m_next, m
-    return _result(hist[last].copy(), iterations, res[: last + 1], norm2(hist[: last + 1]), single)
+            counter.tally(coeff_mults + 2 * mac_mults, coeff_adds + 2 * mac_adds)
+        r, m = r_next, m_next
+    return _result(s, iterations, res_norms, norm2(np.array(iterates)), single)
 
 
 @dataclass
@@ -328,27 +324,17 @@ class ArnoldiState:
 
     Q has orthonormal columns filled progressively; Hbar is upper
     Hessenberg.  `v` counts completed columns and `beta` is the norm of
-    the starting residual, which scales the breakdown tolerance.  Both are
-    stored vector by vector: basis[i] is column i of Q and columns[j] is
-    column j of Hbar.  For a batch every vector has a leading frame axis
-    (Hbar's columns a trailing one), and a frame that broke down gets zero
-    basis vectors from then on.  The steps work on views with a frame
-    axis, made once: a single problem is a batch of one there.
+    the starting residual (breakdown tolerance scale).  Both are stored
+    vector by vector: basis[i] is column i of Q and columns[j] is column j
+    of Hbar.  For a batch every vector has a leading frame axis (Hbar's
+    columns a trailing one), and a frame that broke down gets zero basis
+    vectors from then on.
     """
 
     basis: np.ndarray
     columns: np.ndarray
     beta: float | np.ndarray
     v: int = 0
-    breakdown_tol: float | np.ndarray = field(init=False)
-    _vectors: list = field(init=False, repr=False)
-    _columns: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.breakdown_tol = ARNOLDI_BREAKDOWN_REL * self.beta
-        batched = self.basis.ndim == 3
-        self._vectors = list(self.basis if batched else self.basis[:, None])
-        self._columns = self.columns if batched else self.columns[..., None]
 
     @property
     def Q(self) -> np.ndarray:
@@ -357,6 +343,10 @@ class ArnoldiState:
     @property
     def Hbar(self) -> np.ndarray:
         return self.columns.T
+
+    @property
+    def breakdown_tol(self):
+        return ARNOLDI_BREAKDOWN_REL * self.beta
 
 
 def init_arnoldi(r0, v_max: int, counter=None) -> ArnoldiState:
@@ -385,13 +375,17 @@ def arnoldi_step(a, state: ArnoldiState, j: int, counter=None):
     """
     if j != state.v:
         raise ValueError(f"state holds {state.v} completed columns, cannot extend column {j}")
-    vectors, h_col = state._vectors, state._columns[j]
-    size = state.basis.shape[-1]
-    w = np.matvec(a, vectors[j], vectors[j + 1])
+    basis, columns = state.basis, state.columns
+    if basis.ndim == 2:
+        # a single problem is a batch of one here
+        basis, columns = basis[:, None], columns[..., None]
+    h_col = columns[j]
+    size = basis.shape[-1]
+    w = np.matvec(a, basis[j], basis[j + 1])
     scratch = np.empty_like(w)
     # the interpreter floor: three numpy calls per inner step, looked up once
     vecdot, multiply, subtract = np.vecdot, np.multiply, np.subtract
-    for q, h, h_rows in zip(vectors, h_col[: j + 1], h_col[: j + 1, :, None]):
+    for q, h, h_rows in zip(basis[: j + 1], h_col[: j + 1], h_col[: j + 1, :, None]):
         vecdot(q, w, h)
         multiply(h_rows, q, scratch)
         subtract(w, scratch, w)
@@ -402,7 +396,11 @@ def arnoldi_step(a, state: ArnoldiState, j: int, counter=None):
     if counter is not None:
         # the product, j+1 inner products and updates, the norm and its square root
         counter.tally_matvec(size, size)
-        counter.tally(mults=(j + 1) * 2 * size + size + 1, adds=(j + 1) * (2 * size - 1))
+        inner_mults, inner_adds = _inner_ops(size)
+        mac_mults, mac_adds = _mac_ops(size)
+        counter.tally(
+            mults=(j + 1) * (inner_mults + mac_mults) + size + 1, adds=(j + 1) * (inner_adds + mac_adds)
+        )
     if np.count_nonzero(happy):
         np.divide(w, np.where(happy, 1.0, wn)[:, None], w)
         w[happy] = 0.0

@@ -2,7 +2,6 @@
 and the hypothesis profile every property test runs under."""
 
 import pytest
-from hypothesis import settings
 
 import rbdmimo.detectors as detectors
 from rbdmimo.channel import ChannelScenario, generate_channel
@@ -10,9 +9,15 @@ from rbdmimo.detectors import MmseProblem, preprocess
 from rbdmimo.rngstream import complex_normal, mix_seed, uniform_stream
 
 # Property tests draw the same examples on every run (derandomize, no example
-# database), never time out on a slow host, and stay bounded in number.
-settings.register_profile("rbdmimo", derandomize=True, database=None, deadline=None, max_examples=100)
-settings.load_profile("rbdmimo")
+# database), never time out on a slow host, and stay bounded in number.  Without
+# hypothesis (the `test` extra) only the property-test modules fail to collect.
+try:
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    settings.register_profile("rbdmimo", derandomize=True, database=None, deadline=None, max_examples=100)
+    settings.load_profile("rbdmimo")
 
 
 def make_problem(m, seed, n=None, sigma2=0.5) -> MmseProblem:
