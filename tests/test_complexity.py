@@ -92,6 +92,24 @@ class TestMeasured:
             counter = measured_counter("cr", prob, k)
             assert counter.matvecs == k + 3  # three at initialization, one per iteration
 
+    def test_counted_totals_exact(self):
+        # exact (mults, adds, matvecs) the detectors count: where they add
+        # their tallies may change, the totals may not
+        want = {
+            ("minres", 1, 1): (6, 2, 2),
+            ("gmres", 1, 1): (24, 6, 2),
+            ("cr", 1, 1): (8, 3, 3),
+            ("minres", 8, 3): (459, 426, 6),
+            ("gmres", 8, 3): (501, 359, 4),
+            ("cr", 8, 3): (582, 524, 6),
+            ("minres", 17, 17): (10710, 10370, 34),
+            ("gmres", 17, 17): (12241, 10710, 18),
+            ("cr", 17, 17): (8126, 7701, 20),
+        }
+        for (algorithm, m, k), counts in want.items():
+            counter = measured_counter(algorithm, random_problem(m, 6), k)
+            assert (counter.mults, counter.adds, counter.matvecs) == counts, (algorithm, m, k)
+
     def test_deterministic(self):
         prob = random_problem(8, 4)
         a = measured_cost("gmres", prob, 3)
