@@ -12,7 +12,8 @@ import numpy as np
 from .complexity import analytic_cost, cholesky_cost, measured_counter, random_problem
 from .detectors import cr_detect, exact_detect, gmres_detect, minres_detect, residual_bound_minres
 from .rngstream import mix_seed
-from .sim import SimConfig, run_frames, run_trial
+from .sim import (FLAG_BELOW_RESOLUTION, FLAG_OK, MIN_FRAMES_PER_POINT, BerPoint, SimConfig,
+                  run_ber_point, run_frames, run_trial)
 
 
 class CheckFailure(AssertionError):
@@ -135,9 +136,21 @@ def check_matvec_budget(seed):
         raise CheckFailure("matvec budget", f"cr used {got} products, want {k + 3}")
 
 
+def _serial_ber_point(config: SimConfig, snr_index: int) -> BerPoint:
+    """run_ber_point's result, summed from run_trial one frame at a time."""
+    snr_db = config.snr_db_list[snr_index]
+    errors = bits = frames = 0
+    while frames < MIN_FRAMES_PER_POINT or (errors < config.target_bit_errors and bits < config.max_bits):
+        e, n = run_trial(config, snr_db, mix_seed(config.master_seed, snr_index, frames))
+        errors, bits, frames = errors + e, bits + n, frames + 1
+    flag = FLAG_OK if errors >= config.target_bit_errors else FLAG_BELOW_RESOLUTION
+    return BerPoint(snr_db, bits, errors, errors / bits, frames, flag)
+
+
 def check_determinism(seed):
-    """Identical (config, seed) trials produce identical error counts, and a
-    chunk of frames gives each frame what run_trial gives it alone."""
+    """Identical (config, seed) trials produce identical error counts, a
+    chunk of frames gives each frame what run_trial gives it alone, and a
+    BER point equals the frame-by-frame sum under the serial stop rule."""
     config = SimConfig(
         n=16, m=4, qam_order=16, detector="cr", k_iterations=3,
         snr_db_list=(6.0,), master_seed=seed,
@@ -151,6 +164,15 @@ def check_determinism(seed):
     alone = [run_trial(config, 0.0, t)[0] for t in seeds]
     if chunk != alone:
         raise CheckFailure("trial determinism", f"chunk errors {chunk} != per-frame errors {alone}")
+    # both points outlast the first chunk: 30-60 frames to 100 errors, a budget of 60
+    config = SimConfig(
+        n=16, m=4, qam_order=16, detector="cr", k_iterations=3,
+        snr_db_list=(0.0, 3.0), target_bit_errors=100, max_bits=60 * 16, master_seed=seed,
+    )
+    for i, snr_db in enumerate(config.snr_db_list):
+        point, serial = run_ber_point(config, snr_db, i), _serial_ber_point(config, i)
+        if point != serial:
+            raise CheckFailure("trial determinism", f"BER point {point} != frame-by-frame {serial}")
 
 
 CHECKS = (

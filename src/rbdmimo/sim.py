@@ -6,12 +6,14 @@ Every random draw derives from (master_seed, snr_index, trial_index)
 through the documented 64-bit mixer, so any subset of points reproduces
 exactly, in any execution order, serial or parallel.
 
-Frames run in chunks of up to FRAMES_PER_BATCH: `run_frames` draws,
-detects and demaps a whole chunk as stacked arrays, and each frame of the
-chunk equals `run_trial` on its own seed.  `run_ber_point` adds up the
-per-frame errors and stops at the first frame where the serial stop rule
-holds, so frames, bits, errors and flags do not depend on the chunk size,
-and the seeding contract is unchanged.
+Frames run in chunks: `run_frames` draws, detects and demaps a whole
+chunk as stacked arrays, and each frame of the chunk equals `run_trial` on
+its own seed.  `run_ber_point` starts with FIRST_CHUNK_FRAMES frames and
+doubles the chunk after each one, up to CHUNK_ENTRIES entries of H (at
+least one frame), so a point pays the fixed cost of a chunk only a few
+times.  It adds up the per-frame errors and stops at the first frame where
+the serial stop rule holds, so frames, bits, errors and flags do not
+depend on the chunk schedule, and the seeding contract is unchanged.
 
 SNR convention: sigma2 = M / 10^(snr_db / 10), i.e. per-receive-antenna
 SNR at unit average symbol energy.  Detector comparisons are SNR gaps
@@ -40,7 +42,8 @@ FLAG_OK = "ok"
 FLAG_BELOW_RESOLUTION = "below_resolution"
 
 MIN_FRAMES_PER_POINT = 10
-FRAMES_PER_BATCH = 16
+FIRST_CHUNK_FRAMES = 16
+CHUNK_ENTRIES = 2**16  # most entries of H in one chunk (1 MiB of complex128)
 _SUB_STREAMS = np.arange(3)  # bits, channel, noise
 
 RESULT_COLUMNS = [
@@ -165,8 +168,10 @@ def run_ber_point(config: SimConfig, snr_db: float, snr_index: int | None = None
 
     At least MIN_FRAMES_PER_POINT frames are always run.  Points that stop
     short of the error target carry the below-resolution flag.  Frames run
-    in chunks no longer than the frames left to the bit budget, and the
-    point ends at the first frame that meets the stop rule.
+    in chunks of FIRST_CHUNK_FRAMES, then twice the previous chunk, never
+    more than CHUNK_ENTRIES // (N*M) frames (at least one) nor past the
+    bit budget's last frame; the point ends at the first frame that meets
+    the stop rule, whatever the schedule.
     """
     if snr_index is None:
         try:
@@ -176,15 +181,18 @@ def run_ber_point(config: SimConfig, snr_db: float, snr_index: int | None = None
     n_bits = config.m * qam_spec(config.qam_order).bits_per_symbol
     # the bit budget ends a point at this frame, whatever its error count
     last_frame = max(MIN_FRAMES_PER_POINT, -(-config.max_bits // n_bits))
+    cap = max(1, CHUNK_ENTRIES // (config.n * config.m))
+    size = min(FIRST_CHUNK_FRAMES, cap)
     errors = frames = 0
     done = False
     while not done:
-        counts = np.arange(frames + 1, min(frames + FRAMES_PER_BATCH, last_frame) + 1)
+        counts = np.arange(frames + 1, min(frames + size, last_frame) + 1)
         seeds = mix_seed(config.master_seed, snr_index, np.arange(frames, counts[-1]))
         totals = errors + np.cumsum(run_frames(config, snr_db, seeds))
         stops = ((counts >= MIN_FRAMES_PER_POINT) & (totals >= config.target_bit_errors)) | (counts == last_frame)
         end = int(np.argmax(stops)) if stops.any() else len(counts) - 1
         frames, errors, done = int(counts[end]), int(totals[end]), bool(stops[end])
+        size = min(2 * size, cap)
     bits = frames * n_bits
     flag = FLAG_OK if errors >= config.target_bit_errors else FLAG_BELOW_RESOLUTION
     return BerPoint(

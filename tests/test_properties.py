@@ -1,9 +1,13 @@
-"""Property tests of the detector invariants and the modem round trip.
+"""Property tests of the detector invariants, the modem round trip and the
+frame-chunk schedule of a BER point.
 
 Examples come from the deterministic hypothesis profile in conftest.py.
 """
 
+import functools
+
 import numpy as np
+import pytest
 from conftest import make_problem
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 from rbdmimo.detectors import MmseProblem, cr_detect, exact_detect, gmres_detect, minres_detect
 from rbdmimo.modem import SUPPORTED_ORDERS, qam_demodulate_hard, qam_modulate, qam_spec
 from rbdmimo.rngstream import uniform_stream
+import rbdmimo.sim as sim
 
 DETECTORS = {"minres": minres_detect, "cr": cr_detect, "gmres": gmres_detect}
 
@@ -96,3 +101,28 @@ def test_modulate_then_demap_returns_bits(order, frames, symbols, seed):
     bits = uniform_stream(seed).integers(0, 2, size=(frames, symbols * spec.bits_per_symbol))
     assert np.array_equal(qam_demodulate_hard(qam_modulate(bits, spec), spec), bits)
     assert np.array_equal(qam_demodulate_hard(qam_modulate(bits[0], spec), spec), bits[0])
+
+
+# one error-target point (0 dB) and one bit-budget point (12 dB) of 100 frames
+SCHEDULE_CONFIG = sim.SimConfig(
+    n=16, m=4, qam_order=16, detector="cr", k_iterations=2, snr_db_list=(0.0, 12.0),
+    target_bit_errors=100, max_bits=100 * 16, master_seed=5,
+)
+
+
+def sweep_with_schedule(first: int, cap: int) -> sim.SweepResult:
+    """run_sweep with a first chunk of `first` frames and a cap of `cap` frames."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "FIRST_CHUNK_FRAMES", first)
+        patch.setattr(sim, "CHUNK_ENTRIES", cap * SCHEDULE_CONFIG.n * SCHEDULE_CONFIG.m)
+        return sim.run_sweep(SCHEDULE_CONFIG)
+
+
+@functools.cache
+def frame_by_frame_sweep() -> sim.SweepResult:
+    return sweep_with_schedule(1, 1)
+
+
+@given(st.integers(1, 70), st.integers(1, 70))
+def test_ber_points_independent_of_chunk_schedule(first, cap):
+    assert sweep_with_schedule(first, cap) == frame_by_frame_sweep()

@@ -225,10 +225,11 @@ class TestSweep:
         cfg = small_config(detector=detector, max_bits=4_000)
         reference = run_sweep(cfg)
         assert {p.flag for p in reference.points} == {FLAG_OK, FLAG_BELOW_RESOLUTION}
-        for size in (1, 4096):
-            monkeypatch.setattr(sim, "FRAMES_PER_BATCH", size)
+        # (first chunk, cap) in frames: frame by frame, one chunk per point, an odd start
+        for first, cap in ((1, 1), (4096, 4096), (3, 7)):
+            monkeypatch.setattr(sim, "FIRST_CHUNK_FRAMES", first)
+            monkeypatch.setattr(sim, "CHUNK_ENTRIES", cap * cfg.n * cfg.m)
             assert run_sweep(cfg) == reference
-        monkeypatch.setattr(sim, "FRAMES_PER_BATCH", 3)
         assert run_sweep(cfg, workers=3) == reference
 
     def test_rerun_identical(self):
@@ -240,6 +241,45 @@ class TestSweep:
         full = run_sweep(cfg)
         alone = run_ber_point(cfg, 4.0)
         assert alone == full.points[1]
+
+
+class TestChunkSchedule:
+    @staticmethod
+    def requested(monkeypatch, cfg, snr_db):
+        """The point, and the frame count of each run_frames call it made."""
+        sizes = []
+
+        def recording(config, snr, seeds):
+            sizes.append(len(seeds))
+            return run_frames(config, snr, seeds)
+
+        monkeypatch.setattr(sim, "run_frames", recording)
+        return run_ber_point(cfg, snr_db), sizes
+
+    def test_budget_point_doubles_to_the_last_frame(self, monkeypatch):
+        # 128x8 caps a chunk at 2**16 // 1024 = 64 frames; 100 frames of budget
+        cfg = small_config(n=128, m=8, qam_order=64, snr_db_list=(40.0,), max_bits=100 * 48)
+        point, sizes = self.requested(monkeypatch, cfg, 40.0)
+        assert (point.frames, point.flag) == (100, FLAG_BELOW_RESOLUTION)
+        assert sizes == [16, 32, 52]
+
+    def test_chunk_capped_by_channel_entries(self, monkeypatch):
+        cfg = small_config(n=128, m=16, qam_order=64, snr_db_list=(40.0,), max_bits=200 * 96)
+        point, sizes = self.requested(monkeypatch, cfg, 40.0)
+        assert point.frames == 200
+        assert sizes[:3] == [16, 32, 32] and max(sizes) == 32 and sum(sizes) == 200
+
+    def test_oversized_frame_runs_alone(self, monkeypatch):
+        cfg = small_config(n=1040, m=64, qam_order=4, k_iterations=1, snr_db_list=(60.0,), max_bits=1)
+        assert cfg.n * cfg.m > sim.CHUNK_ENTRIES
+        point, sizes = self.requested(monkeypatch, cfg, 60.0)
+        assert point.frames == sim.MIN_FRAMES_PER_POINT
+        assert sizes == [1] * sim.MIN_FRAMES_PER_POINT
+
+    def test_error_target_point_draws_at_most_one_chunk_past_its_stop(self, monkeypatch):
+        point, sizes = self.requested(monkeypatch, small_config(), 0.0)
+        assert point.flag == FLAG_OK and len(sizes) >= 2
+        assert sum(sizes[:-1]) < point.frames <= sum(sizes)
 
 
 class TestPersistence:
