@@ -6,7 +6,7 @@ Library layout:
 * `channel`     i.i.d. and Kronecker-correlated Rayleigh channels
 * `modem`       Gray-mapped square QAM and AWGN
 * `detectors`   MMSE preprocessing and the residual-based detectors
-* `complexity`  closed-form and instrumented operation counts
+* `complexity`  closed-form and counted operation totals
 * `sim`         seeded Monte-Carlo BER sweeps and persistence
 * `selftest`    fast named invariant checks
 * `cli`         simulate / complexity / selftest commands
@@ -41,7 +41,6 @@ from .detectors import (
     exact_detect,
     givens_lsq_update,
     gmres_detect,
-    hessenberg_back_substitute,
     kernel_coeff,
     kernel_mac,
     minres_detect,
@@ -54,10 +53,8 @@ from .linalg import (
     cholesky_factor,
     cholesky_solve,
     hermitian_eigen_extrema,
-    inner_hermitian,
     load_matrix,
     load_vector,
-    matvec,
     save_matrix,
     save_vector,
 )

@@ -12,7 +12,7 @@ import json
 import re
 import sys
 
-from .complexity import REPORT_COLUMNS, report_rows
+from .complexity import BASELINE_CONVENTION, COUNTING_CONVENTION, REPORT_COLUMNS, report_rows
 from .selftest import run_selftest
 from .sim import (
     SNR_CONVENTION,
@@ -81,7 +81,8 @@ def _cmd_complexity(args) -> int:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
     m_values = _parse_m_grid(args.m)
     print(f"resolved configuration: m_grid={m_values} k={args.k} seed={args.seed}")
-    print(f"counting convention: complex mult = 1, division/sqrt = 1, preprocessing excluded")
+    print(f"counting convention: {COUNTING_CONVENTION}")
+    print(f"baseline: {BASELINE_CONVENTION}")
     lines = [REPORT_COLUMNS] + report_rows(m_values, args.k, args.seed)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -121,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cx.add_argument("--m", required=True, help="user-count grid LO:STEP:HI")
     p_cx.add_argument("--k", required=True, type=int, help="iteration count")
     p_cx.add_argument("--out", default=None, help="output CSV path (default: stdout)")
-    p_cx.add_argument("--seed", type=int, default=0, help="seed for the instrumented runs")
+    p_cx.add_argument("--seed", type=int, default=0, help="seed for the counted runs")
     p_cx.set_defaults(func=_cmd_complexity)
 
     p_st = sub.add_parser("selftest", help="run the fast invariant suite")

@@ -1,12 +1,11 @@
 """Operation-count accounting for the detectors.
 
-Counting convention (used by both the closed-form tallies and the runtime
-counters): one complex multiplication counts 1; complex divisions and real
-square roots also count 1 each; real-by-complex scalings count 1; complex
-additions and subtractions count 1 add.  Preprocessing (Gram matrix and
-matched filter) is excluded everywhere, since every compared scheme shares
-it.  Trace bookkeeping inside the detectors (residual norms recorded for
-diagnostics) is likewise excluded from runtime counts.
+COUNTING_CONVENTION states what counts, for the closed forms below and for
+the totals a detector adds to an OpCounter passed to it; `rbdmimo
+complexity` prints it with BASELINE_CONVENTION.  Preprocessing (Gram
+matrix and matched filter) is excluded because every compared scheme
+shares it, and the residual norms a detector records for its trace are
+diagnostics, not algorithm steps.
 
 The closed-form per-detector counts are, for M users and k iterations:
 
@@ -34,8 +33,8 @@ from .rngstream import complex_normal, mix_seed, uniform_stream
 COUNTED_ALGORITHMS = tuple(ITERATIVE_DETECTORS)
 
 COUNTING_CONVENTION = (
-    "complex multiplication = 1; division and square root = 1 each; "
-    "preprocessing excluded"
+    "complex multiplication, real-by-complex scaling, division and square root = 1 mult each; "
+    "complex addition or subtraction = 1 add; preprocessing and trace norms excluded"
 )
 BASELINE_CONVENTION = (
     "explicit inverse via Cholesky: factorization + triangular inversion + "
@@ -140,7 +139,7 @@ def cholesky_cost(m: int) -> Cost:
 
 
 def measured_cost(algorithm: str, prob: MmseProblem, k: int) -> Cost:
-    """Run the detector with instrumented kernels and report actual counts."""
+    """Run the detector with a counter and report the operations it counted."""
     return measured_counter(algorithm, prob, k).cost()
 
 
@@ -168,7 +167,7 @@ class CostReport:
 
 
 def random_problem(m: int, seed: int, n: int | None = None, sigma2: float = 1.0) -> MmseProblem:
-    """Deterministic random SPD detection problem for instrumentation runs."""
+    """Deterministic random SPD detection problem for counted runs."""
     n = 2 * m if n is None else n
     h = generate_channel(n, m, ChannelScenario(), mix_seed(seed, 0)).H
     y = complex_normal(uniform_stream(mix_seed(seed, 1)), n)

@@ -9,11 +9,9 @@ the residual norm ||y_mf - A s_k|| per step:
 * cr_detect:     conjugate residual recurrences, one A-product per
   iteration after initialization.
 
-exact_detect is the Cholesky ground truth.  All iterations are expressed
-through two shared kernels, a multiply-accumulate update (kernel_mac) and
-a ratio of Hermitian inner products (kernel_coeff), so instrumented
-operation counts line up with the unified accounting in
-`rbdmimo.complexity`.
+exact_detect is the Cholesky ground truth.  minres and cr are written
+with two shared kernels, a multiply-accumulate update (kernel_mac) and a
+ratio of Hermitian inner products (kernel_coeff).
 
 gmres, the bulk of the Krylov work, runs in place: the Arnoldi step
 forms and orthogonalizes each basis vector in its slot of the basis
@@ -22,10 +20,13 @@ into the Hessenberg column), and the Givens update writes R and the
 rotated product rows where they lie.  An in-place step takes the operands
 of the plain expression in the same order, so it rounds exactly as the
 allocating form does.  cr and minres already make one numpy call per
-arithmetic step and keep the allocating form.  The kernels do not count:
-each detector adds its operation tallies once per step, from the rules
-in _inner_ops, _mac_ops and _coeff_ops, and only when a counter is
-passed.
+arithmetic step and keep the allocating form.
+
+Operations are counted in the three detectors only, and only when a
+counter is passed: each adds the tally of a step beside it, from
+OpCounter.tally_matvec and the rules in _inner_ops, _mac_ops, _coeff_ops
+and _gmres_step_ops.  The kernels and the Arnoldi and Givens steps do not
+count (see `rbdmimo.complexity` for the convention).
 
 Detectors are pure functions of (problem, iteration count); starting
 iterates are always zero and every trace therefore begins at
@@ -51,7 +52,6 @@ from .linalg import (
     cholesky_lower,
     cholesky_solve,
     hermitian_eigen_extrema,
-    matvec,
     norm2,
     require_hermitian,
 )
@@ -178,7 +178,7 @@ def preprocess(h, y, sigma2: float) -> MmseProblem:
     a = lower + lower.conj().swapaxes(-1, -2)
     diag = np.arange(m)
     a[..., diag, diag] = gram[..., diag, diag].real + sigma2
-    return MmseProblem(A=a, y_mf=matvec(h_herm, y), sigma2=float(sigma2), N=n, M=m)
+    return MmseProblem(A=a, y_mf=np.matvec(h_herm, y), sigma2=float(sigma2), N=n, M=m)
 
 
 def kernel_mac(x, a, b) -> np.ndarray:
@@ -216,6 +216,22 @@ def _coeff_ops(size: int) -> tuple[int, int]:
     """(mults, adds) of one kernel_coeff: two inner products and the division."""
     mults, adds = _inner_ops(size)
     return 2 * mults + 1, 2 * adds
+
+
+def _gmres_step_ops(size: int, j: int, happy: bool, flat: bool) -> tuple[int, int]:
+    """(mults, adds) of gmres step j besides its product.
+
+    The Arnoldi step makes j+1 inner products and updates, the norm and its
+    square root, and the normalizing divisions unless it broke down (happy).
+    The Givens update applies j rotations, forms R[j, j] and the new row of
+    the product, and rho^2, sigma^2, a square root and two divisions unless
+    the (rho, sigma) pair was zero (flat).
+    """
+    inner_mults, inner_adds = _inner_ops(size)
+    mac_mults, mac_adds = _mac_ops(size)
+    arnoldi_mults = (j + 1) * (inner_mults + mac_mults) + size + 1 + (0 if happy else size)
+    givens_mults = 4 * j + 8 + (0 if flat else 5)
+    return arnoldi_mults + givens_mults, (j + 1) * (inner_adds + mac_adds) + 2 * j + 4
 
 
 def minres_detect(prob: MmseProblem, k_iters: int, counter=None) -> DetectionResult:
@@ -258,7 +274,7 @@ def minres_detect(prob: MmseProblem, k_iters: int, counter=None) -> DetectionRes
             counter.tally_matvec(size, size)
             counter.tally(coeff_mults + mac_mults, coeff_adds + mac_adds)
     # final trace entry is instrumentation, not an algorithm step
-    res_norms.append(norm2(y - matvec(a, s)))
+    res_norms.append(norm2(y - np.matvec(a, s)))
     iterates.append(s)
     return _result(s, iterations, res_norms, norm2(np.array(iterates)), single)
 
@@ -277,12 +293,14 @@ def cr_detect(prob: MmseProblem, k_iters: int, counter=None) -> DetectionResult:
     coeff_mults, coeff_adds = _coeff_ops(size)
     mac_mults, mac_adds = _mac_ops(size)
     s = np.zeros_like(y)
-    r = y - matvec(a, s, counter)
-    if counter is not None:
-        counter.tally(adds=size)
+    r = y - np.matvec(a, s)
     p = r.copy()
-    e = matvec(a, p, counter)
-    m = matvec(a, r, counter)
+    e = np.matvec(a, p)
+    m = np.matvec(a, r)
+    if counter is not None:
+        for _ in range(3):  # r0, e0 = A p0 and m0 = A r0
+            counter.tally_matvec(size, size)
+        counter.tally(adds=size)
     stop = EARLY_STOP_REL * norm2(y)
     res_norms = [norm2(r)]
     iterates = [s]
@@ -349,20 +367,18 @@ class ArnoldiState:
         return ARNOLDI_BREAKDOWN_REL * self.beta
 
 
-def init_arnoldi(r0, v_max: int, counter=None) -> ArnoldiState:
+def init_arnoldi(r0, v_max: int) -> ArnoldiState:
     r0 = np.asarray(r0, dtype=np.complex128)
     beta = norm2(r0)
     if np.count_nonzero(beta == 0.0):
         raise ValueError("cannot start Arnoldi from a zero residual")
     basis = np.zeros((v_max + 1, *r0.shape), dtype=np.complex128)
     basis[0] = r0 / beta[..., None]
-    if counter is not None:
-        counter.tally(mults=2 * r0.shape[-1] + 1)  # norm then the normalizing divisions
     columns = np.zeros((v_max, v_max + 1, *r0.shape[:-1]), dtype=np.complex128)
     return ArnoldiState(basis=basis, columns=columns, beta=beta)
 
 
-def arnoldi_step(a, state: ArnoldiState, j: int, counter=None):
+def arnoldi_step(a, state: ArnoldiState, j: int):
     """Extend the basis by column j (0-based) using modified Gram-Schmidt.
 
     w = A q_j is formed in the slot of q_{j+1} and orthogonalized there in
@@ -380,7 +396,6 @@ def arnoldi_step(a, state: ArnoldiState, j: int, counter=None):
         # a single problem is a batch of one here
         basis, columns = basis[:, None], columns[..., None]
     h_col = columns[j]
-    size = basis.shape[-1]
     w = np.matvec(a, basis[j], basis[j + 1])
     scratch = np.empty_like(w)
     # the interpreter floor: three numpy calls per inner step, looked up once
@@ -393,21 +408,11 @@ def arnoldi_step(a, state: ArnoldiState, j: int, counter=None):
     h_col[j + 1] = wn
     state.v = j + 1
     happy = wn <= state.breakdown_tol
-    if counter is not None:
-        # the product, j+1 inner products and updates, the norm and its square root
-        counter.tally_matvec(size, size)
-        inner_mults, inner_adds = _inner_ops(size)
-        mac_mults, mac_adds = _mac_ops(size)
-        counter.tally(
-            mults=(j + 1) * (inner_mults + mac_mults) + size + 1, adds=(j + 1) * (inner_adds + mac_adds)
-        )
     if np.count_nonzero(happy):
         np.divide(w, np.where(happy, 1.0, wn)[:, None], w)
         w[happy] = 0.0
     else:
         np.divide(w, wn[:, None], w)
-        if counter is not None:
-            counter.tally(mults=size)
     return happy if state.basis.ndim == 3 else happy[0]
 
 
@@ -449,7 +454,7 @@ def init_givens(beta, v_max: int) -> GivensChain:
     return GivensChain(rotations=[], beta=beta, R=r, product=product)
 
 
-def givens_lsq_update(chain: GivensChain, hbar_col, j: int, counter=None) -> np.ndarray:
+def givens_lsq_update(chain: GivensChain, hbar_col, j: int) -> np.ndarray:
     """Fold Hessenberg column j into the QR factorization.
 
     Applies the j previous rotations, forms the new rotation (c, b)
@@ -472,10 +477,8 @@ def givens_lsq_update(chain: GivensChain, hbar_col, j: int, counter=None) -> np.
         flat = hyp == 0.0
         hyp = np.where(flat, 1.0, hyp)
         c, b = np.where(flat, 1.0, rho / hyp), sigma / hyp
-        extra = 0
     else:
         c, b = rho / hyp, sigma / hyp
-        extra = 5  # rho^2, sigma^2, sqrt, two divisions
     chain.rotations.append((c, b))
     r_col = chain.R[..., : j + 1, j]
     r_col[...] = head
@@ -486,8 +489,6 @@ def givens_lsq_update(chain: GivensChain, hbar_col, j: int, counter=None) -> np.
     row_next[..., j + 1] = c
     row_j *= c[..., None]
     row_j[..., j + 1] = b
-    if counter is not None:
-        counter.tally(mults=4 * j + extra + 8, adds=2 * j + 4)
     return r_col
 
 
@@ -504,18 +505,6 @@ def _partial_solutions(r: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.cumsum(np.linalg.inv(r) * g[..., None, :], axis=-1)
 
 
-def hessenberg_back_substitute(r, g, counter=None) -> np.ndarray:
-    """Solve the upper-triangular system R p = g (one per row of a batch)."""
-    r = np.asarray(r, dtype=np.complex128)
-    g = np.asarray(g, dtype=np.complex128)
-    v = g.shape[-1]
-    if r.shape != (*g.shape, v):
-        raise ValueError(f"dimension mismatch: R is {r.shape}, g is {g.shape}")
-    if counter is not None:
-        counter.tally(mults=v * (v + 1) // 2, adds=v * (v - 1) // 2)
-    return _partial_solutions(r, g)[..., -1]
-
-
 def gmres_detect(prob: MmseProblem, v_iters: int, counter=None) -> DetectionResult:
     """GMRES detection with incremental Givens residual tracking.
 
@@ -530,12 +519,13 @@ def gmres_detect(prob: MmseProblem, v_iters: int, counter=None) -> DetectionResu
     if v_iters < 1:
         raise ValueError(f"iteration count must be >= 1, got {v_iters}")
     a, y, single = _frames(prob, counter)
-    frames = len(y)
-    v_max = min(v_iters, prob.M)
+    frames, size = len(y), prob.M
+    v_max = min(v_iters, size)
     s = np.zeros_like(y)
-    r0 = y - matvec(a, s, counter)
+    r0 = y - np.matvec(a, s)
     if counter is not None:
-        counter.tally(adds=prob.M)
+        counter.tally_matvec(size, size)
+        counter.tally(adds=size)
     beta = norm2(r0)
     running = (beta > EARLY_STOP_REL * norm2(y)) & (beta != 0.0)
     iterations = np.where(running, v_max, 0)
@@ -543,14 +533,21 @@ def gmres_detect(prob: MmseProblem, v_iters: int, counter=None) -> DetectionResu
     if not np.count_nonzero(running):
         return _result(s, iterations, res_norms, [np.zeros(frames)], single)
     # frames done at step 0 run on an all-zero basis, which breaks down at once
-    state = init_arnoldi(np.where(running[:, None], r0, 1.0), v_max, counter)
+    state = init_arnoldi(np.where(running[:, None], r0, 1.0), v_max)
     state.basis[0] *= running[:, None]
+    if counter is not None:
+        counter.tally(mults=2 * size + 1)  # the norm, then the normalizing divisions
     chain = init_givens(beta, v_max)
     stop = EARLY_STOP_REL * beta
     columns, product = state.columns, chain.product
     for j in range(v_max):
-        happy = arnoldi_step(a, state, j, counter)
-        givens_lsq_update(chain, columns[j].T, j, counter)
+        happy = arnoldi_step(a, state, j)
+        r_col = givens_lsq_update(chain, columns[j].T, j)
+        if counter is not None:
+            # Re R[j, j] is hypot(rho, sigma) > 0, or 0 for a zero pair
+            flat = r_col[..., j].real == 0.0
+            counter.tally_matvec(size, size)
+            counter.tally(*_gmres_step_ops(size, j, happy.any(), flat.any()))
         estimate = beta * np.abs(product[:, j + 1, 0])  # chain.residual_estimate
         res_norms.append(estimate)
         stopped = running & (happy | (estimate <= stop))
@@ -574,8 +571,8 @@ def gmres_detect(prob: MmseProblem, v_iters: int, counter=None) -> DetectionResu
     s = np.cumsum(state.basis[:v] * partial[..., -1].T[..., None], axis=0)[-1].copy()
     if counter is not None:
         counter.tally(mults=v * (v + 1) // 2, adds=v * (v - 1) // 2)  # the triangular solve
-        counter.tally(mults=prob.M * v, adds=prob.M * max(v - 1, 0))
-    explicit = norm2(y - matvec(a, s))
+        counter.tally(mults=size * v, adds=size * max(v - 1, 0))
+    explicit = norm2(y - np.matvec(a, s))
     # a stopped frame's later rotations are identities, so its row of the
     # product still holds its last rotated residual
     rotated = beta * np.abs(chain.product[np.arange(frames), iterations, 0])
@@ -598,7 +595,7 @@ def exact_detect(prob: MmseProblem) -> DetectionResult:
     """
     a, y, single = _frames(prob)
     s = cholesky_solve(cholesky_lower(a), y)
-    residual = norm2(y - matvec(a, s))
+    residual = norm2(y - np.matvec(a, s))
     return _result(s, np.zeros(len(y), dtype=int), [residual], [norm2(s)], single)
 
 

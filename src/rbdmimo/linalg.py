@@ -2,14 +2,12 @@
 
 Vectors are 1-D complex128 ndarrays and matrices are 2-D complex128
 ndarrays throughout the package; a batch of frames stacks them along a
-leading axis, which the products, norms, Hermitian checks and Cholesky
-routines accept as is.  These primitives do not re-validate their
-operands: problems are checked once, when an `MmseProblem` is built.  The
-serialization order for the text fixture format is column-major;
-in-memory layout is whatever numpy uses.
-
-All functions are pure; the optional `counter` arguments only accumulate
-operation tallies on the caller's object (see `rbdmimo.complexity`).
+leading axis, which the norms, Hermitian checks and Cholesky routines
+accept as is.  Products and Hermitian inner products are numpy's
+`np.matvec` and `np.vecdot` (which conjugates its first argument).  These
+primitives do not re-validate their operands: problems are checked once,
+when an `MmseProblem` is built.  The serialization order for the text
+fixture format is column-major; in-memory layout is whatever numpy uses.
 """
 
 from __future__ import annotations
@@ -74,20 +72,6 @@ def require_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     if not defect <= tol:
         raise ValueError(f"matrix is not Hermitian within {tol:g} (defect {defect:.3g})")
     return a
-
-
-def matvec(a: np.ndarray, x: np.ndarray, counter=None) -> np.ndarray:
-    """Matrix-vector product A @ x, for one matrix or a (B, M, M) stack against (B, M)."""
-    if counter is not None:
-        counter.tally_matvec(a.shape[-2], a.shape[-1])
-    return np.matvec(a, x)
-
-
-def inner_hermitian(x: np.ndarray, y: np.ndarray, counter=None):
-    """Hermitian inner product x^H y (first argument conjugated) over the last axis."""
-    if counter is not None:
-        counter.tally(mults=x.shape[-1], adds=max(x.shape[-1] - 1, 0))
-    return np.vecdot(x, y)
 
 
 def norm2(x: np.ndarray):

@@ -32,7 +32,6 @@ import numpy as np
 
 from .channel import ChannelScenario, ConfigError, finite_real, generate_channel
 from .detectors import DETECTOR_NAMES, ITERATIVE_DETECTORS, exact_detect, preprocess
-from .linalg import matvec
 from .modem import SUPPORTED_ORDERS, awgn_add, qam_demodulate_hard, qam_modulate, qam_spec
 from .rngstream import mix_seed, seed_array, uniform_bits_rows
 
@@ -151,7 +150,7 @@ def run_frames(config: SimConfig, snr_db: float, trial_seeds) -> np.ndarray:
     symbols = qam_modulate(bits, spec)
     h = generate_channel(config.n, config.m, config.scenario, sub_seeds[1]).H
     sigma2 = snr_to_sigma2(snr_db, config.m)
-    y = awgn_add(matvec(h, symbols), sigma2, sub_seeds[2])
+    y = awgn_add(np.matvec(h, symbols), sigma2, sub_seeds[2])
     detected = _detect(config, preprocess(h, y, sigma2))
     bits_hat = qam_demodulate_hard(detected.s_hat, spec)
     return np.count_nonzero(bits_hat != bits, axis=-1)

@@ -6,6 +6,7 @@ import pytest
 from conftest import sign_flipped_minres
 
 from rbdmimo.cli import main
+from rbdmimo.complexity import BASELINE_CONVENTION, COUNTING_CONVENTION
 from rbdmimo.selftest import run_selftest
 
 
@@ -107,6 +108,13 @@ class TestComplexity:
         rows = [ln for ln in out.read_text().splitlines() if ln.startswith("cr,60,")]
         assert len(rows) == 1
         assert float(rows[0].split(",")[-1]) >= 0.80
+
+    def test_prints_the_counting_convention(self, capsys):
+        assert main(["complexity", "--m", "4:4:4", "--k", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == f"counting convention: {COUNTING_CONVENTION}"
+        assert lines[2] == f"baseline: {BASELINE_CONVENTION}"
+        assert "preprocessing and trace norms excluded" in lines[1]
 
     def test_zero_iterations_exit_2(self):
         assert main(["complexity", "--m", "8:8:16", "--k", "0"]) == 2

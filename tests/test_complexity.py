@@ -1,5 +1,6 @@
-"""Tests for closed-form operation counts and the instrumented counters."""
+"""Tests for closed-form operation counts and the counted totals of the detectors."""
 
+import numpy as np
 import pytest
 
 from rbdmimo.complexity import (
@@ -14,6 +15,17 @@ from rbdmimo.complexity import (
     random_problem,
     report_rows,
 )
+from rbdmimo.detectors import ITERATIVE_DETECTORS, MmseProblem, gmres_detect
+
+
+def diagonal_problem(y_mf):
+    """A = diag(1..5): y_mf = e_2 is solved by the first step, y_mf = 0 before it."""
+    a = np.diag(np.arange(1.0, 6.0)).astype(complex)
+    return MmseProblem(A=a, y_mf=np.asarray(y_mf, dtype=complex), sigma2=0.0, N=5, M=5)
+
+
+E2_PROBLEM = diagonal_problem([0, 1, 0, 0, 0])
+ZERO_PROBLEM = diagonal_problem(np.zeros(5))
 
 
 class TestAnalyticCost:
@@ -109,6 +121,44 @@ class TestMeasured:
         for (algorithm, m, k), counts in want.items():
             counter = measured_counter(algorithm, random_problem(m, 6), k)
             assert (counter.mults, counter.adds, counter.matvecs) == counts, (algorithm, m, k)
+        # early stop after the first step (gmres by happy breakdown), and a
+        # zero right-hand side, which every detector returns before iterating
+        degenerate = {
+            ("minres", E2_PROBLEM, 1): (66, 58, 2),
+            ("minres", E2_PROBLEM, 3): (91, 83, 3),
+            ("gmres", E2_PROBLEM, 3): (96, 58, 2),
+            ("cr", E2_PROBLEM, 3): (96, 83, 3),
+            ("minres", ZERO_PROBLEM, 2): (25, 25, 1),
+            ("gmres", ZERO_PROBLEM, 2): (25, 25, 1),
+            ("cr", ZERO_PROBLEM, 2): (75, 65, 3),
+        }
+        for (algorithm, prob, k), counts in degenerate.items():
+            counter = measured_counter(algorithm, prob, k)
+            assert (counter.mults, counter.adds, counter.matvecs) == counts, (algorithm, prob.y_mf, k)
+
+    def test_zero_rotation_pair_counted_without_its_square_root(self):
+        # A = 0 gives a zero (rho, sigma) pair at step 0: the identity rotation
+        # skips rho^2, sigma^2, the square root and the two divisions, then the
+        # singular triangle stops the solve with the step already counted
+        counter = OpCounter()
+        prob = MmseProblem(A=np.zeros((2, 2)), y_mf=np.array([1.0, 0.0]), sigma2=0.0, N=2, M=2)
+        with pytest.raises(ZeroDivisionError):
+            gmres_detect(prob, 2, counter=counter)
+        assert (counter.mults, counter.adds, counter.matvecs) == (28, 13, 2)
+
+    @pytest.mark.parametrize("algorithm", list(ITERATIVE_DETECTORS))
+    def test_counting_does_not_perturb_the_detection(self, algorithm):
+        # random problems, an early stop, a zero right-hand side, and at M = 1
+        # gmres's happy breakdown at its first step
+        detect = ITERATIVE_DETECTORS[algorithm]
+        problems = [random_problem(m, seed) for m in (1, 3, 8, 13) for seed in (0, 6)]
+        for prob in (*problems, E2_PROBLEM, ZERO_PROBLEM):
+            for k in range(1, prob.M + 3):
+                plain = detect(prob, k)
+                counted = detect(prob, k, counter=OpCounter())
+                assert np.array_equal(counted.s_hat, plain.s_hat), (prob.M, k)
+                assert counted.iterations == plain.iterations, (prob.M, k)
+                assert counted.trace == plain.trace, (prob.M, k)
 
     def test_deterministic(self):
         prob = random_problem(8, 4)

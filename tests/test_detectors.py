@@ -7,12 +7,12 @@ from conftest import make_problem, problem_batch, sign_flipped_minres
 from rbdmimo.complexity import OpCounter
 from rbdmimo.detectors import (
     MmseProblem,
+    _partial_solutions,
     arnoldi_step,
     cr_detect,
     exact_detect,
     givens_lsq_update,
     gmres_detect,
-    hessenberg_back_substitute,
     init_arnoldi,
     init_givens,
     kernel_coeff,
@@ -264,19 +264,20 @@ class TestArnoldiGivens:
             g = np.array([[c, b], [-b, c]])
             assert np.abs(g @ g.T - np.eye(2)).max() < 1e-14
 
+    # gmres's triangular solve: the last column of _partial_solutions solves R p = g
     def test_back_substitute_identity(self):
         g = np.array([1.0, 2.0j, -3.0])
-        assert np.array_equal(hessenberg_back_substitute(np.eye(3, dtype=complex), g), g)
+        assert np.array_equal(_partial_solutions(np.eye(3, dtype=complex), g)[..., -1], g)
 
     def test_back_substitute_2x2(self):
         r = np.array([[2.0, 1.0], [0.0, 3.0]], dtype=complex)
-        p = hessenberg_back_substitute(r, np.array([5.0, 6.0], dtype=complex))
+        p = _partial_solutions(r, np.array([5.0, 6.0], dtype=complex))[..., -1]
         assert np.abs(p - np.array([1.5, 2.0])).max() < 1e-15
 
     def test_back_substitute_singular(self):
         r = np.zeros((2, 2), dtype=complex)
         with pytest.raises(ZeroDivisionError):
-            hessenberg_back_substitute(r, np.ones(2, dtype=complex))
+            _partial_solutions(r, np.ones(2, dtype=complex))
 
     def test_least_squares_vs_normal_equations(self):
         # the QR path must minimize ||beta e1 - Hbar p|| like the normal equations do
@@ -289,7 +290,7 @@ class TestArnoldiGivens:
                     break
                 givens_lsq_update(chain, state.Hbar[:, j], j)
             v = len(chain.rotations)
-            p = hessenberg_back_substitute(chain.R[:v, :v], chain.g[:v])
+            p = _partial_solutions(chain.R[:v, :v], chain.g[:v])[..., -1]
             hbar = state.Hbar[: v + 1, :v]
             rhs = np.zeros(v + 1, dtype=complex)
             rhs[0] = np.linalg.norm(prob.y_mf)

@@ -201,6 +201,26 @@ class TestBerPoint:
         pt = run_ber_point(small_config(), 0.0)
         assert pt.flag == FLAG_OK and pt.bit_errors >= 100
 
+    def test_points_pinned(self):
+        # (bits_sent, bit_errors, frames, flag) recorded from the seeding
+        # contract; a shift of every trial index moves them
+        want = {
+            ("cr", 5, 0.0): (512, 100, 32, FLAG_OK),
+            ("cr", 5, 3.0): (960, 99, 60, FLAG_BELOW_RESOLUTION),
+            ("cholesky", 5, 0.0): (528, 102, 33, FLAG_OK),
+            ("cholesky", 5, 3.0): (960, 101, 60, FLAG_OK),
+            ("cr", 2026, 0.0): (624, 104, 39, FLAG_OK),
+            ("cr", 2026, 3.0): (960, 95, 60, FLAG_BELOW_RESOLUTION),
+            ("cholesky", 2026, 0.0): (624, 102, 39, FLAG_OK),
+            ("cholesky", 2026, 3.0): (960, 97, 60, FLAG_BELOW_RESOLUTION),
+        }
+        for (detector, seed, snr_db), counts in want.items():
+            cfg = small_config(
+                detector=detector, k_iterations=3, snr_db_list=(0.0, 3.0), max_bits=60 * 16, master_seed=seed
+            )
+            pt = run_ber_point(cfg, snr_db)
+            assert (pt.bits_sent, pt.bit_errors, pt.frames, pt.flag) == counts, (detector, seed, snr_db)
+
     def test_exact_detector_ber_monotone_within_3_sigma(self):
         cfg = small_config(detector="cholesky", snr_db_list=(0.0, 3.0, 6.0, 9.0), max_bits=60_000)
         sweep = run_sweep(cfg)
