@@ -30,16 +30,12 @@ from .complexity import (
     measured_cost,
 )
 from .detectors import (
-    ArnoldiState,
     ConvergenceBound,
     DetectionResult,
     DetectionTrace,
-    GivensChain,
     MmseProblem,
-    arnoldi_step,
     cr_detect,
     exact_detect,
-    givens_lsq_update,
     gmres_detect,
     kernel_coeff,
     kernel_mac,

@@ -13,14 +13,16 @@ exact_detect is the Cholesky ground truth.  minres and cr are written
 with two shared kernels, a multiply-accumulate update (kernel_mac) and a
 ratio of Hermitian inner products (kernel_coeff).
 
-gmres, the bulk of the Krylov work, runs in place: the Arnoldi step
-forms and orthogonalizes each basis vector in its slot of the basis
-(three numpy calls per modified Gram-Schmidt step, h_ij written straight
-into the Hessenberg column), and the Givens update writes R and the
-rotated product rows where they lie.  An in-place step takes the operands
-of the plain expression in the same order, so it rounds exactly as the
-allocating form does.  cr and minres already make one numpy call per
-arithmetic step and keep the allocating form.
+gmres, the bulk of the Krylov work, keeps its state in four arrays it
+allocates itself: the Arnoldi basis, the Hessenberg columns, the product
+of the Givens rotations and the triangle R.  Its two steps update them in
+place: arnoldi_step forms and orthogonalizes each basis vector in its slot
+of the basis (three numpy calls per modified Gram-Schmidt step, h_ij
+written straight into the Hessenberg column), and givens_lsq_update writes
+R and the rotated product rows where they lie.  An in-place step takes the
+operands of the plain expression in the same order, so it rounds exactly
+as the allocating form does.  cr and minres already make one numpy call
+per arithmetic step and keep the allocating form.
 
 Operations are counted in the three detectors only, and only when a
 counter is passed: each adds the tally of a step beside it, from
@@ -336,66 +338,18 @@ def cr_detect(prob: MmseProblem, k_iters: int, counter=None) -> DetectionResult:
     return _result(s, iterations, res_norms, norm2(np.array(iterates)), single)
 
 
-@dataclass
-class ArnoldiState:
-    """Arnoldi factorization state: A Q[:, :V] = Q[:, :V+1] Hbar[:V+1, :V].
-
-    Q has orthonormal columns filled progressively; Hbar is upper
-    Hessenberg.  `v` counts completed columns and `beta` is the norm of
-    the starting residual (breakdown tolerance scale).  Both are stored
-    vector by vector: basis[i] is column i of Q and columns[j] is column j
-    of Hbar.  For a batch every vector has a leading frame axis (Hbar's
-    columns a trailing one), and a frame that broke down gets zero basis
-    vectors from then on.
-    """
-
-    basis: np.ndarray
-    columns: np.ndarray
-    beta: float | np.ndarray
-    v: int = 0
-
-    @property
-    def Q(self) -> np.ndarray:
-        return np.moveaxis(self.basis, 0, -1)
-
-    @property
-    def Hbar(self) -> np.ndarray:
-        return self.columns.T
-
-    @property
-    def breakdown_tol(self):
-        return ARNOLDI_BREAKDOWN_REL * self.beta
-
-
-def init_arnoldi(r0, v_max: int) -> ArnoldiState:
-    r0 = np.asarray(r0, dtype=np.complex128)
-    beta = norm2(r0)
-    if np.count_nonzero(beta == 0.0):
-        raise ValueError("cannot start Arnoldi from a zero residual")
-    basis = np.zeros((v_max + 1, *r0.shape), dtype=np.complex128)
-    basis[0] = r0 / beta[..., None]
-    columns = np.zeros((v_max, v_max + 1, *r0.shape[:-1]), dtype=np.complex128)
-    return ArnoldiState(basis=basis, columns=columns, beta=beta)
-
-
-def arnoldi_step(a, state: ArnoldiState, j: int):
-    """Extend the basis by column j (0-based) using modified Gram-Schmidt.
+def arnoldi_step(a, basis, h_col, j: int, tol) -> np.ndarray:
+    """Extend the (V+1, B, M) basis by vector j+1 using modified Gram-Schmidt.
 
     w = A q_j is formed in the slot of q_{j+1} and orthogonalized there in
-    place: for each earlier q_i, h_ij = q_i^H w goes straight into Hbar and
-    w -= h_ij q_i, which rounds exactly as w + (-h_ij) q_i.
+    place: for each earlier q_i, h_ij = q_i^H w goes straight into h_col,
+    the (V+1, B) column j of the Hessenberg matrix, and w -= h_ij q_i, which
+    rounds exactly as w + (-h_ij) q_i.
 
-    Returns True (per frame) on happy breakdown (||w|| below tolerance
-    after orthogonalization), in which case no new basis vector is added
-    and the Krylov space is invariant: the least-squares iterate is exact.
+    Returns the (B,) mask of happy breakdowns (||w|| <= tol after
+    orthogonalization).  Such a frame gets a zero basis vector: its Krylov
+    space is invariant and its least-squares iterate is exact.
     """
-    if j != state.v:
-        raise ValueError(f"state holds {state.v} completed columns, cannot extend column {j}")
-    basis, columns = state.basis, state.columns
-    if basis.ndim == 2:
-        # a single problem is a batch of one here
-        basis, columns = basis[:, None], columns[..., None]
-    h_col = columns[j]
     w = np.matvec(a, basis[j], basis[j + 1])
     scratch = np.empty_like(w)
     # the interpreter floor: three numpy calls per inner step, looked up once
@@ -406,67 +360,28 @@ def arnoldi_step(a, state: ArnoldiState, j: int):
         subtract(w, scratch, w)
     wn = norm2(w)
     h_col[j + 1] = wn
-    state.v = j + 1
-    happy = wn <= state.breakdown_tol
+    happy = wn <= tol
     if np.count_nonzero(happy):
         np.divide(w, np.where(happy, 1.0, wn)[:, None], w)
         w[happy] = 0.0
     else:
         np.divide(w, wn[:, None], w)
-    return happy if state.basis.ndim == 3 else happy[0]
+    return happy
 
 
-@dataclass
-class GivensChain:
-    """Accumulated plane rotations triangularizing the Hessenberg matrix.
+def givens_lsq_update(product, r, col, j: int) -> np.ndarray:
+    """Fold Hessenberg column j, col of shape (B, V+1), into the QR factorization.
 
-    rotations[i] = (c, b) with c^2 + b^2 = 1 annihilates subdiagonal i,
-    and `product` is the product of all rotations so far, which applies
-    them to a new column in one matrix-vector product.  g is the rotated
-    beta * e1 right-hand side, beta times the first column of the product,
-    so |g[j+1]| is the running least-squares residual after j+1 columns.
-    R collects the triangular columns.  The rotation parameters are real,
-    which triangularizes the numerically real Hessenberg produced by
-    Hermitian inputs.  For a batch every array has a leading frame axis
-    and each (c, b) is a pair of (B,) arrays.
+    product (B, V+1, V+1) is the product of the j rotations so far, so one
+    matrix-vector product applies them all.  The new rotation (c, b)
+    annihilates the trailing (rho, sigma) pair with
+    c = rho / sqrt(rho^2 + sigma^2), b = sigma / sqrt(rho^2 + sigma^2);
+    its parameters are real, which triangularizes the numerically real
+    Hessenberg of Hermitian inputs.  The finished column of R (B, V, V) is
+    written in place and the rotation folded into the product, whose first
+    column times beta is the rotated right-hand side g.  Returns the R
+    column, a view into r.
     """
-
-    rotations: list
-    beta: float | np.ndarray
-    R: np.ndarray
-    product: np.ndarray
-
-    @property
-    def g(self) -> np.ndarray:
-        return self.beta[..., None] * self.product[..., 0]
-
-    @property
-    def residual_estimate(self):
-        return self.beta * np.abs(self.product[..., len(self.rotations), 0])
-
-
-def init_givens(beta, v_max: int) -> GivensChain:
-    beta = np.asarray(beta, dtype=np.float64)
-    product = np.zeros((*beta.shape, v_max + 1, v_max + 1), dtype=np.complex128)
-    diag = np.arange(v_max + 1)
-    product[..., diag, diag] = 1.0
-    r = np.zeros((*beta.shape, v_max, v_max), dtype=np.complex128)
-    return GivensChain(rotations=[], beta=beta, R=r, product=product)
-
-
-def givens_lsq_update(chain: GivensChain, hbar_col, j: int) -> np.ndarray:
-    """Fold Hessenberg column j into the QR factorization.
-
-    Applies the j previous rotations, forms the new rotation (c, b)
-    annihilating the trailing (rho, sigma) pair with
-    c = rho / sqrt(rho^2 + sigma^2), b = sigma / sqrt(rho^2 + sigma^2),
-    writes the finished column of R in place, and folds the rotation into
-    the product (which rotates g).  Returns the R column, a view into R.
-    """
-    if len(chain.rotations) != j:
-        raise ValueError(f"chain holds {len(chain.rotations)} rotations, cannot update column {j}")
-    col = np.asarray(hbar_col, dtype=np.complex128)
-    product = chain.product
     # the previous rotations touch entries 0..j only
     head = np.matvec(product[..., : j + 1, : j + 1], col[..., : j + 1])
     diag, sub = head[..., j], col[..., j + 1]
@@ -479,8 +394,7 @@ def givens_lsq_update(chain: GivensChain, hbar_col, j: int) -> np.ndarray:
         c, b = np.where(flat, 1.0, rho / hyp), sigma / hyp
     else:
         c, b = rho / hyp, sigma / hyp
-    chain.rotations.append((c, b))
-    r_col = chain.R[..., : j + 1, j]
+    r_col = r[..., : j + 1, j]
     r_col[...] = head
     np.add(c * diag, b * sub, r_col[..., j])
     # row j+1 of the product is still e_{j+1}, so the rotation mixes two rows
@@ -532,23 +446,27 @@ def gmres_detect(prob: MmseProblem, v_iters: int, counter=None) -> DetectionResu
     res_norms = [beta]
     if not np.count_nonzero(running):
         return _result(s, iterations, res_norms, [np.zeros(frames)], single)
-    # frames done at step 0 run on an all-zero basis, which breaks down at once
-    state = init_arnoldi(np.where(running[:, None], r0, 1.0), v_max)
-    state.basis[0] *= running[:, None]
+    # the basis vectors, the Hessenberg columns (Hbar of frame b is
+    # columns[..., b].T), the rotation product (g is beta times its first
+    # column) and R; frames done at step 0 run on an all-zero basis, which
+    # breaks down at once
+    basis = np.zeros((v_max + 1, frames, size), dtype=np.complex128)
+    basis[0] = np.where(running[:, None], r0 / np.where(running, beta, 1.0)[:, None], 0.0)
     if counter is not None:
         counter.tally(mults=2 * size + 1)  # the norm, then the normalizing divisions
-    chain = init_givens(beta, v_max)
-    stop = EARLY_STOP_REL * beta
-    columns, product = state.columns, chain.product
+    columns = np.zeros((v_max, v_max + 1, frames), dtype=np.complex128)
+    product = np.tile(np.eye(v_max + 1, dtype=np.complex128), (frames, 1, 1))
+    r = np.zeros((frames, v_max, v_max), dtype=np.complex128)
+    tol, stop = ARNOLDI_BREAKDOWN_REL * beta, EARLY_STOP_REL * beta
     for j in range(v_max):
-        happy = arnoldi_step(a, state, j)
-        r_col = givens_lsq_update(chain, columns[j].T, j)
+        happy = arnoldi_step(a, basis, columns[j], j, tol)
+        r_col = givens_lsq_update(product, r, columns[j].T, j)
         if counter is not None:
             # Re R[j, j] is hypot(rho, sigma) > 0, or 0 for a zero pair
             flat = r_col[..., j].real == 0.0
             counter.tally_matvec(size, size)
             counter.tally(*_gmres_step_ops(size, j, happy.any(), flat.any()))
-        estimate = beta * np.abs(product[:, j + 1, 0])  # chain.residual_estimate
+        estimate = beta * np.abs(product[:, j + 1, 0])
         res_norms.append(estimate)
         stopped = running & (happy | (estimate <= stop))
         if np.count_nonzero(stopped):
@@ -556,9 +474,9 @@ def gmres_detect(prob: MmseProblem, v_iters: int, counter=None) -> DetectionResu
             running = running & ~stopped
             if not np.count_nonzero(running):
                 break
-            state.basis[j + 1] *= running[:, None]
-    v = state.v
-    r, g = chain.R[..., :v, :v], chain.g[..., :v]
+            basis[j + 1] *= running[:, None]
+    v = j + 1
+    r, g = r[..., :v, :v], beta[:, None] * product[:, :v, 0]
     if np.count_nonzero(iterations != v):
         # pad each frame's triangle with the identity past its last column
         short = np.arange(v) >= iterations[:, None]
@@ -568,14 +486,14 @@ def gmres_detect(prob: MmseProblem, v_iters: int, counter=None) -> DetectionResu
     # running sums over the columns, which padding zeros cannot reorder, keep
     # s and the iterate norms of a frame the same in any batch; s is copied
     # out so that a result does not hold on to every partial sum
-    s = np.cumsum(state.basis[:v] * partial[..., -1].T[..., None], axis=0)[-1].copy()
+    s = np.cumsum(basis[:v] * partial[..., -1].T[..., None], axis=0)[-1].copy()
     if counter is not None:
         counter.tally(mults=v * (v + 1) // 2, adds=v * (v - 1) // 2)  # the triangular solve
         counter.tally(mults=size * v, adds=size * max(v - 1, 0))
     explicit = norm2(y - np.matvec(a, s))
     # a stopped frame's later rotations are identities, so its row of the
     # product still holds its last rotated residual
-    rotated = beta * np.abs(chain.product[np.arange(frames), iterations, 0])
+    rotated = beta * np.abs(product[np.arange(frames), iterations, 0])
     bad = np.abs(explicit - rotated) > 1e-8 * np.maximum(beta, 1.0)
     if np.count_nonzero(bad):
         b = np.flatnonzero(bad)[0]
@@ -607,16 +525,21 @@ DETECTOR_NAMES = ("cholesky", *ITERATIVE_DETECTORS)
 class ConvergenceBound:
     """Spectral quantities governing per-iteration residual contraction."""
 
-    mu_a: float
-    mu_a_inv: float
-    tau2: float
     lambda_min: float
     lambda_max: float
 
     @property
+    def tau2(self) -> float:
+        """Spectral condition number lambda_max / lambda_min."""
+        return self.lambda_max / self.lambda_min
+
+    @property
     def minres_step_factor(self) -> float:
-        """Squared-residual contraction factor 1 - mu(A) mu(A^-1), in [0, 1)."""
-        return 1.0 - self.mu_a * self.mu_a_inv
+        """Squared-residual contraction factor 1 - mu(A) mu(A^-1), in [0, 1).
+
+        mu(A) = lambda_min and mu(A^-1) = 1 / lambda_max for Hermitian PD A.
+        """
+        return 1.0 - self.lambda_min * (1.0 / self.lambda_max)
 
     def gmres_factor(self, k: int) -> float:
         """Residual-norm bound factor ((tau2^2 - 1) / tau2^2)^(k/2) after k gmres steps."""
@@ -631,7 +554,7 @@ def residual_bound_minres(a) -> ConvergenceBound:
     lo, hi = hermitian_eigen_extrema(a)
     if lo <= 0:
         raise ValueError(f"matrix is not positive definite: lambda_min = {lo:.3g}")
-    return ConvergenceBound(mu_a=lo, mu_a_inv=1.0 / hi, tau2=hi / lo, lambda_min=lo, lambda_max=hi)
+    return ConvergenceBound(lambda_min=lo, lambda_max=hi)
 
 
 def residual_bound_gmres(a, k: int) -> float:

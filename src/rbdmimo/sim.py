@@ -263,12 +263,29 @@ def write_results(result: SweepResult, path) -> None:
             ])
 
 
+def _point_defect(rec: dict, n_bits: int):
+    """(column, reason) of the first inconsistent point field of a results row, or None."""
+    bits, errors = rec["bits"], rec["errors"]
+    if rec["flag"] not in (FLAG_OK, FLAG_BELOW_RESOLUTION):
+        return "flag", f"is not {FLAG_OK!r} or {FLAG_BELOW_RESOLUTION!r}"
+    if bits < 1 or bits % n_bits:
+        return "bits", f"is not a positive multiple of {n_bits} bits per frame"
+    if not 0 <= errors <= bits:
+        return "errors", f"lies outside [0, bits = {bits}]"
+    if rec["ber"] != errors / bits:
+        return "ber", f"is not errors / bits = {errors / bits!r}"
+    return None
+
+
 def read_results(path) -> SweepResult:
     """Read a CSV written by write_results.
 
     Fields not stored in the file (master seed, stopping parameters) take
-    their SimConfig defaults.  Malformed files raise ConfigError naming the
-    offending line and column.
+    their SimConfig defaults.  Malformed or inconsistent files raise
+    ConfigError naming the offending line and column: every row must carry
+    the first row's config, a known flag, 0 <= errors <= bits, whole frames
+    of bits and ber = errors / bits exactly (it is written with 17
+    significant digits).
     """
     with open(path, "r", newline="", encoding="ascii") as fh:
         reader = csv.reader(fh)
@@ -298,17 +315,22 @@ def read_results(path) -> SweepResult:
                     rec[col] = float(rec[col])
                 except ValueError:
                     raise ConfigError(f"{path}:{lineno}: field {col!r} is not a number: {rec[col]!r}") from None
-            rows.append(rec)
+            for col in RESULT_COLUMNS[:9]:  # the config columns, detector .. theta_rad
+                if rows and rec[col] != rows[0][1][col]:
+                    raise ConfigError(
+                        f"{path}:{lineno}: field {col!r} is {rec[col]!r}, the first row has {rows[0][1][col]!r}"
+                    )
+            rows.append((lineno, rec))
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    first = rows[0]
+    first = rows[0][1]
     config = SimConfig(
         n=first["N"],
         m=first["M"],
         qam_order=first["qam"],
         detector=first["detector"],
         k_iterations=first["k"],
-        snr_db_list=tuple(r["snr_db"] for r in rows),
+        snr_db_list=tuple(r["snr_db"] for _, r in rows),
         scenario=ChannelScenario(
             kind=first["scenario"],
             zeta_t=first["zeta_t"],
@@ -316,16 +338,22 @@ def read_results(path) -> SweepResult:
             theta=first["theta_rad"],
         ),
     )
+    n_bits = config.m * qam_spec(config.qam_order).bits_per_symbol
+    for lineno, r in rows:
+        defect = _point_defect(r, n_bits)
+        if defect:
+            col, why = defect
+            raise ConfigError(f"{path}:{lineno}: field {col!r} {why}: {r[col]!r}")
     points = tuple(
         BerPoint(
             snr_db=r["snr_db"],
             bits_sent=r["bits"],
             bit_errors=r["errors"],
             ber=r["ber"],
-            frames=r["bits"] // (first["M"] * qam_spec(first["qam"]).bits_per_symbol),
+            frames=r["bits"] // n_bits,
             flag=r["flag"],
         )
-        for r in rows
+        for _, r in rows
     )
     return SweepResult(config=config, points=points)
 

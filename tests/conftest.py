@@ -1,11 +1,13 @@
 """Shared fixtures: deterministic random MMSE problem instances, fault injection,
 and the hypothesis profile every property test runs under."""
 
+import numpy as np
 import pytest
 
 import rbdmimo.detectors as detectors
 from rbdmimo.channel import ChannelScenario, generate_channel
 from rbdmimo.detectors import MmseProblem, preprocess
+from rbdmimo.linalg import norm2
 from rbdmimo.rngstream import complex_normal, mix_seed, uniform_stream
 
 # Property tests draw the same examples on every run (derandomize, no example
@@ -36,6 +38,26 @@ def problem_batch(count, seed, m_range=(2, 16), n_factor_range=(2, 16), sigma2_r
         n = m * int(gen.integers(n_factor_range[0], n_factor_range[1] + 1))
         sigma2 = float(gen.uniform(*sigma2_range))
         yield make_problem(m, mix_seed(seed, i), n=n, sigma2=sigma2)
+
+
+def gmres_buffers(r0, v_max):
+    """gmres_detect's buffers for a (B, M) batch of nonzero starting residuals.
+
+    Returns (basis, columns, product, r, beta): the (V+1, B, M) basis
+    holding r0 / beta, the (V, V+1, B) Hessenberg columns, the identity
+    (B, V+1, V+1) rotation product, the (B, V, V) triangle R and the (B,)
+    residual norms beta.
+    """
+    r0 = np.asarray(r0, dtype=np.complex128)
+    frames, size = r0.shape
+    beta = norm2(r0)
+    basis = np.zeros((v_max + 1, frames, size), dtype=np.complex128)
+    basis[0] = r0 / beta[:, None]
+    columns = np.zeros((v_max, v_max + 1, frames), dtype=np.complex128)
+    product = np.zeros((frames, v_max + 1, v_max + 1), dtype=np.complex128)
+    product[:] = np.eye(v_max + 1)
+    r = np.zeros((frames, v_max, v_max), dtype=np.complex128)
+    return basis, columns, product, r, beta
 
 
 def sign_flipped_minres(prob, k, **kwargs):

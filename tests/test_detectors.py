@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from conftest import make_problem, problem_batch, sign_flipped_minres
+from conftest import gmres_buffers, make_problem, problem_batch, sign_flipped_minres
 
 from rbdmimo.complexity import OpCounter
 from rbdmimo.detectors import (
+    ARNOLDI_BREAKDOWN_REL,
     MmseProblem,
     _partial_solutions,
     arnoldi_step,
@@ -13,8 +14,6 @@ from rbdmimo.detectors import (
     exact_detect,
     givens_lsq_update,
     gmres_detect,
-    init_arnoldi,
-    init_givens,
     kernel_coeff,
     kernel_mac,
     minres_detect,
@@ -207,12 +206,14 @@ class TestCr:
 
 
 class TestArnoldiGivens:
+    # the steps run on gmres_detect's buffers for a batch of one: Q is
+    # basis[:, 0].T, Hbar is columns[..., 0].T, g is beta * product[..., 0]
+    # and the residual estimate after column j is beta * |product[:, j+1, 0]|
     def test_identity_breaks_down_immediately(self):
-        r0 = np.array([3.0, 4.0j])
-        state = init_arnoldi(r0, 2)
-        happy = arnoldi_step(np.eye(2, dtype=complex), state, 0)
-        assert happy and state.v == 1
-        assert state.Hbar[0, 0] == pytest.approx(1.0)
+        basis, columns, _, _, beta = gmres_buffers([[3.0, 4.0j]], 2)
+        happy = arnoldi_step(np.eye(2, dtype=complex), basis, columns[0], 0, ARNOLDI_BREAKDOWN_REL * beta)
+        assert happy[0] and not basis[1:].any()
+        assert columns[0, 0, 0] == pytest.approx(1.0)
 
     def test_orthonormal_basis_and_factorization(self):
         # modified Gram-Schmidt keeps the basis orthonormal while the
@@ -221,48 +222,45 @@ class TestArnoldiGivens:
         # (the final iterate stays accurate regardless, see TestGmres)
         for prob in problem_batch(20, 514, m_range=(3, 10)):
             m = prob.M
-            beta = np.linalg.norm(prob.y_mf)
-            state = init_arnoldi(prob.y_mf, m)
-            chain = init_givens(beta, m)
+            basis, columns, product, r, beta = gmres_buffers(prob.y_mf[None], m)
             cols_while_unconverged = 1
             for j in range(m):
-                happy = arnoldi_step(prob.A, state, j)
-                givens_lsq_update(chain, state.Hbar[:, j], j)
-                if happy or chain.residual_estimate <= 1e-13 * beta:
+                happy = arnoldi_step(prob.A, basis, columns[j], j, ARNOLDI_BREAKDOWN_REL * beta)
+                givens_lsq_update(product, r, columns[j].T, j)
+                estimate = beta[0] * np.abs(product[0, j + 1, 0])
+                if happy[0] or estimate <= 1e-13 * beta[0]:
                     break
-                if chain.residual_estimate > 1e-5 * beta and j + 2 <= m:
+                if estimate > 1e-5 * beta[0] and j + 2 <= m:
                     cols_while_unconverged = j + 2
-            v = state.v
-            q = state.Q[:, :cols_while_unconverged]
+            v = j + 1
+            q_all, hbar = basis[:, 0].T, columns[..., 0].T
+            q = q_all[:, :cols_while_unconverged]
             gram = q.conj().T @ q
             assert np.abs(gram - np.eye(cols_while_unconverged)).max() < 1e-10
-            lhs = prob.A @ state.Q[:, :v]
-            rhs = state.Q[:, : v + 1] @ state.Hbar[: v + 1, :v]
+            lhs = prob.A @ q_all[:, :v]
+            rhs = q_all[:, : v + 1] @ hbar[: v + 1, :v]
             assert np.linalg.norm(lhs - rhs) < 1e-9 * max(1.0, np.linalg.norm(prob.A))
 
     def test_three_four_five_rotation(self):
-        chain = init_givens(beta=1.0, v_max=1)
-        col = givens_lsq_update(chain, np.array([3.0, 4.0], dtype=complex), 0)
-        c, b = chain.rotations[0]
-        assert (c, b) == pytest.approx((0.6, 0.8))
-        assert col[0] == pytest.approx(5.0)
+        _, _, product, r, _ = gmres_buffers([[1.0]], 1)
+        col = givens_lsq_update(product, r, np.array([[3.0, 4.0]], dtype=complex), 0)
+        assert product[0, 0, :2] == pytest.approx([0.6, 0.8])  # (c, b)
+        assert col[0, 0] == pytest.approx(5.0)
 
     def test_zero_subdiagonal_identity_rotation(self):
-        chain = init_givens(beta=2.0, v_max=1)
-        givens_lsq_update(chain, np.array([7.0, 0.0], dtype=complex), 0)
-        assert chain.rotations[0] == pytest.approx((1.0, 0.0))
-        assert chain.g[0] == pytest.approx(2.0)
+        _, _, product, r, beta = gmres_buffers([[2.0]], 1)
+        givens_lsq_update(product, r, np.array([[7.0, 0.0]], dtype=complex), 0)
+        assert product[0, 0, :2] == pytest.approx([1.0, 0.0])  # (c, b)
+        assert beta[0] * product[0, 0, 0] == pytest.approx(2.0)  # g[0]
 
     def test_rotation_blocks_orthogonal(self):
         gen = uniform_stream(515)
-        chain = init_givens(beta=1.0, v_max=4)
-        col = np.zeros(5)
+        _, _, product, r, _ = gmres_buffers([[1.0]], 4)
+        col = np.zeros((1, 5))
         for j in range(4):
-            col[: j + 2] = gen.standard_normal(j + 2)
-            givens_lsq_update(chain, col.astype(complex), j)
-        for c, b in chain.rotations:
-            g = np.array([[c, b], [-b, c]])
-            assert np.abs(g @ g.T - np.eye(2)).max() < 1e-14
+            col[0, : j + 2] = gen.standard_normal(j + 2)
+            givens_lsq_update(product, r, col.astype(complex), j)
+        assert np.abs(product[0] @ product[0].conj().T - np.eye(5)).max() < 1e-14
 
     # gmres's triangular solve: the last column of _partial_solutions solves R p = g
     def test_back_substitute_identity(self):
@@ -283,15 +281,16 @@ class TestArnoldiGivens:
         # the QR path must minimize ||beta e1 - Hbar p|| like the normal equations do
         for prob in problem_batch(20, 516, m_range=(4, 10)):
             v = min(prob.M, 4)
-            state = init_arnoldi(prob.y_mf, v)
-            chain = init_givens(np.linalg.norm(prob.y_mf), v)
+            basis, columns, product, r, beta = gmres_buffers(prob.y_mf[None], v)
+            done = 0
             for j in range(v):
-                if arnoldi_step(prob.A, state, j):
+                if arnoldi_step(prob.A, basis, columns[j], j, ARNOLDI_BREAKDOWN_REL * beta)[0]:
                     break
-                givens_lsq_update(chain, state.Hbar[:, j], j)
-            v = len(chain.rotations)
-            p = _partial_solutions(chain.R[:v, :v], chain.g[:v])[..., -1]
-            hbar = state.Hbar[: v + 1, :v]
+                givens_lsq_update(product, r, columns[j].T, j)
+                done = j + 1
+            v = done
+            p = _partial_solutions(r[0, :v, :v], beta[0] * product[0, :v, 0])[..., -1]
+            hbar = columns[..., 0].T[: v + 1, :v]
             rhs = np.zeros(v + 1, dtype=complex)
             rhs[0] = np.linalg.norm(prob.y_mf)
             p_ne = np.linalg.solve(hbar.conj().T @ hbar, hbar.conj().T @ rhs)

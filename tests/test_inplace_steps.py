@@ -2,15 +2,16 @@
 
 Each reference below evaluates the plain expressions (w + (-h) q for
 modified Gram-Schmidt, fresh rows for the rotations) in the operand order
-the steps use, on a batch of one.  The steps update preallocated buffers
+the steps use, on a batch of one.  The steps update gmres_detect's
+preallocated arrays (basis, Hessenberg columns, rotation product and R)
 instead; the rounding must not change, so results are compared with
 array_equal, not a tolerance.
 """
 
 import numpy as np
-from conftest import problem_batch
+from conftest import gmres_buffers, problem_batch
 
-from rbdmimo.detectors import arnoldi_step, givens_lsq_update, init_arnoldi, init_givens
+from rbdmimo.detectors import ARNOLDI_BREAKDOWN_REL, arnoldi_step, givens_lsq_update
 from rbdmimo.linalg import norm2
 
 
@@ -49,15 +50,13 @@ def reference_givens(product, r, col, j):
 def test_arnoldi_and_givens_steps_match_allocating_reference():
     for prob in problem_batch(30, 561, m_range=(2, 20)):
         a, y = prob.A[None], prob.y_mf[None]
-        state = init_arnoldi(y, prob.M)
-        chain = init_givens(norm2(y), prob.M)
-        basis, columns = state.basis.copy(), state.columns.copy()
-        product, r = chain.product.copy(), chain.R.copy()
+        basis, columns, product, r, beta = gmres_buffers(y, prob.M)
+        tol = ARNOLDI_BREAKDOWN_REL * beta
+        ref_basis, ref_columns, ref_product, ref_r = (x.copy() for x in (basis, columns, product, r))
         for j in range(prob.M):
-            arnoldi_step(a, state, j)
-            reference_arnoldi_step(a, basis, columns, j, state.breakdown_tol)
-            assert np.array_equal(state.basis, basis) and np.array_equal(state.columns, columns)
-            givens_lsq_update(chain, state.columns[j].T, j)
-            reference_givens(product, r, columns[j].T, j)
-            assert np.array_equal(chain.product, product) and np.array_equal(chain.R, r)
-
+            arnoldi_step(a, basis, columns[j], j, tol)
+            reference_arnoldi_step(a, ref_basis, ref_columns, j, tol)
+            assert np.array_equal(basis, ref_basis) and np.array_equal(columns, ref_columns)
+            givens_lsq_update(product, r, columns[j].T, j)
+            reference_givens(ref_product, ref_r, ref_columns[j].T, j)
+            assert np.array_equal(product, ref_product) and np.array_equal(r, ref_r)

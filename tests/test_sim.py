@@ -16,6 +16,7 @@ from rbdmimo.sim import (
     BerPoint,
     ConfigError,
     SimConfig,
+    SweepResult,
     apply_overrides,
     config_as_dict,
     config_from_dict,
@@ -344,6 +345,41 @@ class TestPersistence:
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match=":2:"):
             read_results(bad)
+
+    def edited_row(self, tmp_path, **fields):
+        """A written three-point cr sweep at 16x4, 16-QAM with fields of its second data row replaced."""
+        rows = ((0.0, 1600, 300, FLAG_OK), (4.0, 4800, 120, FLAG_OK), (8.0, 40_000, 7, FLAG_BELOW_RESOLUTION))
+        points = tuple(
+            BerPoint(snr_db=snr, bits_sent=bits, bit_errors=errors, ber=errors / bits, frames=bits // 16, flag=flag)
+            for snr, bits, errors, flag in rows
+        )
+        path = tmp_path / "r.csv"
+        write_results(SweepResult(config=small_config(), points=points), path)
+        lines = path.read_text().splitlines()
+        row = dict(zip(lines[0].split(","), lines[2].split(",")))
+        row.update(fields)
+        lines[2] = ",".join(row.values())
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("fields, column", [
+        *(({col: value}, col) for col, value in (
+            ("detector", "gmres"), ("k", "2"), ("N", "64"), ("M", "8"), ("qam", "64"),
+            ("scenario", "fully_correlated"), ("zeta_t", "0.5"), ("zeta_r", "0.5"), ("theta_rad", "0.3"),
+        )),
+        (dict(detector="gmres", k="2", N="64", bits="4801", errors="5000", ber="1.5", flag="bogus"), "detector"),
+        ({"flag": "bogus"}, "flag"),
+        ({"errors": "-1", "ber": f"{-1 / 4800:.17g}"}, "errors"),
+        ({"errors": "4801", "ber": f"{4801 / 4800:.17g}"}, "errors"),
+        ({"bits": "4801", "errors": "0", "ber": "0"}, "bits"),
+        ({"bits": "0", "errors": "0", "ber": "0"}, "bits"),
+        ({"bits": "-16", "errors": "0", "ber": "0"}, "bits"),
+        ({"ber": "1.5"}, "ber"),
+        ({"ber": f"{math.nextafter(120 / 4800, 1.0):.17g}"}, "ber"),
+    ])
+    def test_inconsistent_row_rejected(self, tmp_path, fields, column):
+        with pytest.raises(ConfigError, match=f":3: field '{column}'"):
+            read_results(self.edited_row(tmp_path, **fields))
 
 
 def synthetic_points(pairs):
