@@ -47,9 +47,6 @@ class Cost:
     complex_adds: int
     complex_mults: int
 
-    def __add__(self, other: "Cost") -> "Cost":
-        return Cost(self.complex_adds + other.complex_adds, self.complex_mults + other.complex_mults)
-
 
 class OpCounter:
     """Per-invocation accumulator of scalar complex operations.

@@ -68,31 +68,25 @@ class MmseProblem:
     """Preprocessed detection problem: A = G + sigma2 I, y_mf = H^H y.
 
     A is M x M with y_mf of length M, or a (B, M, M) stack with (B, M)
-    right-hand sides, one frame per row; sigma2 is one value or one per
-    frame.  Construction checks the shapes, sigma2 and that every A is
-    Hermitian and finite, so the detectors need not.
+    right-hand sides, one frame per row.  Construction checks the shapes
+    and that every A is Hermitian and finite, so the detectors need not.
     """
 
     A: np.ndarray
     y_mf: np.ndarray
-    sigma2: float | np.ndarray
-    N: int
-    M: int
 
     def __post_init__(self):
         a = np.asarray(self.A, dtype=np.complex128)
         y = np.asarray(self.y_mf, dtype=np.complex128)
-        if a.ndim not in (2, 3) or a.shape[-2:] != (self.M, self.M) or y.shape != a.shape[:-1]:
-            raise ValueError(
-                f"inconsistent problem dimensions: A {a.shape}, y_mf {y.shape}, M={self.M}"
-            )
-        sigma2 = np.asarray(self.sigma2, dtype=np.float64)
-        if sigma2.shape not in ((), a.shape[:-2]) or not (sigma2 >= 0).all():
-            raise ValueError(f"sigma2 must be >= 0, one value or one per frame, got {self.sigma2}")
+        if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1] or y.shape != a.shape[:-1]:
+            raise ValueError(f"inconsistent problem dimensions: A {a.shape}, y_mf {y.shape}")
         require_hermitian(a, tol=1e-10)
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "y_mf", y)
-        object.__setattr__(self, "sigma2", float(sigma2) if sigma2.ndim == 0 else sigma2)
+
+    @property
+    def M(self) -> int:
+        return self.A.shape[-1]
 
 
 @dataclass
@@ -180,7 +174,7 @@ def preprocess(h, y, sigma2: float) -> MmseProblem:
     a = lower + lower.conj().swapaxes(-1, -2)
     diag = np.arange(m)
     a[..., diag, diag] = gram[..., diag, diag].real + sigma2
-    return MmseProblem(A=a, y_mf=np.matvec(h_herm, y), sigma2=float(sigma2), N=n, M=m)
+    return MmseProblem(A=a, y_mf=np.matvec(h_herm, y))
 
 
 def kernel_mac(x, a, b) -> np.ndarray:

@@ -26,7 +26,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -45,10 +45,13 @@ FIRST_CHUNK_FRAMES = 16
 CHUNK_ENTRIES = 2**16  # most entries of H in one chunk (1 MiB of complex128)
 _SUB_STREAMS = np.arange(3)  # bits, channel, noise
 
-RESULT_COLUMNS = [
-    "detector", "k", "N", "M", "qam", "scenario", "zeta_t", "zeta_r",
-    "theta_rad", "snr_db", "bits", "errors", "ber", "flag",
-]
+# results CSV config column -> config_as_dict key, scenario keys dotted under "scenario."
+_CONFIG_COLUMNS = {
+    "detector": "detector", "k": "k_iterations", "N": "n", "M": "m", "qam": "qam_order",
+    "scenario": "scenario.kind", "zeta_t": "scenario.zeta_t", "zeta_r": "scenario.zeta_r",
+    "theta_rad": "scenario.theta_rad",
+}
+RESULT_COLUMNS = [*_CONFIG_COLUMNS, "snr_db", "bits", "errors", "ber", "flag"]
 
 _INTEGER_FIELDS = ("n", "m", "qam_order", "k_iterations", "target_bit_errors", "max_bits", "master_seed")
 
@@ -98,6 +101,13 @@ class SimConfig:
             raise ConfigError("snr_db_list must not be empty")
         if any(b <= a for a, b in zip(snrs, snrs[1:])):
             raise ConfigError("snr_db_list must be strictly increasing")
+        for snr in snrs:
+            try:
+                sigma2 = snr_to_sigma2(snr, self.m)
+            except ArithmeticError:  # 10**(snr/10) overflows, or underflows to a zero divisor
+                sigma2 = math.nan
+            if not (math.isfinite(sigma2) and sigma2 > 0):
+                raise ConfigError(f"snr_db_list entry {snr} dB gives no finite noise variance sigma2 > 0")
         object.__setattr__(self, "snr_db_list", snrs)
         if self.target_bit_errors < 100:
             raise ConfigError(f"target_bit_errors must be >= 100, got {self.target_bit_errors}")
@@ -205,8 +215,12 @@ def run_ber_point(config: SimConfig, snr_db: float, snr_index: int | None = None
 
 
 def _point_task(args):
+    """(point, None), or (None, the failure text) if the point raises."""
     config, snr_db, snr_index = args
-    return run_ber_point(config, snr_db, snr_index)
+    try:
+        return run_ber_point(config, snr_db, snr_index), None
+    except Exception as exc:  # noqa: BLE001 - run_sweep aggregates and re-raises
+        return None, f"snr_db={snr_db}: {exc}"
 
 
 def run_sweep(config: SimConfig, workers: int | None = None) -> SweepResult:
@@ -217,50 +231,27 @@ def run_sweep(config: SimConfig, workers: int | None = None) -> SweepResult:
     together after every point has been attempted.
     """
     tasks = [(config, snr_db, i) for i, snr_db in enumerate(config.snr_db_list)]
-    points: list[BerPoint | None] = [None] * len(tasks)
-    failures: list[str] = []
     if workers is not None and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_point_task, task) for task in tasks]
-            for i, future in enumerate(futures):
-                try:
-                    points[i] = future.result()
-                except Exception as exc:  # noqa: BLE001 - aggregate and re-raise below
-                    failures.append(f"snr_db={tasks[i][1]}: {exc}")
+            outcomes = list(pool.map(_point_task, tasks))
     else:
-        for i, task in enumerate(tasks):
-            try:
-                points[i] = _point_task(task)
-            except Exception as exc:  # noqa: BLE001 - aggregate and re-raise below
-                failures.append(f"snr_db={task[1]}: {exc}")
+        outcomes = [_point_task(task) for task in tasks]
+    failures = [failure for _, failure in outcomes if failure is not None]
     if failures:
         raise RuntimeError(f"{len(failures)} sweep point(s) failed: " + "; ".join(failures))
-    return SweepResult(config=config, points=tuple(points))
+    return SweepResult(config=config, points=tuple(point for point, _ in outcomes))
 
 
 def write_results(result: SweepResult, path) -> None:
     """Write the sweep as CSV with the fixed column schema."""
-    cfg = result.config
+    raw = config_as_dict(result.config)
+    values = [section[sub] for section, sub in (_config_section(raw, key) for key in _CONFIG_COLUMNS.values())]
+    config_cells = [f"{value:.17g}" if isinstance(value, float) else value for value in values]
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
         for p in result.points:
-            writer.writerow([
-                cfg.detector,
-                cfg.k_iterations,
-                cfg.n,
-                cfg.m,
-                cfg.qam_order,
-                cfg.scenario.kind,
-                f"{cfg.scenario.zeta_t:.17g}",
-                f"{cfg.scenario.zeta_r:.17g}",
-                f"{cfg.scenario.theta:.17g}",
-                f"{p.snr_db:.17g}",
-                p.bits_sent,
-                p.bit_errors,
-                f"{p.ber:.17g}",
-                p.flag,
-            ])
+            writer.writerow([*config_cells, f"{p.snr_db:.17g}", p.bits_sent, p.bit_errors, f"{p.ber:.17g}", p.flag])
 
 
 def _point_defect(rec: dict, n_bits: int):
@@ -315,7 +306,7 @@ def read_results(path) -> SweepResult:
                     rec[col] = float(rec[col])
                 except ValueError:
                     raise ConfigError(f"{path}:{lineno}: field {col!r} is not a number: {rec[col]!r}") from None
-            for col in RESULT_COLUMNS[:9]:  # the config columns, detector .. theta_rad
+            for col in _CONFIG_COLUMNS:
                 if rows and rec[col] != rows[0][1][col]:
                     raise ConfigError(
                         f"{path}:{lineno}: field {col!r} is {rec[col]!r}, the first row has {rows[0][1][col]!r}"
@@ -323,21 +314,15 @@ def read_results(path) -> SweepResult:
             rows.append((lineno, rec))
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    first = rows[0][1]
-    config = SimConfig(
-        n=first["N"],
-        m=first["M"],
-        qam_order=first["qam"],
-        detector=first["detector"],
-        k_iterations=first["k"],
-        snr_db_list=tuple(r["snr_db"] for _, r in rows),
-        scenario=ChannelScenario(
-            kind=first["scenario"],
-            zeta_t=first["zeta_t"],
-            zeta_r=first["zeta_r"],
-            theta=first["theta_rad"],
-        ),
-    )
+    first_line, first = rows[0]
+    raw = {"snr_db_list": [r["snr_db"] for _, r in rows], "scenario": {}}
+    for col, key in _CONFIG_COLUMNS.items():
+        section, sub = _config_section(raw, key)
+        section[sub] = first[col]
+    try:
+        config = config_from_dict(raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}:{first_line}: {exc}") from None
     n_bits = config.m * qam_spec(config.qam_order).bits_per_symbol
     for lineno, r in rows:
         defect = _point_defect(r, n_bits)
@@ -345,14 +330,8 @@ def read_results(path) -> SweepResult:
             col, why = defect
             raise ConfigError(f"{path}:{lineno}: field {col!r} {why}: {r[col]!r}")
     points = tuple(
-        BerPoint(
-            snr_db=r["snr_db"],
-            bits_sent=r["bits"],
-            bit_errors=r["errors"],
-            ber=r["ber"],
-            frames=r["bits"] // n_bits,
-            flag=r["flag"],
-        )
+        BerPoint(snr_db=r["snr_db"], bits_sent=r["bits"], bit_errors=r["errors"], ber=r["ber"],
+                 frames=r["bits"] // n_bits, flag=r["flag"])
         for _, r in rows
     )
     return SweepResult(config=config, points=points)
@@ -443,31 +422,23 @@ def apply_overrides(config: SimConfig, overrides: dict[str, object]) -> SimConfi
     """
     merged = config_as_dict(config)
     for key, value in overrides.items():
-        section, sub = merged, key
-        if key.startswith("scenario."):
-            section, sub = merged["scenario"], key[len("scenario."):]
+        section, sub = _config_section(merged, key)
         if sub not in section or (section is merged and sub == "scenario"):
             raise ConfigError(f"unknown override key: {key}")
         section[sub] = value
     return config_from_dict(merged)
 
 
+def _config_section(raw: dict, key: str) -> tuple[dict, str]:
+    """(the dict holding key, key's name in it) for a flat or `scenario.`-dotted key of a config dict."""
+    if key.startswith("scenario."):
+        return raw["scenario"], key[len("scenario."):]
+    return raw, key
+
+
 def config_as_dict(config: SimConfig) -> dict:
     """Round-trippable dict form of a config (JSON-compatible)."""
-    return {
-        "n": config.n,
-        "m": config.m,
-        "qam_order": config.qam_order,
-        "detector": config.detector,
-        "k_iterations": config.k_iterations,
-        "snr_db_list": list(config.snr_db_list),
-        "scenario": {
-            "kind": config.scenario.kind,
-            "zeta_t": config.scenario.zeta_t,
-            "zeta_r": config.scenario.zeta_r,
-            "theta_rad": config.scenario.theta,
-        },
-        "target_bit_errors": config.target_bit_errors,
-        "max_bits": config.max_bits,
-        "master_seed": config.master_seed,
-    }
+    raw = asdict(config)
+    raw["snr_db_list"] = list(config.snr_db_list)
+    raw["scenario"]["theta_rad"] = raw["scenario"].pop("theta")
+    return raw

@@ -137,25 +137,25 @@ class TestSelftest:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_injected_sign_error_named(self, monkeypatch):
+    def test_injected_sign_error_named(self, monkeypatch, capsys):
         # a corrupted step direction must be caught by the monotonicity check
         import rbdmimo.selftest as selftest_mod
 
         monkeypatch.setattr(selftest_mod, "minres_detect", sign_flipped_minres)
-        lines = []
-        failures = run_selftest(seed=7, emit=lines.append)
+        failures = run_selftest(seed=7)
+        lines = capsys.readouterr().out.splitlines()
         assert any(f.startswith("minres residual monotonicity") for f in failures)
         assert any(line.startswith("FAIL minres residual monotonicity") for line in lines)
 
-    def test_batch_order_fault_named(self, monkeypatch):
+    def test_batch_order_fault_named(self, monkeypatch, capsys):
         # channels drawn in reversed seed order within a chunk: each frame alone is
         # unaffected, so only the chunk-against-run_trial comparison can catch it
         import rbdmimo.channel as channel_mod
 
         draw = channel_mod.complex_normal_rows
         monkeypatch.setattr(channel_mod, "complex_normal_rows", lambda seeds, n: draw(seeds[::-1], n))
-        lines = []
-        failures = run_selftest(seed=7, emit=lines.append)
+        failures = run_selftest(seed=7)
+        lines = capsys.readouterr().out.splitlines()
         assert [f.split(":")[0] for f in failures] == ["trial determinism"]
         assert "FAIL trial determinism: chunk errors" in "\n".join(lines)
 

@@ -21,7 +21,7 @@ from rbdmimo.detectors import ITERATIVE_DETECTORS, MmseProblem, gmres_detect
 def diagonal_problem(y_mf):
     """A = diag(1..5): y_mf = e_2 is solved by the first step, y_mf = 0 before it."""
     a = np.diag(np.arange(1.0, 6.0)).astype(complex)
-    return MmseProblem(A=a, y_mf=np.asarray(y_mf, dtype=complex), sigma2=0.0, N=5, M=5)
+    return MmseProblem(A=a, y_mf=np.asarray(y_mf, dtype=complex))
 
 
 E2_PROBLEM = diagonal_problem([0, 1, 0, 0, 0])
@@ -141,7 +141,7 @@ class TestMeasured:
         # skips rho^2, sigma^2, the square root and the two divisions, then the
         # singular triangle stops the solve with the step already counted
         counter = OpCounter()
-        prob = MmseProblem(A=np.zeros((2, 2)), y_mf=np.array([1.0, 0.0]), sigma2=0.0, N=2, M=2)
+        prob = MmseProblem(A=np.zeros((2, 2)), y_mf=np.array([1.0, 0.0]))
         with pytest.raises(ZeroDivisionError):
             gmres_detect(prob, 2, counter=counter)
         assert (counter.mults, counter.adds, counter.matvecs) == (28, 13, 2)

@@ -81,6 +81,8 @@ class TestPreprocess:
             preprocess(h, bad_y, 0.1)
         with pytest.raises(ValueError, match="sigma2 contains non-finite"):
             preprocess(h, y, float("nan"))
+        with pytest.raises(ValueError, match="sigma2 must be >= 0"):
+            preprocess(h, y, -0.1)
 
 
 class TestKernels:
@@ -123,7 +125,7 @@ class TestKernels:
 
 def toy_problem(a_diag, y):
     a = np.diag(np.asarray(a_diag, dtype=complex))
-    return MmseProblem(A=a, y_mf=np.asarray(y, dtype=complex), sigma2=0.0, N=len(y), M=len(y))
+    return MmseProblem(A=a, y_mf=np.asarray(y, dtype=complex))
 
 
 class TestMinres:
@@ -383,10 +385,7 @@ class TestScalingEquivariance:
     @pytest.mark.parametrize("scale", [0.125, 3.0, 40.0])
     def test_iterates_invariant_to_problem_scale(self, scale):
         prob = make_problem(6, 524)
-        scaled = MmseProblem(
-            A=scale * prob.A, y_mf=scale * prob.y_mf, sigma2=scale * prob.sigma2,
-            N=prob.N, M=prob.M,
-        )
+        scaled = MmseProblem(A=scale * prob.A, y_mf=scale * prob.y_mf)
         for detect in (minres_detect, cr_detect, gmres_detect):
             a = detect(prob, 4).s_hat
             b = detect(scaled, 4).s_hat
@@ -401,28 +400,15 @@ class TestProblemValidation:
         for bad in (a, nan, np.stack([np.eye(2, dtype=complex), a])):
             y = np.zeros(bad.shape[:-1], dtype=complex)
             with pytest.raises(ValueError):
-                MmseProblem(A=bad, y_mf=y, sigma2=0.1, N=4, M=2)
-
-    def test_rejects_bad_sigma2(self):
-        for sigma2 in (-0.1, float("nan"), np.array([0.1, 0.2, 0.3])):
-            with pytest.raises(ValueError, match="sigma2"):
-                MmseProblem(
-                    A=np.stack([np.eye(2, dtype=complex)] * 2), y_mf=np.zeros((2, 2), dtype=complex),
-                    sigma2=sigma2, N=4, M=2,
-                )
+                MmseProblem(A=bad, y_mf=y)
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
-            MmseProblem(
-                A=np.eye(3, dtype=complex), y_mf=np.zeros(2, dtype=complex), sigma2=0.1, N=4, M=3
-            )
+            MmseProblem(A=np.eye(3, dtype=complex), y_mf=np.zeros(2, dtype=complex))
 
 
 def stack_problems(problems) -> MmseProblem:
-    return MmseProblem(
-        A=np.stack([p.A for p in problems]), y_mf=np.stack([p.y_mf for p in problems]),
-        sigma2=np.array([p.sigma2 for p in problems]), N=problems[0].N, M=problems[0].M,
-    )
+    return MmseProblem(A=np.stack([p.A for p in problems]), y_mf=np.stack([p.y_mf for p in problems]))
 
 
 def assert_same_result(got, want):
@@ -478,6 +464,6 @@ class TestBatch:
 
     def test_degenerate_denominator_of_a_live_frame_raises(self):
         # a zero matrix gives a zero denominator on a frame that is still running
-        zero = MmseProblem(A=np.zeros((2, 2), dtype=complex), y_mf=np.ones(2, dtype=complex), sigma2=0.0, N=2, M=2)
+        zero = MmseProblem(A=np.zeros((2, 2), dtype=complex), y_mf=np.ones(2, dtype=complex))
         with pytest.raises(ZeroDivisionError):
             cr_detect(stack_problems([make_problem(2, 552), zero]), 2)

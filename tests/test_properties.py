@@ -70,7 +70,7 @@ def toy_frame(kind: int, m: int, seed: int) -> MmseProblem:
     eig = gen.uniform(0.2, 3.0, m) if kind in (0, 4) else gen.choice(gen.uniform(0.2, 3.0, kind), m)
     a = (q * eig) @ q.conj().T
     y = gen.standard_normal(m) + 1j * gen.standard_normal(m)
-    return MmseProblem(A=(a + a.conj().T) / 2, y_mf=0.0 * y if kind == 4 else y, sigma2=0.0, N=m, M=m)
+    return MmseProblem(A=(a + a.conj().T) / 2, y_mf=0.0 * y if kind == 4 else y)
 
 
 @given(
@@ -83,8 +83,7 @@ def test_batch_frames_equal_single_calls(name, m, kinds, k):
     detect = DETECTORS[name]
     frames = [toy_frame(kind, m, seed) for kind, seed in kinds]
     batch = detect(
-        MmseProblem(A=np.stack([f.A for f in frames]), y_mf=np.stack([f.y_mf for f in frames]),
-                    sigma2=0.0, N=m, M=m),
+        MmseProblem(A=np.stack([f.A for f in frames]), y_mf=np.stack([f.y_mf for f in frames])),
         k,
     )
     for i, frame in enumerate(frames):

@@ -1,6 +1,8 @@
 """Tests for the Monte-Carlo harness: trials, points, sweeps, persistence."""
 
 import math
+import multiprocessing
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +87,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key,value", [
         ("n", 16.9), ("m", True), ("k_iterations", 2.5), ("master_seed", 1.5), ("max_bits", 4000.7),
         ("snr_db_list", [math.nan]), ("snr_db_list", [math.inf]), ("snr_db_list", "5"),
+        ("snr_db_list", [4000.0]), ("snr_db_list", [-4000.0]),
         ("scenario.theta_rad", math.nan), ("scenario.theta_rad", "x"),
     ])
     def test_inexact_integers_rejected(self, key, value):
@@ -263,6 +266,27 @@ class TestSweep:
         alone = run_ber_point(cfg, 4.0)
         assert alone == full.points[1]
 
+    @pytest.mark.parametrize("workers", [
+        None,
+        pytest.param(2, marks=pytest.mark.skipif(
+            multiprocessing.get_start_method() != "fork", reason="the patched point reaches workers only through fork"
+        )),
+    ])
+    def test_failed_point_reported_after_the_others_ran(self, monkeypatch, tmp_path, workers):
+        real = sim.run_ber_point
+
+        def failing_at_4_db(config, snr_db, snr_index=None):
+            (tmp_path / f"{snr_db}").touch()  # a file, so that a worker's call is seen too
+            if snr_db == 4.0:
+                raise ValueError("boom")
+            return real(config, snr_db, snr_index)
+
+        monkeypatch.setattr(sim, "run_ber_point", failing_at_4_db)
+        with pytest.raises(RuntimeError) as info:
+            run_sweep(small_config(), workers=workers)
+        assert str(info.value) == "1 sweep point(s) failed: snr_db=4.0: boom"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["0.0", "4.0", "8.0"]
+
 
 class TestChunkSchedule:
     @staticmethod
@@ -361,6 +385,19 @@ class TestPersistence:
         lines[2] = ",".join(row.values())
         path.write_text("\n".join(lines) + "\n")
         return path
+
+    @pytest.mark.parametrize("column, value, reason", [
+        ("detector", "foo", "unknown detector"), ("qam", "32", "unsupported qam_order"),
+    ])
+    def test_bad_first_row_config_reports_line(self, tmp_path, column, value, reason):
+        # the file's config is built from its first data row, which is named like any other
+        path = self.edited_row(tmp_path)
+        header, first = path.read_text().splitlines()[:2]
+        row = dict(zip(header.split(","), first.split(",")))
+        row[column] = value
+        path.write_text(f"{header}\n{','.join(row.values())}\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: {reason}"):
+            read_results(path)
 
     @pytest.mark.parametrize("fields, column", [
         *(({col: value}, col) for col, value in (
