@@ -49,10 +49,6 @@ from .linalg import (
     cholesky_factor,
     cholesky_solve,
     hermitian_eigen_extrema,
-    load_matrix,
-    load_vector,
-    save_matrix,
-    save_vector,
 )
 from .modem import QamSpec, awgn_add, qam_demodulate_hard, qam_modulate, qam_spec
 from .rngstream import mix_seed, uniform_stream

@@ -75,8 +75,6 @@ class ChannelRealization:
     """H is N x M for one seed, or (B, N, M) for a sequence of B seeds."""
 
     H: np.ndarray
-    scenario: ChannelScenario
-    seed: int | tuple[int, ...]
 
 
 def correlation_matrix(dim: int, zeta: float, theta: float = 0.0) -> np.ndarray:
@@ -142,6 +140,4 @@ def generate_channel(n: int, m: int, scenario: ChannelScenario, rng_seed) -> Cha
         h = _correlation_sqrt(n, scenario.zeta_r, scenario.theta) @ h
     if scenario.kind in (USER_CORRELATED, FULLY_CORRELATED) and scenario.zeta_t != 0.0:
         h = h @ _correlation_sqrt(m, scenario.zeta_t, scenario.theta)
-    if not batched:
-        return ChannelRealization(H=h[0], scenario=scenario, seed=seeds[0])
-    return ChannelRealization(H=h, scenario=scenario, seed=seeds)
+    return ChannelRealization(H=h if batched else h[0])

@@ -5,7 +5,10 @@ the totals a detector adds to an OpCounter passed to it; `rbdmimo
 complexity` prints it with BASELINE_CONVENTION.  Preprocessing (Gram
 matrix and matched filter) is excluded because every compared scheme
 shares it, and the residual norms a detector records for its trace are
-diagnostics, not algorithm steps.
+diagnostics, not algorithm steps.  KERNEL_OPS is the convention's
+per-kernel table: a detector reports how often it invoked each kernel,
+and its counted total is those invocations times the table's (mults,
+adds) per invocation.
 
 The closed-form per-detector counts are, for M users and k iterations:
 
@@ -36,6 +39,24 @@ COUNTING_CONVENTION = (
     "complex multiplication, real-by-complex scaling, division and square root = 1 mult each; "
     "complex addition or subtraction = 1 add; preprocessing and trace norms excluded"
 )
+# (mults, adds) of one kernel invocation on length-m vectors, under COUNTING_CONVENTION
+# (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed., SIAM 2003, Ch. 5-6)
+KERNEL_OPS = {
+    "matvec": lambda m: (m * m, m * (m - 1)),  # M x M product
+    "sub": lambda m: (0, m),  # vector subtraction
+    "inner": lambda m: (m, max(m - 1, 0)),  # inner product
+    "mac": lambda m: (m, m),  # kernel_mac: x + a b
+    "coeff": lambda m: (2 * m + 1, 2 * max(m - 1, 0)),  # kernel_coeff: two inner products, one division
+    # gmres: the norm of a basis vector (squared magnitudes and the square
+    # root) and its normalizing divisions; a real Givens rotation of one
+    # entry pair and the parameters of a new one (rho^2, sigma^2, the square
+    # root and two divisions); back-substitution with a v x v triangle
+    "norm": lambda m: (m + 1, 0),
+    "scale": lambda m: (m, 0),
+    "rotation": lambda m: (4, 2),
+    "rotation_params": lambda m: (5, 0),
+    "trisolve": lambda v: (v * (v + 1) // 2, v * (v - 1) // 2),
+}
 BASELINE_CONVENTION = (
     "explicit inverse via Cholesky: factorization + triangular inversion + "
     "inverse assembly + matrix-vector apply"
@@ -51,8 +72,7 @@ class Cost:
 class OpCounter:
     """Per-invocation accumulator of scalar complex operations.
 
-    Detectors call `tally` and `tally_matvec`; the counter is never shared
-    between invocations.
+    Detectors call `count`; the counter is never shared between invocations.
     """
 
     def __init__(self):
@@ -60,14 +80,13 @@ class OpCounter:
         self.adds = 0
         self.matvecs = 0
 
-    def tally(self, mults: int = 0, adds: int = 0) -> None:
-        self.mults += mults
-        self.adds += adds
-
-    def tally_matvec(self, rows: int, cols: int) -> None:
-        self.matvecs += 1
-        self.mults += rows * cols
-        self.adds += rows * (cols - 1)
+    def count(self, size: int, **kernels: int) -> None:
+        """Add the cost of `kernels[name]` invocations of each KERNEL_OPS kernel on length-`size` vectors."""
+        for name, calls in kernels.items():
+            mults, adds = KERNEL_OPS[name](size)
+            self.mults += calls * mults
+            self.adds += calls * adds
+        self.matvecs += kernels.get("matvec", 0)
 
     def cost(self) -> Cost:
         return Cost(complex_adds=self.adds, complex_mults=self.mults)

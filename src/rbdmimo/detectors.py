@@ -24,11 +24,14 @@ operands of the plain expression in the same order, so it rounds exactly
 as the allocating form does.  cr and minres already make one numpy call
 per arithmetic step and keep the allocating form.
 
-Operations are counted in the three detectors only, and only when a
-counter is passed: each adds the tally of a step beside it, from
-OpCounter.tally_matvec and the rules in _inner_ops, _mac_ops, _coeff_ops
-and _gmres_step_ops.  The kernels and the Arnoldi and Givens steps do not
-count (see `rbdmimo.complexity` for the convention).
+The three iterative detectors share one per-call scaffold, _Run: the
+argument checks, the batch view of the problem, the early-stop masks, the
+trace columns and the result.  Each detector body keeps only its own
+recurrence.  Operations are counted in the detector bodies only, and only
+when a counter is passed: each step tallies the kernels it invoked by
+name (`run.count(matvec=1, coeff=1, mac=1)`), and the counter costs them
+from `rbdmimo.complexity.KERNEL_OPS`.  The kernels and the Arnoldi and
+Givens steps do not count.
 
 Detectors are pure functions of (problem, iteration count); starting
 iterates are always zero and every trace therefore begins at
@@ -47,6 +50,7 @@ on.  A single problem is the batch of one and comes back with plain types:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -122,29 +126,68 @@ class DetectionResult:
         )
 
 
-def _frames(prob: MmseProblem, counter=None):
-    """(A, y_mf, single): the problem with a leading batch axis, and whether it had none."""
-    single = prob.A.ndim == 2
-    if counter is not None and not single:
-        raise ValueError("operation counts are per problem: count one problem, not a batch")
-    if single:
-        return prob.A[None], prob.y_mf[None], True
-    return prob.A, prob.y_mf, False
+class _Run:
+    """The scaffold of one detector call.
 
-
-def _result(s, iterations, residual_cols, iterate_cols, single: bool) -> DetectionResult:
-    """Assemble a result from per-step (B,) trace columns (a list, or an (L, B) array).
-
-    Each frame's trace has iterations + 1 entries.
+    It checks the iteration count and that a counted call holds one
+    problem, views the problem with a leading batch axis, and keeps the
+    per-frame stop state (`iterations`, `running`, and `live`, the mask for
+    kernel_coeff once a frame has stopped, else None) and the trace columns.
+    `count(**kernels)` tallies kernel invocations on length-M vectors
+    (`size=v` for length v) if a counter was passed, and is a no-op if not.
     """
-    res = np.array(residual_cols).T
-    its = np.array(iterate_cols).T
-    batch = DetectionResult(s_hat=s, iterations=iterations, trace=DetectionTrace(res, its))
-    if single:
-        return batch.frame(0)
-    past = np.arange(res.shape[-1]) > iterations[:, None]
-    res[past] = its[past] = np.nan
-    return batch
+
+    def __init__(self, prob: MmseProblem, k: int, counter=None):
+        if k < 1:
+            raise ValueError(f"iteration count must be >= 1, got {k}")
+        self.single = prob.A.ndim == 2
+        if counter is not None and not self.single:
+            raise ValueError("operation counts are per problem: count one problem, not a batch")
+        self.a, self.y = (prob.A[None], prob.y_mf[None]) if self.single else (prob.A, prob.y_mf)
+        self.count = (lambda **kernels: None) if counter is None else partial(counter.count, size=prob.M)
+        self.stop = EARLY_STOP_REL * norm2(self.y)
+        self.iterations = np.full(len(self.y), k)
+        self.running = np.ones(len(self.y), dtype=bool)
+        self.live = None
+        self.residual_cols, self.iterates = [], []
+
+    def step(self, k: int, rn, s=None, happy=None) -> bool:
+        """Record trace column k and retire the frames that stopped there.
+
+        rn holds the (B,) residual norms and s, unless None, the iterates.
+        A frame stops once its residual falls to the threshold, or where the
+        mask `happy` is set; it keeps k as its iteration count.  Returns
+        whether every frame has stopped.
+        """
+        self.residual_cols.append(rn)
+        if s is not None:
+            self.iterates.append(s)
+        stopped = rn <= self.stop
+        if happy is not None:
+            stopped |= happy
+        if self.live is not None:  # else every frame is still running
+            stopped &= self.running
+        if np.count_nonzero(stopped):
+            self.iterations[stopped] = k
+            self.running = self.running & ~stopped
+            if not np.count_nonzero(self.running):
+                return True
+            self.live = self.running
+        return False
+
+    def result(self, s, iterate_cols=None) -> DetectionResult:
+        """The result, with the norms of the recorded iterates unless iterate_cols are given.
+
+        Each frame's trace has iterations + 1 entries.
+        """
+        res = np.array(self.residual_cols).T
+        its = (norm2(np.array(self.iterates)) if iterate_cols is None else np.array(iterate_cols)).T
+        batch = DetectionResult(s_hat=s, iterations=self.iterations, trace=DetectionTrace(res, its))
+        if self.single:
+            return batch.frame(0)
+        past = np.arange(res.shape[-1]) > self.iterations[:, None]
+        res[past] = its[past] = np.nan
+        return batch
 
 
 def preprocess(h, y, sigma2: float) -> MmseProblem:
@@ -198,81 +241,27 @@ def kernel_coeff(m, n, p, q, live=None):
     return coeff if live is None else np.where(live, coeff, 0.0)
 
 
-def _inner_ops(size: int) -> tuple[int, int]:
-    """(mults, adds) of one Hermitian inner product of length-`size` vectors."""
-    return size, max(size - 1, 0)
-
-
-def _mac_ops(size: int) -> tuple[int, int]:
-    """(mults, adds) of one kernel_mac on length-`size` vectors."""
-    return size, size
-
-
-def _coeff_ops(size: int) -> tuple[int, int]:
-    """(mults, adds) of one kernel_coeff: two inner products and the division."""
-    mults, adds = _inner_ops(size)
-    return 2 * mults + 1, 2 * adds
-
-
-def _gmres_step_ops(size: int, j: int, happy: bool, flat: bool) -> tuple[int, int]:
-    """(mults, adds) of gmres step j besides its product.
-
-    The Arnoldi step makes j+1 inner products and updates, the norm and its
-    square root, and the normalizing divisions unless it broke down (happy).
-    The Givens update applies j rotations, forms R[j, j] and the new row of
-    the product, and rho^2, sigma^2, a square root and two divisions unless
-    the (rho, sigma) pair was zero (flat).
-    """
-    inner_mults, inner_adds = _inner_ops(size)
-    mac_mults, mac_adds = _mac_ops(size)
-    arnoldi_mults = (j + 1) * (inner_mults + mac_mults) + size + 1 + (0 if happy else size)
-    givens_mults = 4 * j + 8 + (0 if flat else 5)
-    return arnoldi_mults + givens_mults, (j + 1) * (inner_adds + mac_adds) + 2 * j + 4
-
-
 def minres_detect(prob: MmseProblem, k_iters: int, counter=None) -> DetectionResult:
     """Minimal-residual detection.
 
     Each iteration recomputes r = y_mf - A s by an explicit product, then
     steps s <- s + alpha r with alpha = (r^H A r) / ||A r||^2.
     """
-    if k_iters < 1:
-        raise ValueError(f"iteration count must be >= 1, got {k_iters}")
-    a, y, single = _frames(prob, counter)
-    size = prob.M
-    coeff_mults, coeff_adds = _coeff_ops(size)
-    mac_mults, mac_adds = _mac_ops(size)
+    run = _Run(prob, k_iters, counter)
+    a, y = run.a, run.y
     s = np.zeros_like(y)
-    stop = EARLY_STOP_REL * norm2(y)
-    iterations = np.full(len(y), k_iters)
-    running = np.ones(len(y), dtype=bool)
-    live = None
-    res_norms, iterates = [], []
     for k in range(k_iters):
         r = y - np.matvec(a, s)
-        if counter is not None:
-            counter.tally_matvec(size, size)
-            counter.tally(adds=size)
-        rn = norm2(r)
-        res_norms.append(rn)
-        iterates.append(s)
-        stopped = running & (rn <= stop)
-        if np.count_nonzero(stopped):
-            iterations[stopped] = k
-            running = running & ~stopped
-            if not np.count_nonzero(running):
-                return _result(s, iterations, res_norms, norm2(np.array(iterates)), single)
-            live = running
+        run.count(matvec=1, sub=1)
+        if run.step(k, norm2(r), s):
+            return run.result(s)
         ar = np.matvec(a, r)
-        alpha = kernel_coeff(r, ar, ar, ar, live)
+        alpha = kernel_coeff(r, ar, ar, ar, run.live)
         s = kernel_mac(s, alpha, r)
-        if counter is not None:
-            counter.tally_matvec(size, size)
-            counter.tally(coeff_mults + mac_mults, coeff_adds + mac_adds)
+        run.count(matvec=1, coeff=1, mac=1)
     # final trace entry is instrumentation, not an algorithm step
-    res_norms.append(norm2(y - np.matvec(a, s)))
-    iterates.append(s)
-    return _result(s, iterations, res_norms, norm2(np.array(iterates)), single)
+    run.step(k_iters, norm2(y - np.matvec(a, s)), s)
+    return run.result(s)
 
 
 def cr_detect(prob: MmseProblem, k_iters: int, counter=None) -> DetectionResult:
@@ -282,54 +271,30 @@ def cr_detect(prob: MmseProblem, k_iters: int, counter=None) -> DetectionResult:
     written, then each iteration performs exactly one product m_k = A r_k
     and updates e_k by the recurrence e_k = m_k + beta_k e_{k-1}.
     """
-    if k_iters < 1:
-        raise ValueError(f"iteration count must be >= 1, got {k_iters}")
-    a, y, single = _frames(prob, counter)
-    size = prob.M
-    coeff_mults, coeff_adds = _coeff_ops(size)
-    mac_mults, mac_adds = _mac_ops(size)
+    run = _Run(prob, k_iters, counter)
+    a, y = run.a, run.y
     s = np.zeros_like(y)
     r = y - np.matvec(a, s)
     p = r.copy()
     e = np.matvec(a, p)
     m = np.matvec(a, r)
-    if counter is not None:
-        for _ in range(3):  # r0, e0 = A p0 and m0 = A r0
-            counter.tally_matvec(size, size)
-        counter.tally(adds=size)
-    stop = EARLY_STOP_REL * norm2(y)
-    res_norms = [norm2(r)]
-    iterates = [s]
-    running = res_norms[0] > stop
-    iterations = np.where(running, k_iters, 0)
-    if not np.count_nonzero(running):
-        return _result(s, iterations, res_norms, norm2(np.array(iterates)), single)
-    live = None if running.all() else running
+    run.count(matvec=3, sub=1)
+    if run.step(0, norm2(r), s):
+        return run.result(s)
     for k in range(1, k_iters + 1):
-        alpha = kernel_coeff(r, m, e, e, live)
+        alpha = kernel_coeff(r, m, e, e, run.live)
         s = kernel_mac(s, alpha, p)
         r_next = kernel_mac(r, -alpha, e)
-        if counter is not None:
-            counter.tally(coeff_mults + 2 * mac_mults, coeff_adds + 2 * mac_adds)
-        rn = norm2(r_next)
-        res_norms.append(rn)
-        iterates.append(s)
-        stopped = running & (rn <= stop)
-        if np.count_nonzero(stopped):
-            iterations[stopped] = k
-            running = running & ~stopped
-            if not np.count_nonzero(running):
-                break
-            live = running
+        run.count(coeff=1, mac=2)
+        if run.step(k, norm2(r_next), s):
+            break
         m_next = np.matvec(a, r_next)
-        beta = kernel_coeff(r_next, m_next, r, m, live)
+        beta = kernel_coeff(r_next, m_next, r, m, run.live)
         p = kernel_mac(r_next, beta, p)
         e = kernel_mac(m_next, beta, e)
-        if counter is not None:
-            counter.tally_matvec(size, size)
-            counter.tally(coeff_mults + 2 * mac_mults, coeff_adds + 2 * mac_adds)
+        run.count(matvec=1, coeff=1, mac=2)
         r, m = r_next, m_next
-    return _result(s, iterations, res_norms, norm2(np.array(iterates)), single)
+    return run.result(s)
 
 
 def arnoldi_step(a, basis, h_col, j: int, tol) -> np.ndarray:
@@ -424,52 +389,42 @@ def gmres_detect(prob: MmseProblem, v_iters: int, counter=None) -> DetectionResu
     The iterate norms ||s_j|| = ||p_j|| (by orthonormality) come from the
     same triangular solve, since R[:j, :j] and g[:j] are final after step j.
     """
-    if v_iters < 1:
-        raise ValueError(f"iteration count must be >= 1, got {v_iters}")
-    a, y, single = _frames(prob, counter)
+    v_max = min(v_iters, prob.M)
+    run = _Run(prob, v_max, counter)
+    a, y = run.a, run.y
     frames, size = len(y), prob.M
-    v_max = min(v_iters, size)
     s = np.zeros_like(y)
     r0 = y - np.matvec(a, s)
-    if counter is not None:
-        counter.tally_matvec(size, size)
-        counter.tally(adds=size)
+    run.count(matvec=1, sub=1)
     beta = norm2(r0)
-    running = (beta > EARLY_STOP_REL * norm2(y)) & (beta != 0.0)
-    iterations = np.where(running, v_max, 0)
-    res_norms = [beta]
-    if not np.count_nonzero(running):
-        return _result(s, iterations, res_norms, [np.zeros(frames)], single)
+    if run.step(0, beta):
+        return run.result(s, [np.zeros(frames)])
     # the basis vectors, the Hessenberg columns (Hbar of frame b is
     # columns[..., b].T), the rotation product (g is beta times its first
     # column) and R; frames done at step 0 run on an all-zero basis, which
     # breaks down at once
     basis = np.zeros((v_max + 1, frames, size), dtype=np.complex128)
-    basis[0] = np.where(running[:, None], r0 / np.where(running, beta, 1.0)[:, None], 0.0)
-    if counter is not None:
-        counter.tally(mults=2 * size + 1)  # the norm, then the normalizing divisions
+    basis[0] = np.where(run.running[:, None], r0 / np.where(run.running, beta, 1.0)[:, None], 0.0)
+    run.count(norm=1, scale=1)
     columns = np.zeros((v_max, v_max + 1, frames), dtype=np.complex128)
     product = np.tile(np.eye(v_max + 1, dtype=np.complex128), (frames, 1, 1))
     r = np.zeros((frames, v_max, v_max), dtype=np.complex128)
-    tol, stop = ARNOLDI_BREAKDOWN_REL * beta, EARLY_STOP_REL * beta
+    tol = ARNOLDI_BREAKDOWN_REL * beta
     for j in range(v_max):
         happy = arnoldi_step(a, basis, columns[j], j, tol)
         r_col = givens_lsq_update(product, r, columns[j].T, j)
         if counter is not None:
-            # Re R[j, j] is hypot(rho, sigma) > 0, or 0 for a zero pair
+            # j + 1 rotations of the column and one of g; a breakdown skips the divisions;
+            # Re R[j, j] is hypot(rho, sigma) > 0, or 0 for a zero pair (identity rotation)
             flat = r_col[..., j].real == 0.0
-            counter.tally_matvec(size, size)
-            counter.tally(*_gmres_step_ops(size, j, happy.any(), flat.any()))
-        estimate = beta * np.abs(product[:, j + 1, 0])
-        res_norms.append(estimate)
-        stopped = running & (happy | (estimate <= stop))
-        if np.count_nonzero(stopped):
-            iterations[stopped] = j + 1
-            running = running & ~stopped
-            if not np.count_nonzero(running):
-                break
-            basis[j + 1] *= running[:, None]
-    v = j + 1
+            run.count(matvec=1, inner=j + 1, mac=j + 1, norm=1, scale=not happy.any(),
+                      rotation=j + 2, rotation_params=not flat.any())
+        live = run.live
+        if run.step(j + 1, beta * np.abs(product[:, j + 1, 0]), happy=happy):
+            break
+        if run.live is not live:  # frames stopped here: zero their new basis vector
+            basis[j + 1] *= run.live[:, None]
+    v, iterations = j + 1, run.iterations
     r, g = r[..., :v, :v], beta[:, None] * product[:, :v, 0]
     if np.count_nonzero(iterations != v):
         # pad each frame's triangle with the identity past its last column
@@ -481,9 +436,7 @@ def gmres_detect(prob: MmseProblem, v_iters: int, counter=None) -> DetectionResu
     # s and the iterate norms of a frame the same in any batch; s is copied
     # out so that a result does not hold on to every partial sum
     s = np.cumsum(basis[:v] * partial[..., -1].T[..., None], axis=0)[-1].copy()
-    if counter is not None:
-        counter.tally(mults=v * (v + 1) // 2, adds=v * (v - 1) // 2)  # the triangular solve
-        counter.tally(mults=size * v, adds=size * max(v - 1, 0))
+    run.count(size=v, trisolve=1, inner=size)  # s = Q p is M inner products of length v
     explicit = norm2(y - np.matvec(a, s))
     # a stopped frame's later rotations are identities, so its row of the
     # product still holds its last rotated residual
@@ -493,10 +446,10 @@ def gmres_detect(prob: MmseProblem, v_iters: int, counter=None) -> DetectionResu
         b = np.flatnonzero(bad)[0]
         raise ArithmeticError(
             f"rotated residual {rotated[b]:.3g} disagrees with explicit residual {explicit[b]:.3g}"
-            + ("" if single else f" in frame {b}")
+            + ("" if run.single else f" in frame {b}")
         )
     norms = np.sqrt(np.cumsum(partial.real**2 + partial.imag**2, axis=-2)[:, -1])
-    return _result(s, iterations, res_norms, [np.zeros(frames), *norms.T], single)
+    return run.result(s, [np.zeros(frames), *norms.T])
 
 
 def exact_detect(prob: MmseProblem) -> DetectionResult:
@@ -505,10 +458,11 @@ def exact_detect(prob: MmseProblem) -> DetectionResult:
     The problem has already checked that A is Hermitian and finite, so only
     the pivots are checked here.
     """
-    a, y, single = _frames(prob)
-    s = cholesky_solve(cholesky_lower(a), y)
-    residual = norm2(y - np.matvec(a, s))
-    return _result(s, np.zeros(len(y), dtype=int), [residual], [norm2(s)], single)
+    run = _Run(prob, 1)
+    s = cholesky_solve(cholesky_lower(run.a), run.y)
+    run.iterations[:] = 0  # a direct solve makes no iterations
+    run.residual_cols.append(norm2(run.y - np.matvec(run.a, s)))
+    return run.result(s, [norm2(s)])
 
 
 ITERATIVE_DETECTORS = {"minres": minres_detect, "gmres": gmres_detect, "cr": cr_detect}

@@ -6,8 +6,7 @@ leading axis, which the norms, Hermitian checks and Cholesky routines
 accept as is.  Products and Hermitian inner products are numpy's
 `np.matvec` and `np.vecdot` (which conjugates its first argument).  These
 primitives do not re-validate their operands: problems are checked once,
-when an `MmseProblem` is built.  The serialization order for the text
-fixture format is column-major; in-memory layout is whatever numpy uses.
+when an `MmseProblem` is built.
 """
 
 from __future__ import annotations
@@ -42,13 +41,6 @@ def as_complex_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     return m
-
-
-def as_complex_vector(x) -> np.ndarray:
-    v = np.asarray(x, dtype=np.complex128)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got ndim={v.ndim}")
-    return v
 
 
 def hermitian_defect(a: np.ndarray) -> float:
@@ -143,46 +135,3 @@ def hermitian_eigen_extrema(a: np.ndarray) -> tuple[float, float]:
     """Extreme eigenvalues (lambda_min, lambda_max) of a Hermitian matrix."""
     eigs = np.linalg.eigvalsh(require_hermitian(as_complex_matrix(a)))
     return float(eigs[0]), float(eigs[-1])
-
-
-def save_matrix(path, a: np.ndarray) -> None:
-    """Write a matrix in the text fixture format.
-
-    Header line `rows cols`, then one `re im` pair per entry in
-    column-major order, 17 significant digits (lossless for float64).
-    """
-    a = as_complex_matrix(a)
-    rows, cols = a.shape
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{rows} {cols}\n")
-        for z in a.flatten(order="F"):
-            fh.write(f"{z.real:.17g} {z.imag:.17g}\n")
-
-
-def load_matrix(path) -> np.ndarray:
-    """Read a matrix written by save_matrix."""
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2:
-        raise ValueError(f"{path}: missing 'rows cols' header")
-    rows, cols = int(tokens[0]), int(tokens[1])
-    values = tokens[2:]
-    if len(values) != 2 * rows * cols:
-        raise ValueError(
-            f"{path}: expected {2 * rows * cols} numbers for a {rows}x{cols} matrix, got {len(values)}"
-        )
-    re = np.array(values[0::2], dtype=np.float64)
-    im = np.array(values[1::2], dtype=np.float64)
-    return (re + 1j * im).reshape((rows, cols), order="F")
-
-
-def save_vector(path, x: np.ndarray) -> None:
-    """Write a vector as a single-column matrix in the text fixture format."""
-    save_matrix(path, as_complex_vector(x)[:, None])
-
-
-def load_vector(path) -> np.ndarray:
-    m = load_matrix(path)
-    if m.shape[1] != 1:
-        raise ValueError(f"{path}: expected a single-column matrix, got {m.shape}")
-    return m[:, 0]

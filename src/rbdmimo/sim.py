@@ -274,9 +274,9 @@ def read_results(path) -> SweepResult:
     Fields not stored in the file (master seed, stopping parameters) take
     their SimConfig defaults.  Malformed or inconsistent files raise
     ConfigError naming the offending line and column: every row must carry
-    the first row's config, a known flag, 0 <= errors <= bits, whole frames
-    of bits and ber = errors / bits exactly (it is written with 17
-    significant digits).
+    the first row's config, an snr_db above the previous row's, a known
+    flag, 0 <= errors <= bits, whole frames of bits and ber = errors / bits
+    exactly (it is written with 17 significant digits).
     """
     with open(path, "r", newline="", encoding="ascii") as fh:
         reader = csv.reader(fh)
@@ -311,6 +311,11 @@ def read_results(path) -> SweepResult:
                     raise ConfigError(
                         f"{path}:{lineno}: field {col!r} is {rec[col]!r}, the first row has {rows[0][1][col]!r}"
                     )
+            if rows and not rec["snr_db"] > rows[-1][1]["snr_db"]:
+                raise ConfigError(
+                    f"{path}:{lineno}: field 'snr_db' is {rec['snr_db']!r}, not above the previous row's "
+                    f"{rows[-1][1]['snr_db']!r}"
+                )
             rows.append((lineno, rec))
     if not rows:
         raise ConfigError(f"{path}: no data rows")

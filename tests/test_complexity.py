@@ -174,12 +174,13 @@ class TestMeasured:
             assert abs(coeff - (k + 3)) <= 0.05 * (k + 3)
 
     def test_counter_costs_compose(self):
+        # a 4 x 4 product and a subtraction, then two coefficients of length 3
         counter = OpCounter()
-        counter.tally(mults=3, adds=2)
-        counter.tally_matvec(4, 4)
+        counter.count(4, matvec=1, sub=1)
+        counter.count(3, coeff=2)
         cost = counter.cost()
-        assert cost.complex_mults == 3 + 16
-        assert cost.complex_adds == 2 + 12
+        assert cost.complex_mults == 16 + 2 * 7
+        assert cost.complex_adds == 12 + 4 + 2 * 4
         assert counter.matvecs == 1
 
 

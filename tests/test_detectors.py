@@ -7,6 +7,7 @@ from conftest import gmres_buffers, make_problem, problem_batch, sign_flipped_mi
 from rbdmimo.complexity import OpCounter
 from rbdmimo.detectors import (
     ARNOLDI_BREAKDOWN_REL,
+    ITERATIVE_DETECTORS,
     MmseProblem,
     _partial_solutions,
     arnoldi_step,
@@ -457,13 +458,21 @@ class TestBatch:
         for i, prob in enumerate(frames):
             assert_same_result(batch.frame(i), exact_detect(prob))
 
-    def test_counter_takes_one_problem(self):
+    @pytest.mark.parametrize("name", ITERATIVE_DETECTORS)
+    def test_counter_takes_one_problem(self, name):
         batch = stack_problems([make_problem(3, 550), make_problem(3, 551)])
         with pytest.raises(ValueError, match="one problem"):
-            cr_detect(batch, 2, counter=OpCounter())
+            ITERATIVE_DETECTORS[name](batch, 2, counter=OpCounter())
 
     def test_degenerate_denominator_of_a_live_frame_raises(self):
         # a zero matrix gives a zero denominator on a frame that is still running
         zero = MmseProblem(A=np.zeros((2, 2), dtype=complex), y_mf=np.ones(2, dtype=complex))
         with pytest.raises(ZeroDivisionError):
             cr_detect(stack_problems([make_problem(2, 552), zero]), 2)
+
+
+@pytest.mark.parametrize("name", ITERATIVE_DETECTORS)
+@pytest.mark.parametrize("k", [0, -1])
+def test_iteration_count_below_one_rejected(name, k):
+    with pytest.raises(ValueError, match="iteration count must be >= 1"):
+        ITERATIVE_DETECTORS[name](make_problem(3, 553), k)

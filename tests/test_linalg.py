@@ -14,11 +14,7 @@ from rbdmimo.linalg import (
     cholesky_solve,
     hermitian_defect,
     hermitian_eigen_extrema,
-    load_matrix,
-    load_vector,
     require_hermitian,
-    save_matrix,
-    save_vector,
 )
 from rbdmimo.rngstream import uniform_stream
 
@@ -292,32 +288,3 @@ class TestHermitianDefect:
         assert np.isnan(hermitian_defect(np.array(NAN_MATRIX, dtype=complex)))
         with pytest.raises(ValueError, match="non-finite"):
             require_hermitian(np.array(NAN_MATRIX, dtype=complex))
-
-
-class TestTextFormat:
-    def test_matrix_roundtrip_full_precision(self, tmp_path):
-        gen = uniform_stream(110)
-        a = random_complex(gen, 5, 3) * 1e7 + random_complex(gen, 5, 3) * 1e-7
-        path = tmp_path / "m.txt"
-        save_matrix(path, a)
-        assert np.array_equal(load_matrix(path), a)
-
-    def test_column_major_order(self, tmp_path):
-        a = np.array([[1.0, 3.0], [2.0, 4.0]], dtype=complex)
-        path = tmp_path / "m.txt"
-        save_matrix(path, a)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "2 2"
-        assert [ln.split()[0] for ln in lines[1:]] == ["1", "2", "3", "4"]
-
-    def test_vector_roundtrip(self, tmp_path):
-        x = np.array([1.5 - 2j, 3.25 + 0.5j])
-        path = tmp_path / "v.txt"
-        save_vector(path, x)
-        assert np.array_equal(load_vector(path), x)
-
-    def test_truncated_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("2 2\n1 0\n")
-        with pytest.raises(ValueError, match="expected 8 numbers"):
-            load_matrix(path)

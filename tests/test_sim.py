@@ -413,6 +413,7 @@ class TestPersistence:
         ({"bits": "-16", "errors": "0", "ber": "0"}, "bits"),
         ({"ber": "1.5"}, "ber"),
         ({"ber": f"{math.nextafter(120 / 4800, 1.0):.17g}"}, "ber"),
+        ({"snr_db": "0"}, "snr_db"),
     ])
     def test_inconsistent_row_rejected(self, tmp_path, fields, column):
         with pytest.raises(ConfigError, match=f":3: field '{column}'"):
