@@ -10,16 +10,21 @@ import rbdmimo as rb
 SNRS = (4.0, 6.0, 8.0, 10.0, 12.0, 14.0)
 DETECTORS = (("cholesky", 1), ("minres", 4), ("gmres", 4), ("cr", 4))
 
-sweeps = {}
-for detector, k in DETECTORS:
-    config = rb.SimConfig(
+configs = [
+    rb.SimConfig(
         n=64, m=8, qam_order=64, detector=detector, k_iterations=k,
         snr_db_list=SNRS, target_bit_errors=200, max_bits=500_000,
         master_seed=42,
     )
-    sweeps[detector] = rb.run_sweep(config, workers=4)
-    rb.write_results(sweeps[detector], f"ber_{detector}.csv")
-    rb.write_plot_data(sweeps[detector], f"plot_{detector}.csv")
+    for detector, k in DETECTORS
+]
+# every frame is drawn once and decided by all four detectors
+sweeps = {}
+for sweep in rb.run_sweeps(configs, workers=4):
+    detector = sweep.config.detector
+    sweeps[detector] = sweep
+    rb.write_results(sweep, f"ber_{detector}.csv")
+    rb.write_plot_data(sweep, f"plot_{detector}.csv")
 
 header = "snr_db " + "".join(f"{d:>12s}" for d, _ in DETECTORS)
 print(header)

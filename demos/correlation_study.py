@@ -18,15 +18,18 @@ SCENARIOS = {
 SNRS = (5.0, 7.0, 9.0, 11.0)
 
 crossings = {}
-for detector in ("cr", "minres"):
-    for tag, scenario in SCENARIOS.items():
-        config = rb.SimConfig(
+for tag, scenario in SCENARIOS.items():
+    configs = [
+        rb.SimConfig(
             n=128, m=8, qam_order=64, detector=detector, k_iterations=4,
             snr_db_list=SNRS, scenario=scenario, target_bit_errors=300,
             max_bits=400_000, master_seed=11,
         )
-        points = rb.run_sweep(config, workers=4).points
-        crossings[detector, tag] = rb.interpolate_snr_at_ber(points, 1e-2)
+        for detector in ("cr", "minres")
+    ]
+    # both detectors decide the same frames, drawn once
+    for sweep in rb.run_sweeps(configs, workers=4):
+        crossings[sweep.config.detector, tag] = rb.interpolate_snr_at_ber(sweep.points, 1e-2)
 
 print("SNR (dB) needed for BER 1e-2, and the penalty versus the uncorrelated case:")
 for detector in ("cr", "minres"):

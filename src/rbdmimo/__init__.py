@@ -62,6 +62,7 @@ from .sim import (
     run_ber_point,
     run_frames,
     run_sweep,
+    run_sweeps,
     run_trial,
     snr_gap,
     snr_to_sigma2,

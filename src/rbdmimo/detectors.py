@@ -126,6 +126,12 @@ class DetectionResult:
         )
 
 
+def _batch_view(prob: MmseProblem):
+    """(single, A, y_mf): whether prob holds one problem, and its arrays with a leading batch axis."""
+    single = prob.A.ndim == 2
+    return (single, prob.A[None], prob.y_mf[None]) if single else (single, prob.A, prob.y_mf)
+
+
 class _Run:
     """The scaffold of one detector call.
 
@@ -140,10 +146,9 @@ class _Run:
     def __init__(self, prob: MmseProblem, k: int, counter=None):
         if k < 1:
             raise ValueError(f"iteration count must be >= 1, got {k}")
-        self.single = prob.A.ndim == 2
+        self.single, self.a, self.y = _batch_view(prob)
         if counter is not None and not self.single:
             raise ValueError("operation counts are per problem: count one problem, not a batch")
-        self.a, self.y = (prob.A[None], prob.y_mf[None]) if self.single else (prob.A, prob.y_mf)
         self.count = (lambda **kernels: None) if counter is None else partial(counter.count, size=prob.M)
         self.stop = EARLY_STOP_REL * norm2(self.y)
         self.iterations = np.full(len(self.y), k)
@@ -456,13 +461,14 @@ def exact_detect(prob: MmseProblem) -> DetectionResult:
     """Cholesky ground-truth detection: solve A s = y_mf directly.
 
     The problem has already checked that A is Hermitian and finite, so only
-    the pivots are checked here.
+    the pivots are checked here.  A direct solve makes no iterations; its
+    trace holds the one residual and iterate norm of the solution.
     """
-    run = _Run(prob, 1)
-    s = cholesky_solve(cholesky_lower(run.a), run.y)
-    run.iterations[:] = 0  # a direct solve makes no iterations
-    run.residual_cols.append(norm2(run.y - np.matvec(run.a, s)))
-    return run.result(s, [norm2(s)])
+    single, a, y = _batch_view(prob)
+    s = cholesky_solve(cholesky_lower(a), y)
+    trace = DetectionTrace(norm2(y - np.matvec(a, s))[:, None], norm2(s)[:, None])
+    batch = DetectionResult(s_hat=s, iterations=np.zeros(len(y), dtype=int), trace=trace)
+    return batch.frame(0) if single else batch
 
 
 ITERATIVE_DETECTORS = {"minres": minres_detect, "gmres": gmres_detect, "cr": cr_detect}

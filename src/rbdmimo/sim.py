@@ -6,14 +6,27 @@ Every random draw derives from (master_seed, snr_index, trial_index)
 through the documented 64-bit mixer, so any subset of points reproduces
 exactly, in any execution order, serial or parallel.
 
-Frames run in chunks: `run_frames` draws, detects and demaps a whole
-chunk as stacked arrays, and each frame of the chunk equals `run_trial` on
-its own seed.  `run_ber_point` starts with FIRST_CHUNK_FRAMES frames and
-doubles the chunk after each one, up to CHUNK_ENTRIES entries of H (at
-least one frame), so a point pays the fixed cost of a chunk only a few
-times.  It adds up the per-frame errors and stops at the first frame where
-the serial stop rule holds, so frames, bits, errors and flags do not
-depend on the chunk schedule, and the seeding contract is unchanged.
+Frames run in chunks, in two stages.  `draw_frames` draws the bits,
+channels and noise of a whole chunk as stacked arrays and preprocesses
+them into the MMSE problem; it reads no detector field of the config.
+`frame_errors` then detects and demaps the drawn chunk under one config's
+detector and counts each frame's bit errors.  `run_frames` is the two in
+turn, and each frame of a chunk equals `run_trial` on its own seed.
+
+A point starts with FIRST_CHUNK_FRAMES frames and doubles the chunk after
+each one, up to CHUNK_ENTRIES entries of H (at least one frame), so it
+pays the fixed cost of a chunk only a few times.  Each config adds up its
+per-frame errors and stops at the first frame where the serial stop rule
+holds, so frames, bits, errors and flags do not depend on the chunk
+schedule, and the seeding contract is unchanged.
+
+Trial seeds do not depend on the detector, so configs that differ only in
+detector and k_iterations see the same frames.  `run_sweeps` takes such a
+set of configs and draws each chunk once for all of them: every config
+still running at a point decides the chunk, and the chunks go on until
+the last config stops.  Its results equal separate sweeps exactly.
+`run_sweep` is `run_sweeps` of one config and `run_ber_point` one point of
+it, so there is one chunk loop.
 
 SNR convention: sigma2 = M / 10^(snr_db / 10), i.e. per-receive-antenna
 SNR at unit average symbol energy.  Detector comparisons are SNR gaps
@@ -25,13 +38,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .channel import ChannelScenario, ConfigError, finite_real, generate_channel
-from .detectors import DETECTOR_NAMES, ITERATIVE_DETECTORS, exact_detect, preprocess
+from .detectors import DETECTOR_NAMES, ITERATIVE_DETECTORS, MmseProblem, exact_detect, preprocess
 from .modem import SUPPORTED_ORDERS, awgn_add, qam_demodulate_hard, qam_modulate, qam_spec
 from .rngstream import mix_seed, seed_array, uniform_bits_rows
 
@@ -139,15 +151,11 @@ def snr_to_sigma2(snr_db: float, m: int) -> float:
     return m / 10.0 ** (snr_db / 10.0)
 
 
-def _detect(config: SimConfig, prob):
-    if config.detector == "cholesky":
-        return exact_detect(prob)
-    return ITERATIVE_DETECTORS[config.detector](prob, config.k_iterations)
+def draw_frames(config: SimConfig, snr_db: float, trial_seeds) -> tuple[np.ndarray, MmseProblem]:
+    """The sent bits and the MMSE problem of each frame of a chunk, one frame per trial seed.
 
-
-def run_frames(config: SimConfig, snr_db: float, trial_seeds) -> np.ndarray:
-    """Bit errors of each frame of a chunk, one frame per trial seed.
-
+    The draw reads no detector field of the config, so every config that
+    differs only in detector and k_iterations gets the same frames.
     trial_seeds is an integer array or a sequence of ints, each taken
     modulo 2**64 (see seed_array).  Sub-streams: mix_seed(trial_seed, 0)
     for bits, (..., 1) for the channel, (..., 2) for the noise, derived for
@@ -161,9 +169,22 @@ def run_frames(config: SimConfig, snr_db: float, trial_seeds) -> np.ndarray:
     h = generate_channel(config.n, config.m, config.scenario, sub_seeds[1]).H
     sigma2 = snr_to_sigma2(snr_db, config.m)
     y = awgn_add(np.matvec(h, symbols), sigma2, sub_seeds[2])
-    detected = _detect(config, preprocess(h, y, sigma2))
-    bits_hat = qam_demodulate_hard(detected.s_hat, spec)
+    return bits, preprocess(h, y, sigma2)
+
+
+def frame_errors(config: SimConfig, bits: np.ndarray, prob: MmseProblem) -> np.ndarray:
+    """Bit errors of each frame of a drawn chunk under the config's detector."""
+    if config.detector == "cholesky":
+        detected = exact_detect(prob)
+    else:
+        detected = ITERATIVE_DETECTORS[config.detector](prob, config.k_iterations)
+    bits_hat = qam_demodulate_hard(detected.s_hat, qam_spec(config.qam_order))
     return np.count_nonzero(bits_hat != bits, axis=-1)
+
+
+def run_frames(config: SimConfig, snr_db: float, trial_seeds) -> np.ndarray:
+    """Bit errors of each frame of a chunk, one frame per trial seed (see draw_frames)."""
+    return frame_errors(config, *draw_frames(config, snr_db, trial_seeds))
 
 
 def run_trial(config: SimConfig, snr_db: float, trial_seed: int) -> tuple[int, int]:
@@ -187,51 +208,85 @@ def run_ber_point(config: SimConfig, snr_db: float, snr_index: int | None = None
             snr_index = config.snr_db_list.index(float(snr_db))
         except ValueError:
             raise ValueError(f"snr_db {snr_db} is not in the configured sweep list") from None
+    return _run_points((config,), snr_db, snr_index)[0]
+
+
+def _run_points(configs, snr_db: float, snr_index: int) -> list[BerPoint]:
+    """One BerPoint per config at one SNR, each chunk drawn once for every config still running.
+
+    The configs differ only in detector and k_iterations.  Each one stops
+    at its own frame under the serial rule; the chunks go on while any
+    config runs, so a config that runs reads every frame of each chunk.
+    """
+    config = configs[0]
     n_bits = config.m * qam_spec(config.qam_order).bits_per_symbol
     # the bit budget ends a point at this frame, whatever its error count
     last_frame = max(MIN_FRAMES_PER_POINT, -(-config.max_bits // n_bits))
     cap = max(1, CHUNK_ENTRIES // (config.n * config.m))
     size = min(FIRST_CHUNK_FRAMES, cap)
-    errors = frames = 0
-    done = False
-    while not done:
+    errors = [0] * len(configs)
+    ends = [0] * len(configs)  # a config's last frame, 0 while it runs
+    frames = 0
+    while not all(ends):
         counts = np.arange(frames + 1, min(frames + size, last_frame) + 1)
         seeds = mix_seed(config.master_seed, snr_index, np.arange(frames, counts[-1]))
-        totals = errors + np.cumsum(run_frames(config, snr_db, seeds))
-        stops = ((counts >= MIN_FRAMES_PER_POINT) & (totals >= config.target_bit_errors)) | (counts == last_frame)
-        end = int(np.argmax(stops)) if stops.any() else len(counts) - 1
-        frames, errors, done = int(counts[end]), int(totals[end]), bool(stops[end])
+        bits, prob = draw_frames(config, snr_db, seeds)
+        for i, cfg in enumerate(configs):
+            if ends[i]:
+                continue
+            totals = errors[i] + np.cumsum(frame_errors(cfg, bits, prob))
+            stops = ((counts >= MIN_FRAMES_PER_POINT) & (totals >= cfg.target_bit_errors)) | (counts == last_frame)
+            end = int(np.argmax(stops)) if stops.any() else len(counts) - 1
+            errors[i] = int(totals[end])
+            if stops[end]:
+                ends[i] = int(counts[end])
+        frames = int(counts[-1])
         size = min(2 * size, cap)
-    bits = frames * n_bits
-    flag = FLAG_OK if errors >= config.target_bit_errors else FLAG_BELOW_RESOLUTION
-    return BerPoint(
-        snr_db=float(snr_db),
-        bits_sent=bits,
-        bit_errors=errors,
-        ber=errors / bits,
-        frames=frames,
-        flag=flag,
-    )
+    points = []
+    for cfg, errs, end in zip(configs, errors, ends):
+        bits_sent = end * n_bits
+        points.append(BerPoint(
+            snr_db=float(snr_db),
+            bits_sent=bits_sent,
+            bit_errors=errs,
+            ber=errs / bits_sent,
+            frames=end,
+            flag=FLAG_OK if errs >= cfg.target_bit_errors else FLAG_BELOW_RESOLUTION,
+        ))
+    return points
 
 
 def _point_task(args):
-    """(point, None), or (None, the failure text) if the point raises."""
-    config, snr_db, snr_index = args
+    """(the configs' points, None), or (None, the failure text) if the point raises."""
+    configs, snr_db, snr_index = args
     try:
-        return run_ber_point(config, snr_db, snr_index), None
-    except Exception as exc:  # noqa: BLE001 - run_sweep aggregates and re-raises
+        return _run_points(configs, snr_db, snr_index), None
+    except Exception as exc:  # noqa: BLE001 - run_sweeps aggregates and re-raises
         return None, f"snr_db={snr_db}: {exc}"
 
 
-def run_sweep(config: SimConfig, workers: int | None = None) -> SweepResult:
-    """One BerPoint per configured SNR; optionally parallel across points.
+def run_sweeps(configs, workers: int | None = None) -> tuple[SweepResult, ...]:
+    """One SweepResult per config, drawing each frame once for all of them.
 
-    Seed derivation is index-based, so serial and parallel execution give
-    bit-identical results.  Per-point failures are collected and raised
-    together after every point has been attempted.
+    The configs may differ only in detector and k_iterations; any other
+    difference raises ConfigError.  Each point draws a chunk once and
+    decides it for every config still running there, and each config's
+    points equal those of run_sweep on it alone.  Points run in parallel
+    across SNRs if workers > 1: seed derivation is index-based, so serial
+    and parallel execution give bit-identical results.  Per-point failures
+    are collected and raised together after every point has been attempted.
     """
-    tasks = [(config, snr_db, i) for i, snr_db in enumerate(config.snr_db_list)]
+    configs = tuple(configs)
+    if not configs:
+        raise ConfigError("run_sweeps needs at least one config")
+    first = configs[0]
+    for i, cfg in enumerate(configs[1:], start=1):
+        if replace(cfg, detector=first.detector, k_iterations=first.k_iterations) != first:
+            raise ConfigError(f"config {i} differs from config 0 in more than detector and k_iterations")
+    tasks = [(configs, snr_db, i) for i, snr_db in enumerate(first.snr_db_list)]
     if workers is not None and workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # 10-15 ms of import that only a pool needs
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_point_task, tasks))
     else:
@@ -239,7 +294,14 @@ def run_sweep(config: SimConfig, workers: int | None = None) -> SweepResult:
     failures = [failure for _, failure in outcomes if failure is not None]
     if failures:
         raise RuntimeError(f"{len(failures)} sweep point(s) failed: " + "; ".join(failures))
-    return SweepResult(config=config, points=tuple(point for point, _ in outcomes))
+    return tuple(
+        SweepResult(config=cfg, points=tuple(points[i] for points, _ in outcomes)) for i, cfg in enumerate(configs)
+    )
+
+
+def run_sweep(config: SimConfig, workers: int | None = None) -> SweepResult:
+    """One BerPoint per configured SNR: run_sweeps of the one config."""
+    return run_sweeps((config,), workers)[0]
 
 
 def write_results(result: SweepResult, path) -> None:

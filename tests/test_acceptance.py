@@ -32,6 +32,7 @@ from rbdmimo.sim import (
     SimConfig,
     interpolate_snr_at_ber,
     run_sweep,
+    run_sweeps,
     snr_gap,
 )
 
@@ -39,13 +40,21 @@ MASTER_SEED = 20_260_809
 WORKERS = 5
 
 
-def sweep(detector, k, n, m, snrs, scenario=ChannelScenario(), target=500, qam=64):
-    config = SimConfig(
+def sweep_config(detector, k, n, m, snrs, scenario=ChannelScenario(), target=500, qam=64):
+    return SimConfig(
         n=n, m=m, qam_order=qam, detector=detector, k_iterations=k,
         snr_db_list=tuple(snrs), scenario=scenario, target_bit_errors=target,
         max_bits=20_000_000, master_seed=MASTER_SEED,
     )
-    return run_sweep(config, workers=WORKERS)
+
+
+def sweep(detector, k, n, m, snrs, **kwargs):
+    return run_sweep(sweep_config(detector, k, n, m, snrs, **kwargs), workers=WORKERS)
+
+
+def sweeps(detectors, n, m, snrs, **kwargs):
+    """One sweep per (detector, k) pair, every frame drawn once for all of them."""
+    return run_sweeps([sweep_config(det, k, n, m, snrs, **kwargs) for det, k in detectors], workers=WORKERS)
 
 
 def crossing_points(result, ber_level):
@@ -113,10 +122,9 @@ def test_criterion_3_gmres_cr_equivalence():
 
 def test_criterion_4_gap_to_exact_128x8():
     snrs = (9.0, 10.0, 11.0, 12.0, 13.0)
-    curves = {
-        det: crossing_points(sweep(det, 4, 128, 8, snrs), 1e-4)
-        for det in ("cholesky", "cr", "gmres")
-    }
+    detectors = ("cholesky", "cr", "gmres")
+    results = sweeps([(det, 4) for det in detectors], 128, 8, snrs)
+    curves = {det: crossing_points(result, 1e-4) for det, result in zip(detectors, results)}
     gaps_1e3 = {d: snr_gap(curves[d], curves["cholesky"], 1e-3) for d in ("cr", "gmres")}
     gaps_1e4 = {d: snr_gap(curves[d], curves["cholesky"], 1e-4) for d in ("cr", "gmres")}
     for d in ("cr", "gmres"):
@@ -131,9 +139,10 @@ def test_criterion_4_gap_to_exact_128x8():
 
 def test_criterion_5_gaps_128x16():
     base_snrs = (12.0, 14.0, 15.0)
-    chol = crossing_points(sweep("cholesky", 1, 128, 16, base_snrs), 1e-3)
-    cr4 = crossing_points(sweep("cr", 4, 128, 16, base_snrs), 1e-3)
-    gm4 = crossing_points(sweep("gmres", 4, 128, 16, base_snrs), 1e-3)
+    chol, cr4, gm4 = (
+        crossing_points(result, 1e-3)
+        for result in sweeps([("cholesky", 1), ("cr", 4), ("gmres", 4)], 128, 16, base_snrs)
+    )
     mr4 = crossing_points(sweep("minres", 4, 128, 16, (14.0, 16.0, 17.0)), 1e-3)
     gap_mr = snr_gap(mr4, chol, 1e-3)
     gap_cr = snr_gap(cr4, chol, 1e-3)
@@ -160,11 +169,12 @@ def test_criterion_6_correlation_robustness():
         "full": ChannelScenario("fully_correlated", zeta_t=0.2, zeta_r=0.3),
     }
     snrs = (6.0, 8.0, 10.0)
+    detectors = ("cr", "gmres", "minres")
     crossings = {}
-    for det in ("cr", "gmres", "minres"):
-        for tag, scenario in scenarios.items():
-            pts = crossing_points(sweep(det, 4, 128, 8, snrs, scenario=scenario, target=1000), 1e-2)
-            crossings[det, tag] = interpolate_snr_at_ber(pts, 1e-2)
+    for tag, scenario in scenarios.items():
+        results = sweeps([(det, 4) for det in detectors], 128, 8, snrs, scenario=scenario, target=1000)
+        for det, result in zip(detectors, results):
+            crossings[det, tag] = interpolate_snr_at_ber(crossing_points(result, 1e-2), 1e-2)
     degradation = {
         (det, tag): crossings[det, tag] - crossings[det, "uncorrelated"]
         for det in ("cr", "gmres", "minres")

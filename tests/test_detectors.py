@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import gmres_buffers, make_problem, problem_batch, sign_flipped_minres
 
+import rbdmimo.detectors as detectors
 from rbdmimo.complexity import OpCounter
 from rbdmimo.detectors import (
     ARNOLDI_BREAKDOWN_REL,
@@ -451,6 +452,31 @@ class TestBatch:
         assert np.isnan(batch.trace.residual_norms[4, 1:]).all()
         if detect is gmres_detect:
             assert batch.iterations.tolist() == [5, 1, 2, 5, 0, 3, 5]
+
+    def test_gmres_frame_stops_on_its_residual_without_breakdown(self, monkeypatch):
+        # y_mf almost along the top eigenvector of A: after one step the rotated
+        # residual, beta h10 / h00 = 1e-14, meets the stop threshold, while
+        # h10 = 1e-11 stays above the breakdown tolerance, so the stopped
+        # frame's next basis vector is nonzero until gmres zeroes it; its
+        # later Hessenberg columns must then be zero (identity rotations),
+        # so that its row of the rotation product keeps its last residual
+        lopsided = toy_problem([1000.0, 1.0, 2.0], [1.0, 1e-14, 1e-14])
+        ordinary = [make_problem(3, 560 + i, sigma2=0.2) for i in range(2)]
+        frames = [ordinary[0], lopsided, ordinary[1]]
+        columns = []
+
+        def recording(product, r, col, j):
+            columns.append(col.copy())
+            return givens(product, r, col, j)
+
+        givens = detectors.givens_lsq_update
+        monkeypatch.setattr(detectors, "givens_lsq_update", recording)
+        batch = gmres_detect(stack_problems(frames), 3)
+        assert batch.iterations.tolist() == [3, 1, 3]
+        assert len(columns) == 3 and abs(columns[0][1, 1]) > 1e-13
+        assert all(not col[1].any() for col in columns[1:])
+        for i, prob in enumerate(frames):
+            assert_same_result(batch.frame(i), gmres_detect(prob, 3))
 
     def test_exact_stack_matches_single_frames(self):
         frames = [make_problem(5, 540 + i) for i in range(4)]

@@ -1,8 +1,8 @@
 """Tests for the dense complex primitives and the Cholesky ground truth.
 
 The package forms its products with numpy's `np.matvec` and its Hermitian
-inner products with `np.vecdot`; TestMatvec and TestInnerHermitian pin the
-conventions it relies on: a plain product, and the first argument conjugated.
+inner products with `np.vecdot`; the detector tests of `kernel_coeff` pin
+the convention it relies on, the first argument conjugated.
 """
 
 import numpy as np
@@ -17,18 +17,6 @@ from rbdmimo.linalg import (
     require_hermitian,
 )
 from rbdmimo.rngstream import uniform_stream
-
-
-def naive_matvec(a, x):
-    """Independent triple-loop oracle."""
-    rows, cols = a.shape
-    out = np.zeros(rows, dtype=complex)
-    for i in range(rows):
-        acc = 0j
-        for j in range(cols):
-            acc += a[i, j] * x[j]
-        out[i] = acc
-    return out
 
 
 def recurrence_pivots(a):
@@ -55,66 +43,6 @@ def random_complex(gen, *shape):
 def random_spd(gen, m, shift=0.1):
     b = random_complex(gen, m, m)
     return b @ b.conj().T + shift * np.eye(m)
-
-
-class TestMatvec:
-    def test_identity(self):
-        x = np.array([1.0, 2.0j, -1.0])
-        assert np.array_equal(np.matvec(np.eye(3, dtype=complex), x), x)
-
-    def test_permutation(self):
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        a, b = 3.0 + 1j, -2.0
-        out = np.matvec(swap, np.array([a, b]))
-        assert out[0] == b and out[1] == a
-
-    def test_against_naive_oracle(self):
-        gen = uniform_stream(101)
-        for _ in range(20):
-            a = random_complex(gen, 4, 4)
-            x = random_complex(gen, 4)
-            assert np.abs(np.matvec(a, x) - naive_matvec(a, x)).max() < 1e-13
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            np.matvec(np.eye(3, dtype=complex), np.zeros(2, dtype=complex))
-
-
-class TestInnerHermitian:
-    def test_squared_norm(self):
-        x = np.array([1.0 + 1j, 0.0])
-        assert np.vecdot(x, x) == pytest.approx(2.0)
-
-    def test_orthogonality(self):
-        assert np.vecdot(np.array([1.0 + 0j, 0]), np.array([0, 1.0 + 0j])) == 0
-
-    def test_against_summation_oracle(self):
-        gen = uniform_stream(102)
-        for _ in range(20):
-            x = random_complex(gen, 6)
-            y = random_complex(gen, 6)
-            want = sum(complex(x[i]).conjugate() * complex(y[i]) for i in range(6))
-            assert abs(np.vecdot(x, y) - want) < 1e-14
-
-    def test_self_inner_is_real_nonnegative(self):
-        gen = uniform_stream(103)
-        x = random_complex(gen, 8)
-        v = np.vecdot(x, x)
-        assert v.imag == 0.0 and v.real >= 0.0
-
-    def test_definiteness_probe(self):
-        # x^H (A x) must be real positive for SPD A and x != 0
-        gen = uniform_stream(111)
-        a = random_spd(gen, 6)
-        for _ in range(25):
-            x = random_complex(gen, 6)
-            quad = np.vecdot(x, np.matvec(a, x))
-            assert quad.real > 0.0
-            assert abs(quad.imag) < 1e-12 * quad.real
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            np.vecdot(np.zeros(2, dtype=complex), np.zeros(3, dtype=complex))
 
 
 class TestCholesky:

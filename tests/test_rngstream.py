@@ -1,11 +1,24 @@
-"""Tests for the seed mixer: ints and integer arrays give the same seeds."""
+"""Tests for the seed mixer and the row draws: ints and integer arrays give
+the same seeds, and a row of a chunk is what a fresh stream gives alone."""
+
+import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rbdmimo.rngstream import mix_seed, seed_array, splitmix64
+import rbdmimo.rngstream as rngstream
+from rbdmimo.rngstream import (
+    complex_normal,
+    complex_normal_rows,
+    mix_seed,
+    seed_array,
+    splitmix64,
+    uniform_bits_rows,
+    uniform_stream,
+)
 
 EDGE_COMPONENTS = [0, 1, 2**63 - 1, 2**63, 2**64 - 1, -1, -(2**63), 2**64, 2**64 + 5, 2**70 + 3]
 
@@ -51,3 +64,48 @@ def test_non_integer_array_rejected():
 def test_array_matches_scalar(components, master):
     got = mix_seed(master, seed_array(components), 2)
     assert [int(x) for x in got] == [mix_seed(master, c, 2) for c in components]
+
+
+SEEDS = [0, 1, 2**63 - 1, 2**63, 2**64 - 1, mix_seed(5, 7)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 48, 96, 1000])
+def test_bits_from_raw_words_equal_integers(n):
+    rows = uniform_bits_rows(SEEDS, n)
+    assert rows.shape == (len(SEEDS), n) and rows.dtype == np.int64
+    for row, seed in zip(rows, SEEDS):
+        assert np.array_equal(row, uniform_stream(seed).integers(0, 2, n))
+
+
+def test_empty_bit_rows():
+    assert uniform_bits_rows([], 5).shape == (0, 5)
+    assert uniform_bits_rows(SEEDS, 0).shape == (len(SEEDS), 0)
+
+
+class RecordingThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        RecordingThread.started += 1
+        super().start()
+
+
+@pytest.mark.parametrize("helper", [True, False])
+@pytest.mark.parametrize("n", [1, 5, 1024])
+def test_complex_normal_rows_match_single_streams(monkeypatch, helper, n):
+    # the chunk's Box-Muller runs with the helper thread forced on or off,
+    # whatever the array size and CPU count; one row alone never uses it here
+    want = [complex_normal(uniform_stream(seed), n, variance=0.3) for seed in SEEDS]
+    monkeypatch.setattr(rngstream, "_helper_runs", lambda size: helper)
+    monkeypatch.setattr(rngstream.threading, "Thread", RecordingThread)
+    RecordingThread.started = 0
+    rows = complex_normal_rows(SEEDS, n, variance=0.3)
+    assert RecordingThread.started == int(helper)
+    for row, one in zip(rows, want):
+        assert np.array_equal(row, one)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs the CPU affinity of the process")
+def test_helper_runs_from_threshold_on_more_than_one_cpu():
+    assert not rngstream._helper_runs(rngstream.TRIG_THREAD_ENTRIES - 1)
+    assert rngstream._helper_runs(rngstream.TRIG_THREAD_ENTRIES) == (len(os.sched_getaffinity(0)) > 1)

@@ -22,12 +22,14 @@ from rbdmimo.sim import (
     apply_overrides,
     config_as_dict,
     config_from_dict,
+    draw_frames,
     interpolate_snr_at_ber,
     plot_data,
     read_results,
     run_ber_point,
     run_frames,
     run_sweep,
+    run_sweeps,
     run_trial,
     snr_gap,
     snr_to_sigma2,
@@ -273,32 +275,84 @@ class TestSweep:
         )),
     ])
     def test_failed_point_reported_after_the_others_ran(self, monkeypatch, tmp_path, workers):
-        real = sim.run_ber_point
+        real = sim._run_points
 
-        def failing_at_4_db(config, snr_db, snr_index=None):
+        def failing_at_4_db(configs, snr_db, snr_index):
             (tmp_path / f"{snr_db}").touch()  # a file, so that a worker's call is seen too
             if snr_db == 4.0:
                 raise ValueError("boom")
-            return real(config, snr_db, snr_index)
+            return real(configs, snr_db, snr_index)
 
-        monkeypatch.setattr(sim, "run_ber_point", failing_at_4_db)
+        monkeypatch.setattr(sim, "_run_points", failing_at_4_db)
         with pytest.raises(RuntimeError) as info:
             run_sweep(small_config(), workers=workers)
         assert str(info.value) == "1 sweep point(s) failed: snr_db=4.0: boom"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["0.0", "4.0", "8.0"]
 
 
+class TestRunSweeps:
+    DETECTORS = (("cholesky", 1), ("minres", 2), ("gmres", 3), ("cr", 2))
+
+    @pytest.mark.parametrize("scenario", [
+        ChannelScenario(), ChannelScenario("fully_correlated", zeta_t=0.2, zeta_r=0.3, theta=0.4),
+    ], ids=["uncorrelated", "fully_correlated"])
+    def test_equals_separate_sweeps(self, monkeypatch, scenario):
+        configs = [
+            small_config(detector=det, k_iterations=k, scenario=scenario, snr_db_list=(0.0, 4.0, 16.0), max_bits=4_000)
+            for det, k in self.DETECTORS
+        ]
+        separate = tuple(run_sweep(cfg) for cfg in configs)
+        # at 0 dB the detectors reach the error target at different frames
+        assert len({sweep.points[0].frames for sweep in separate}) > 1
+        assert {p.flag for sweep in separate for p in sweep.points} == {FLAG_OK, FLAG_BELOW_RESOLUTION}
+        assert run_sweeps(configs) == separate
+        for first, cap in ((1, 1), (4096, 4096), (3, 7)):
+            monkeypatch.setattr(sim, "FIRST_CHUNK_FRAMES", first)
+            monkeypatch.setattr(sim, "CHUNK_ENTRIES", cap * configs[0].n * configs[0].m)
+            assert run_sweeps(configs) == separate
+        monkeypatch.undo()
+        assert run_sweeps(configs, workers=3) == separate
+
+    def test_each_chunk_drawn_once(self, monkeypatch):
+        configs = [small_config(detector=det, k_iterations=k) for det, k in self.DETECTORS]
+        calls = []
+
+        def recording(config, snr, seeds):
+            calls.append((snr, len(seeds)))
+            return draw_frames(config, snr, seeds)
+
+        monkeypatch.setattr(sim, "draw_frames", recording)
+        results = run_sweeps(configs)
+        # each point reads as many frames as its longest-running config, at most one chunk more
+        for i, snr in enumerate(configs[0].snr_db_list):
+            drawn = [size for at, size in calls if at == snr]
+            longest = max(result.points[i].frames for result in results)
+            assert sum(drawn[:-1]) < longest <= sum(drawn)
+
+    @pytest.mark.parametrize("change", [
+        dict(n=32), dict(m=2), dict(qam_order=64), dict(snr_db_list=(0.0, 4.0)), dict(master_seed=12),
+        dict(target_bit_errors=200), dict(max_bits=8_000), dict(scenario=ChannelScenario("user_correlated", zeta_t=0.2)),
+    ])
+    def test_mixed_configs_rejected(self, change):
+        with pytest.raises(ConfigError, match="config 1 differs from config 0"):
+            run_sweeps([small_config(), small_config(detector="gmres", **change)])
+
+    def test_no_config_rejected(self):
+        with pytest.raises(ConfigError, match="at least one config"):
+            run_sweeps([])
+
+
 class TestChunkSchedule:
     @staticmethod
     def requested(monkeypatch, cfg, snr_db):
-        """The point, and the frame count of each run_frames call it made."""
+        """The point, and the frame count of each chunk it drew."""
         sizes = []
 
         def recording(config, snr, seeds):
             sizes.append(len(seeds))
-            return run_frames(config, snr, seeds)
+            return draw_frames(config, snr, seeds)
 
-        monkeypatch.setattr(sim, "run_frames", recording)
+        monkeypatch.setattr(sim, "draw_frames", recording)
         return run_ber_point(cfg, snr_db), sizes
 
     def test_budget_point_doubles_to_the_last_frame(self, monkeypatch):
