@@ -17,12 +17,13 @@ gmres, the bulk of the Krylov work, keeps its state in four arrays it
 allocates itself: the Arnoldi basis, the Hessenberg columns, the product
 of the Givens rotations and the triangle R.  Its two steps update them in
 place: arnoldi_step forms and orthogonalizes each basis vector in its slot
-of the basis (three numpy calls per modified Gram-Schmidt step, h_ij
-written straight into the Hessenberg column), and givens_lsq_update writes
-R and the rotated product rows where they lie.  An in-place step takes the
-operands of the plain expression in the same order, so it rounds exactly
-as the allocating form does.  cr and minres already make one numpy call
-per arithmetic step and keep the allocating form.
+of the basis (classical Gram-Schmidt: one vecdot writes every h_ij
+straight into the Hessenberg column, one multiply-sum removes them,
+whatever the step), and givens_lsq_update writes R and the rotated product
+rows where they lie.  An in-place step takes the operands of the plain
+expression in the same order, so it rounds exactly as the allocating form
+does.  cr and minres already make one numpy call per arithmetic step and
+keep the allocating form.
 
 The three iterative detectors share one per-call scaffold, _Run: the
 argument checks, the batch view of the problem, the early-stop masks, the
@@ -303,25 +304,36 @@ def cr_detect(prob: MmseProblem, k_iters: int, counter=None) -> DetectionResult:
 
 
 def arnoldi_step(a, basis, h_col, j: int, tol) -> np.ndarray:
-    """Extend the (V+1, B, M) basis by vector j+1 using modified Gram-Schmidt.
+    """Extend the (V+1, B, M) basis by vector j+1 using classical Gram-Schmidt.
 
     w = A q_j is formed in the slot of q_{j+1} and orthogonalized there in
-    place: for each earlier q_i, h_ij = q_i^H w goes straight into h_col,
-    the (V+1, B) column j of the Hessenberg matrix, and w -= h_ij q_i, which
-    rounds exactly as w + (-h_ij) q_i.
+    place: one vecdot writes every h_ij = q_i^H w, i <= j, into h_col, the
+    (V+1, B) column j of the Hessenberg matrix, and w -= sum_i h_ij q_i
+    removes them.  The sum runs over the outer axis of the products, which
+    adds the terms in the order i = 0..j for every frame, so a frame of a
+    batch rounds exactly as it does alone (a BLAS matrix-vector product does
+    not: its order depends on the batch).  The step executes the same j+1
+    inner products and multiply-accumulates as modified Gram-Schmidt.
+
+    Classical Gram-Schmidt loses orthogonality as O(eps cond(A)^2) where
+    modified Gram-Schmidt loses O(eps cond(A)) (Giraud, Langou & Rozloznik,
+    Comput. Math. Appl. 50, 2005).  On square M x M channels (M = 8, 16,
+    32) at sigma2 = 1e-14, gmres_detect(prob, M) keeps its relative
+    residual below 6e-14 up to cond(A) = 1e8 and below 5e-11 at 1e10, with
+    a forward error below 8e-12 cond(A); modified Gram-Schmidt stays below
+    3e-15 and 1e-16 cond(A) there.  On MMSE frames both lose the same
+    orthogonality at full depth (max|Q^H Q - I| 1.7e-6 at 128x16 fully
+    correlated, 20 dB), which the residual's convergence sets
+    (tests/test_detectors.py).
 
     Returns the (B,) mask of happy breakdowns (||w|| <= tol after
     orthogonalization).  Such a frame gets a zero basis vector: its Krylov
     space is invariant and its least-squares iterate is exact.
     """
     w = np.matvec(a, basis[j], basis[j + 1])
-    scratch = np.empty_like(w)
-    # the interpreter floor: three numpy calls per inner step, looked up once
-    vecdot, multiply, subtract = np.vecdot, np.multiply, np.subtract
-    for q, h, h_rows in zip(basis[: j + 1], h_col[: j + 1], h_col[: j + 1, :, None]):
-        vecdot(q, w, h)
-        multiply(h_rows, q, scratch)
-        subtract(w, scratch, w)
+    q, h = basis[: j + 1], h_col[: j + 1]
+    np.vecdot(q, w, out=h)
+    w -= (h[..., None] * q).sum(axis=0)
     wn = norm2(w)
     h_col[j + 1] = wn
     happy = wn <= tol

@@ -23,7 +23,9 @@ Helper thread: Box-Muller's cos and sin are most of the cost of a normal,
 and numpy releases the GIL inside them.  From TRIG_THREAD_ENTRIES entries
 up, and only if the process may run on more than one CPU
 (`os.sched_getaffinity`), cos runs on a helper thread while the calling
-thread forms the radii and the sines.  Both threads apply the same ufuncs
+thread forms the radii and the sines.  A sweep's pool whose workers
+occupy every CPU switches the helper off in each worker, where it would
+only contend with the other workers.  Both threads apply the same ufuncs
 to the same inputs, so the values do not depend on whether the helper
 runs.  The helper is started and joined inside the call: no thread
 outlives it, so forking a worker process stays safe.  Starting and joining
@@ -143,12 +145,24 @@ def uniform_bits_rows(seeds, n: int) -> np.ndarray:
     return bits.reshape(len(seeds), 2 * words.shape[1])[:, :n].astype(np.int64)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cpus or 1
+
+
+_helper_allowed = True
+
+
+def _disable_helper() -> None:
+    """Keep Box-Muller on the calling thread in this process from now on."""
+    global _helper_allowed
+    _helper_allowed = False
+
+
 def _helper_runs(size: int) -> bool:
     """Whether Box-Muller over `size` entries runs cos on a helper thread."""
-    if size < TRIG_THREAD_ENTRIES:
-        return False
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return (cpus or 1) > 1
+    return _helper_allowed and size >= TRIG_THREAD_ENTRIES and _usable_cpus() > 1
 
 
 def _complex_normals(u1: np.ndarray, u2: np.ndarray, variance: float) -> np.ndarray:

@@ -45,7 +45,7 @@ import numpy as np
 from .channel import ChannelScenario, ConfigError, finite_real, generate_channel
 from .detectors import DETECTOR_NAMES, ITERATIVE_DETECTORS, MmseProblem, exact_detect, preprocess
 from .modem import SUPPORTED_ORDERS, awgn_add, qam_demodulate_hard, qam_modulate, qam_spec
-from .rngstream import mix_seed, seed_array, uniform_bits_rows
+from .rngstream import _disable_helper, _usable_cpus, mix_seed, seed_array, uniform_bits_rows
 
 SNR_CONVENTION = "sigma2 = M / 10^(snr_db/10) (per-receive-antenna SNR, unit symbol energy)"
 
@@ -271,11 +271,16 @@ def run_sweeps(configs, workers: int | None = None) -> tuple[SweepResult, ...]:
     The configs may differ only in detector and k_iterations; any other
     difference raises ConfigError.  Each point draws a chunk once and
     decides it for every config still running there, and each config's
-    points equal those of run_sweep on it alone.  Points run in parallel
-    across SNRs if workers > 1: seed derivation is index-based, so serial
-    and parallel execution give bit-identical results.  Per-point failures
-    are collected and raised together after every point has been attempted.
+    points equal those of run_sweep on it alone.  workers is None or an
+    integer >= 1; points run in parallel across SNRs if workers > 1: seed
+    derivation is index-based, so serial and parallel execution give
+    bit-identical results.  Per-point failures are collected and raised
+    together after every point has been attempted.
     """
+    if workers is not None:
+        if isinstance(workers, (bool, np.bool_)) or not isinstance(workers, (int, np.integer)) or workers < 1:
+            raise ConfigError(f"workers must be None or an integer >= 1, got {workers!r}")
+        workers = int(workers)
     configs = tuple(configs)
     if not configs:
         raise ConfigError("run_sweeps needs at least one config")
@@ -287,7 +292,9 @@ def run_sweeps(configs, workers: int | None = None) -> tuple[SweepResult, ...]:
     if workers is not None and workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # 10-15 ms of import that only a pool needs
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # workers that occupy every CPU leave no CPU for a Box-Muller helper thread
+        initializer = _disable_helper if workers >= _usable_cpus() else None
+        with ProcessPoolExecutor(max_workers=workers, initializer=initializer) as pool:
             outcomes = list(pool.map(_point_task, tasks))
     else:
         outcomes = [_point_task(task) for task in tasks]

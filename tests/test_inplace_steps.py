@@ -1,8 +1,8 @@
 """gmres's in-place Arnoldi and Givens steps against allocating references, bit for bit.
 
-Each reference below evaluates the plain expressions (w + (-h) q for
-modified Gram-Schmidt, fresh rows for the rotations) in the operand order
-the steps use, on a batch of one.  The steps update gmres_detect's
+Each reference below evaluates the plain expressions (w - sum_i h_i q_i
+for classical Gram-Schmidt, fresh rows for the rotations) in the operand
+order the steps use, on a batch of one.  The steps update gmres_detect's
 preallocated arrays (basis, Hessenberg columns, rotation product and R)
 instead; the rounding must not change, so results are compared with
 array_equal, not a tolerance.
@@ -15,16 +15,11 @@ from rbdmimo.detectors import ARNOLDI_BREAKDOWN_REL, arnoldi_step, givens_lsq_up
 from rbdmimo.linalg import norm2
 
 
-def mac(x, a, b):
-    return x + a[..., None] * b
-
-
 def reference_arnoldi_step(a, basis, columns, j, tol):
     w = np.matvec(a, basis[j])
-    for i in range(j + 1):
-        hij = np.vecdot(basis[i], w)
-        columns[j][i] = hij
-        w = mac(w, -hij, basis[i])
+    h = np.vecdot(basis[: j + 1], w)
+    columns[j][: j + 1] = h
+    w = w - (h[..., None] * basis[: j + 1]).sum(axis=0)
     wn = norm2(w)
     columns[j][j + 1] = wn
     happy = wn <= tol

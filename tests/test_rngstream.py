@@ -109,3 +109,9 @@ def test_complex_normal_rows_match_single_streams(monkeypatch, helper, n):
 def test_helper_runs_from_threshold_on_more_than_one_cpu():
     assert not rngstream._helper_runs(rngstream.TRIG_THREAD_ENTRIES - 1)
     assert rngstream._helper_runs(rngstream.TRIG_THREAD_ENTRIES) == (len(os.sched_getaffinity(0)) > 1)
+
+
+def test_disabled_helper_never_runs(monkeypatch):
+    monkeypatch.setattr(rngstream, "_helper_allowed", True)  # restored after the test
+    rngstream._disable_helper()
+    assert not rngstream._helper_runs(2**30)

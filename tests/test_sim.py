@@ -10,6 +10,7 @@ import pytest
 from rbdmimo.channel import ChannelScenario, generate_channel
 from rbdmimo.detectors import exact_detect, preprocess
 from rbdmimo.modem import qam_demodulate_hard, qam_modulate, qam_spec
+import rbdmimo.rngstream as rngstream
 from rbdmimo.rngstream import mix_seed, uniform_stream
 import rbdmimo.sim as sim
 from rbdmimo.sim import (
@@ -288,6 +289,32 @@ class TestSweep:
             run_sweep(small_config(), workers=workers)
         assert str(info.value) == "1 sweep point(s) failed: snr_db=4.0: boom"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["0.0", "4.0", "8.0"]
+
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.5, "2"])
+    def test_rejects_bad_workers(self, workers):
+        with pytest.raises(ConfigError, match="workers must be None or an integer >= 1"):
+            run_sweep(small_config(), workers=workers)
+        with pytest.raises(ConfigError, match="workers must be None or an integer >= 1"):
+            run_sweeps([small_config()], workers=workers)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patches reach workers only through fork")
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    def test_pool_workers_on_every_cpu_run_without_helper(self, monkeypatch, tmp_path, cpus):
+        # a pool of two workers on `cpus` usable CPUs: the helper thread stays
+        # off in each worker unless there are more CPUs than workers; the
+        # parent process keeps it
+        serial, real = run_sweep(small_config()), sim._run_points
+
+        def recording(configs, snr_db, snr_index):
+            (tmp_path / f"{snr_db} {rngstream._helper_runs(rngstream.TRIG_THREAD_ENTRIES)}").touch()
+            return real(configs, snr_db, snr_index)
+
+        monkeypatch.setattr(sim, "_run_points", recording)
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: cpus)
+        assert run_sweep(small_config(), workers=2) == serial
+        helper = cpus > 2 and rngstream._usable_cpus() > 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{snr} {helper}" for snr in (0.0, 4.0, 8.0)]
+        assert rngstream._helper_allowed
 
 
 class TestRunSweeps:
