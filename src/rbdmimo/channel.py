@@ -115,12 +115,9 @@ def _correlation_sqrt(dim: int, zeta: float, theta: float) -> np.ndarray:
     return s
 
 
-def generate_channel(n: int, m: int, scenario: ChannelScenario, rng_seed) -> ChannelRealization:
-    """Draw one N x M channel matrix for the given scenario, deterministically.
+def correlate_channel(w: np.ndarray, scenario: ChannelScenario) -> np.ndarray:
+    """The scenario's channel R_r^(1/2) W R_t^(1/2) for a (..., N, M) draw W of unit-variance entries.
 
-    Given a sequence of seeds instead of one, draws a (B, N, M) stack whose
-    matrix b is the draw for seed b.  W entries come from the seeded
-    Box-Muller stream in row-major order with per-entry variance 1.
     Scenario assembly:
 
     * uncorrelated:     H = W
@@ -131,13 +128,25 @@ def generate_channel(n: int, m: int, scenario: ChannelScenario, rng_seed) -> Cha
     Identity factors are skipped outright so that a zero correlation
     factor reproduces the uncorrelated draw bit for bit.
     """
+    n, m = w.shape[-2:]
+    if scenario.kind in (BS_CORRELATED, FULLY_CORRELATED) and scenario.zeta_r != 0.0:
+        w = _correlation_sqrt(n, scenario.zeta_r, scenario.theta) @ w
+    if scenario.kind in (USER_CORRELATED, FULLY_CORRELATED) and scenario.zeta_t != 0.0:
+        w = w @ _correlation_sqrt(m, scenario.zeta_t, scenario.theta)
+    return w
+
+
+def generate_channel(n: int, m: int, scenario: ChannelScenario, rng_seed) -> ChannelRealization:
+    """Draw one N x M channel matrix for the given scenario, deterministically.
+
+    Given a sequence of seeds instead of one, draws a (B, N, M) stack whose
+    matrix b is the draw for seed b.  W entries come from the seeded
+    Box-Muller stream in row-major order with per-entry variance 1, and
+    H = correlate_channel(W, scenario).
+    """
     if m < 1 or n < m:
         raise ValueError(f"require N >= M >= 1, got N={n}, M={m}")
     batched = not isinstance(rng_seed, (int, np.integer))
-    seeds = tuple(int(s) for s in rng_seed) if batched else (int(rng_seed),)
-    h = complex_normal_rows(seeds, n * m).reshape(len(seeds), n, m)
-    if scenario.kind in (BS_CORRELATED, FULLY_CORRELATED) and scenario.zeta_r != 0.0:
-        h = _correlation_sqrt(n, scenario.zeta_r, scenario.theta) @ h
-    if scenario.kind in (USER_CORRELATED, FULLY_CORRELATED) and scenario.zeta_t != 0.0:
-        h = h @ _correlation_sqrt(m, scenario.zeta_t, scenario.theta)
+    seeds = rng_seed if batched else (rng_seed,)
+    h = correlate_channel(complex_normal_rows(seeds, n * m).reshape(len(seeds), n, m), scenario)
     return ChannelRealization(H=h if batched else h[0])

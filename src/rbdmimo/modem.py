@@ -114,7 +114,7 @@ def awgn_add(x, sigma2: float, rng_seed) -> np.ndarray:
         raise ValueError(f"expected one frame or a batch of frames, got ndim={x.ndim}")
     if not np.isfinite(x).all():
         raise ValueError("x contains non-finite values")
-    seeds = [rng_seed] if x.ndim == 1 else list(rng_seed)
+    seeds = (rng_seed,) if x.ndim == 1 else rng_seed
     if x.ndim == 2 and len(seeds) != x.shape[0]:
         raise ValueError(f"need one seed per row: {x.shape[0]} rows, {len(seeds)} seeds")
     return x + complex_normal_rows(seeds, x.shape[-1], variance=sigma2).reshape(x.shape)

@@ -8,9 +8,19 @@ stream; complex Gaussians take one Box-Muller pair per entry.
 
 The `*_rows` functions draw one row per seed for a batch of frames.  Each
 row is exactly what a fresh `uniform_stream(seed)` gives, but the rows come
-from one Philox per call whose state is reset per seed (`Philox(key=seed)`
-also reads the OS entropy pool for a seed it then discards), and the
-Box-Muller transform runs once over the whole batch.
+from one Philox generator per thread whose state is reset per seed
+(`Philox(key=seed)` builds a generator, about 15 us, and also reads the OS
+entropy pool for a seed it then discards).  The reset and the read of a
+row happen inside one call (`_fill_rows`), so no caller holds the shared
+generator between rows.
+
+One Box-Muller session per chunk: `complex_normal_groups` fills the
+uniforms of several row groups (a chunk's channel entries and its noise)
+and transforms them together, each group scaled by its own variance.
+Box-Muller on the counter-based Philox (Box & Muller 1958; Salmon et al.,
+SC'11) makes every row a pure function of its seed, so neither the
+grouping nor the shared generator changes a value: `complex_normal_rows`
+is the one-group case, and `complex_normal` the one-row one.
 
 Bits contract: a row of n bits is `uniform_stream(seed).integers(0, 2, n)`.
 numpy draws that range from successive 32-bit halves of the raw 64-bit
@@ -21,19 +31,25 @@ which gives the same bits without the per-bit sampling loop.
 
 Helper thread: Box-Muller's cos and sin are most of the cost of a normal,
 and numpy releases the GIL inside them.  From TRIG_THREAD_ENTRIES entries
-up, and only if the process may run on more than one CPU
-(`os.sched_getaffinity`), cos runs on a helper thread while the calling
-thread forms the radii and the sines.  A sweep's pool whose workers
-occupy every CPU switches the helper off in each worker, where it would
-only contend with the other workers.  Both threads apply the same ufuncs
-to the same inputs, so the values do not depend on whether the helper
-runs.  The helper is started and joined inside the call: no thread
-outlives it, so forking a worker process stays safe.  Starting and joining
-a thread costs about 35-45 us on a 2-vCPU VM (Python 3.11, numpy 2.4), so
-up to about 2**13 entries the split does not pay (1.03 of the serial
-time); at 2**14 entries (the first 16-frame chunk of 128x8 channels)
-Box-Muller takes 0.79 of its serial time and at 2**15-2**16 entries
-0.66-0.67 (medians of interleaved in-process pairs).
+of the whole session up (a 128x8 chunk of channels and noise qualifies
+from 15 frames), and only if the process may run on more than one CPU
+(`os.sched_getaffinity`), every group's cos runs on a helper thread while
+the calling thread forms every group's radii and sines.  A sweep's pool
+whose workers occupy every CPU switches the helper off in each worker,
+where it would only contend with the other workers.  Both threads apply
+the same ufuncs to the same inputs, so the values do not depend on
+whether the helper runs.  Starting and joining a thread costs about
+35-45 us on a 2-vCPU VM (Python 3.11, numpy 2.4), so up to about 2**13
+entries the split does not pay (1.03 of the serial time); at 2**14
+entries Box-Muller takes 0.79 of its serial time and at 2**15-2**16
+entries 0.66-0.67 (medians of interleaved in-process pairs).
+
+Threads and fork: the generator is `threading.local`, so user threads and
+the helper (which draws nothing) never share one; concurrent callers each
+reset their own.  The helper is started and joined inside the call: no
+thread outlives it, so forking a worker process stays safe, and a forked
+worker inherits a copy of its parent's generator, which every row resets
+before it reads.
 """
 
 from __future__ import annotations
@@ -108,27 +124,47 @@ def uniform_stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
 
 
-def _row_streams(seeds):
-    """Yield one generator, reset in turn to a fresh uniform_stream(seed) for each seed.
+_thread = threading.local()
 
-    Writing the Philox state with the seed in key[0] is bit-identical to
-    building Philox(key=seed), and much cheaper.  The generator belongs to
-    this call, so concurrent callers cannot interleave their streams.
+
+def _thread_philox():
+    """This thread's (Generator, key, state): one Philox per thread, reset row by row.
+
+    Writing `state` into the generator, with a seed in key[0], is
+    bit-identical to building Philox(key=seed), and much cheaper.
     """
-    key = np.zeros(2, dtype=np.uint64)
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    gen = np.random.Generator(np.random.Philox(0))
-    for seed in seeds:
+    try:
+        return _thread.philox
+    except AttributeError:
+        key = np.zeros(2, dtype=np.uint64)
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        _thread.philox = (np.random.Generator(np.random.Philox(0)), key, state)
+        return _thread.philox
+
+
+def _fill_rows(seeds, out: np.ndarray, raw: bool = False) -> None:
+    """Write row b of out from a fresh uniform_stream(seeds[b]).
+
+    The row gets the stream's first doubles in [0, 1), or its first raw
+    64-bit words if raw.  Each seed is taken modulo 2**64 here, the one
+    place a row's seed becomes a Philox key.
+    """
+    gen, key, state = _thread_philox()
+    bitgen = gen.bit_generator
+    for seed, row in zip(seeds, out):
         key[0] = int(seed) & _MASK64
-        gen.bit_generator.state = state
-        yield gen
+        bitgen.state = state
+        if raw:
+            row[:] = bitgen.random_raw(row.size)
+        else:
+            gen.random(out=row)
 
 
 def uniform_bits_rows(seeds, n: int) -> np.ndarray:
@@ -139,8 +175,7 @@ def uniform_bits_rows(seeds, n: int) -> np.ndarray:
     docstring).
     """
     words = np.empty((len(seeds), (n + 1) // 2), dtype=np.uint64)
-    for row, gen in zip(words, _row_streams(seeds)):
-        row[:] = gen.bit_generator.random_raw(len(row))
+    _fill_rows(seeds, words, raw=True)
     bits = (words[..., None] >> _BIT_SHIFTS) & np.uint64(1)
     return bits.reshape(len(seeds), 2 * words.shape[1])[:, :n].astype(np.int64)
 
@@ -165,40 +200,53 @@ def _helper_runs(size: int) -> bool:
     return _helper_allowed and size >= TRIG_THREAD_ENTRIES and _usable_cpus() > 1
 
 
-def _complex_normals(u1: np.ndarray, u2: np.ndarray, variance: float) -> np.ndarray:
-    """sqrt(variance / 2) * (z0 + 1j z1) for Box-Muller pairs (z0, z1) of the uniforms.
+def _cos_all(angles, outs) -> None:
+    for angle, out in zip(angles, outs):
+        np.cos(angle, out=out)
 
-    Computed in place over u1 and u2, which must be uniforms in [0, 1);
-    u1 is mapped into (0, 1] so the logarithm stays finite.  For large
-    arrays cos runs on a helper thread, started and joined here, while
-    this thread forms the radii and the sines.
+
+def _box_muller(uniforms, variances) -> list[np.ndarray]:
+    """sqrt(variance / 2) * (z0 + 1j z1) for the Box-Muller pairs (z0, z1) of each group.
+
+    Group g is a (B, 2, n) array of uniforms in [0, 1): u[:, 0] feeds the
+    radii, u[:, 1] the angles; the result is (B, n), scaled by
+    variances[g].  Computed in place over the uniforms; u[:, 0] is mapped
+    into (0, 1] so the logarithm stays finite.  From TRIG_THREAD_ENTRIES
+    entries of the whole session up, every group's cos runs on a helper
+    thread, started and joined here, while this thread forms every group's
+    radii and sines.
     """
-    angle = np.multiply(u2, 2.0 * np.pi, out=u2)
-    z0 = np.empty_like(angle)
+    angles = [np.multiply(u[:, 1], 2.0 * np.pi, out=u[:, 1]) for u in uniforms]
+    z0s = [np.empty_like(angle) for angle in angles]
     helper = None
-    if _helper_runs(angle.size):
-        helper = threading.Thread(target=np.cos, args=(angle, z0))
+    if _helper_runs(sum(angle.size for angle in angles)):
+        helper = threading.Thread(target=_cos_all, args=(angles, z0s))
         helper.start()
     try:
-        radius = np.subtract(1.0, u1, out=u1)
-        np.log(radius, out=radius)
-        np.multiply(radius, -2.0, out=radius)
-        np.sqrt(radius, out=radius)
+        radii = []
+        for u in uniforms:
+            radius = np.subtract(1.0, u[:, 0], out=u[:, 0])
+            np.log(radius, out=radius)
+            np.multiply(radius, -2.0, out=radius)
+            radii.append(np.sqrt(radius, out=radius))
         if helper is None:
-            np.cos(angle, out=z0)
-            z1 = np.sin(angle, out=angle)
+            _cos_all(angles, z0s)
+            z1s = [np.sin(angle, out=angle) for angle in angles]
         else:
-            z1 = np.sin(angle)  # the helper still reads angle
+            z1s = [np.sin(angle) for angle in angles]  # the helper still reads the angles
     finally:
         if helper is not None:
             helper.join()
-    z0 *= radius
-    z1 *= radius
-    out = np.empty(z0.shape, dtype=np.complex128)
-    scale = np.sqrt(variance / 2.0)
-    np.multiply(z0, scale, out=out.real)
-    np.multiply(z1, scale, out=out.imag)
-    return out
+    outs = []
+    for z0, z1, radius, variance in zip(z0s, z1s, radii, variances):
+        z0 *= radius
+        z1 *= radius
+        out = np.empty(z0.shape, dtype=np.complex128)
+        scale = np.sqrt(variance / 2.0)
+        np.multiply(z0, scale, out=out.real)
+        np.multiply(z1, scale, out=out.imag)
+        outs.append(out)
+    return outs
 
 
 def complex_normal(gen: np.random.Generator, n: int, variance: float = 1.0) -> np.ndarray:
@@ -207,13 +255,22 @@ def complex_normal(gen: np.random.Generator, n: int, variance: float = 1.0) -> n
     Each entry uses one Box-Muller pair, variance/2 per real dimension; the
     first n uniforms of the stream feed the radii, the next n the angles.
     """
-    u = gen.random(2 * n)
-    return _complex_normals(u[:n], u[n:], variance)
+    return _box_muller([gen.random(2 * n).reshape(1, 2, n)], [variance])[0][0]
+
+
+def complex_normal_groups(groups) -> list[np.ndarray]:
+    """One (len(seeds), n) array per (seeds, n, variance) group, all in one Box-Muller session.
+
+    Row b of a group is complex_normal(uniform_stream(seeds[b]), n, variance).
+    """
+    uniforms = []
+    for seeds, n, _ in groups:
+        u = np.empty((len(seeds), 2, n))
+        _fill_rows(seeds, u)
+        uniforms.append(u)
+    return _box_muller(uniforms, [variance for _, _, variance in groups])
 
 
 def complex_normal_rows(seeds, n: int, variance: float = 1.0) -> np.ndarray:
     """(len(seeds), n) complex Gaussians: row b is complex_normal(uniform_stream(seeds[b]), n, variance)."""
-    u = np.empty((len(seeds), 2, n))
-    for row, gen in zip(u, _row_streams(seeds)):
-        gen.random(out=row.reshape(-1))
-    return _complex_normals(u[:, 0], u[:, 1], variance)
+    return complex_normal_groups([(seeds, n, variance)])[0]

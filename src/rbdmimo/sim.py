@@ -42,10 +42,10 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .channel import ChannelScenario, ConfigError, finite_real, generate_channel
+from .channel import ChannelScenario, ConfigError, correlate_channel, finite_real
 from .detectors import DETECTOR_NAMES, ITERATIVE_DETECTORS, MmseProblem, exact_detect, preprocess
-from .modem import SUPPORTED_ORDERS, awgn_add, qam_demodulate_hard, qam_modulate, qam_spec
-from .rngstream import _disable_helper, _usable_cpus, mix_seed, seed_array, uniform_bits_rows
+from .modem import SUPPORTED_ORDERS, qam_demodulate_hard, qam_modulate, qam_spec
+from .rngstream import _disable_helper, _usable_cpus, complex_normal_groups, mix_seed, seed_array, uniform_bits_rows
 
 SNR_CONVENTION = "sigma2 = M / 10^(snr_db/10) (per-receive-antenna SNR, unit symbol energy)"
 
@@ -159,17 +159,20 @@ def draw_frames(config: SimConfig, snr_db: float, trial_seeds) -> tuple[np.ndarr
     trial_seeds is an integer array or a sequence of ints, each taken
     modulo 2**64 (see seed_array).  Sub-streams: mix_seed(trial_seed, 0)
     for bits, (..., 1) for the channel, (..., 2) for the noise, derived for
-    the whole chunk at once.
+    the whole chunk at once.  The chunk's channel entries and noise come
+    from one Box-Muller session; each frame equals generate_channel and
+    awgn_add on its own seeds, and preprocess checks that every h and y
+    is finite.
     """
     spec = qam_spec(config.qam_order)
     n_bits = config.m * spec.bits_per_symbol
     sub_seeds = mix_seed(seed_array(trial_seeds)[:, None], _SUB_STREAMS).T
     bits = uniform_bits_rows(sub_seeds[0], n_bits)
     symbols = qam_modulate(bits, spec)
-    h = generate_channel(config.n, config.m, config.scenario, sub_seeds[1]).H
     sigma2 = snr_to_sigma2(snr_db, config.m)
-    y = awgn_add(np.matvec(h, symbols), sigma2, sub_seeds[2])
-    return bits, preprocess(h, y, sigma2)
+    w, noise = complex_normal_groups([(sub_seeds[1], config.n * config.m, 1.0), (sub_seeds[2], config.n, sigma2)])
+    h = correlate_channel(w.reshape(-1, config.n, config.m), config.scenario)
+    return bits, preprocess(h, np.matvec(h, symbols) + noise, sigma2)
 
 
 def frame_errors(config: SimConfig, bits: np.ndarray, prob: MmseProblem) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Shared fixtures: deterministic random MMSE problem instances, fault injection,
-and the hypothesis profile every property test runs under."""
+a thread-start recorder, and the hypothesis profile every property test runs under."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -70,3 +72,13 @@ def sign_flipped_minres(prob, k, **kwargs):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(detectors, "kernel_coeff", lambda *args, **kw: -coeff(*args, **kw))
         return detectors.minres_detect(prob, k, **kwargs)
+
+
+class RecordingThread(threading.Thread):
+    """A Thread that counts its starts: patched in for threading.Thread to see the Box-Muller helper."""
+
+    started = 0
+
+    def start(self):
+        RecordingThread.started += 1
+        super().start()

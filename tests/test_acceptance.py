@@ -170,9 +170,11 @@ def test_criterion_6_correlation_robustness():
     }
     snrs = (6.0, 8.0, 10.0)
     detectors = ("cr", "gmres", "minres")
-    crossings = {}
+    crossings, wall = {}, {}
     for tag, scenario in scenarios.items():
+        start = time.perf_counter()
         results = sweeps([(det, 4) for det in detectors], 128, 8, snrs, scenario=scenario, target=1000)
+        wall[tag] = time.perf_counter() - start
         for det, result in zip(detectors, results):
             crossings[det, tag] = interpolate_snr_at_ber(crossing_points(result, 1e-2), 1e-2)
     degradation = {
@@ -190,7 +192,8 @@ def test_criterion_6_correlation_robustness():
         "PASS criterion 6: correlation degradation at 1e-2 (dB) "
         f"cr {degradation['cr', 'user']:.2f}/{degradation['cr', 'bs']:.2f}/{degradation['cr', 'full']:.2f}, "
         f"gmres {degradation['gmres', 'full']:.2f} full, "
-        f"minres {degradation['minres', 'full']:.2f} full"
+        f"minres {degradation['minres', 'full']:.2f} full; "
+        "run_sweeps wall " + ", ".join(f"{tag} {seconds:.1f} s" for tag, seconds in wall.items())
     )
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from rbdmimo.channel import (
     ChannelScenario,
+    correlate_channel,
     correlation_matrix,
     generate_channel,
     matrix_sqrt_psd,
@@ -105,6 +106,18 @@ class TestGenerateChannel:
         assert stack.H.shape == (4, 8, 4)
         for seed, h in zip(seeds, stack.H):
             assert np.array_equal(h, generate_channel(8, 4, sc, seed).H)
+
+    def test_uint64_seed_array_draws_as_int_list(self):
+        sc = ChannelScenario("fully_correlated", zeta_t=0.2, zeta_r=0.3)
+        seeds = [0, 2**63, 2**64 - 1, mix_seed(31, 1)]
+        as_array = generate_channel(8, 4, sc, np.array(seeds, dtype=np.uint64)).H
+        assert np.array_equal(as_array, generate_channel(8, 4, sc, seeds).H)
+
+    def test_correlates_the_drawn_w(self):
+        sc = ChannelScenario("fully_correlated", zeta_t=0.2, zeta_r=0.3, theta=0.4)
+        w = complex_normal(uniform_stream(55), 18).reshape(1, 6, 3)
+        assert np.array_equal(generate_channel(6, 3, sc, [55]).H, correlate_channel(w, sc))
+        assert correlate_channel(w, ChannelScenario()) is w
 
     def test_invalid_dims(self):
         with pytest.raises(ValueError):

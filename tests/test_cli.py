@@ -148,12 +148,14 @@ class TestSelftest:
         assert any(line.startswith("FAIL minres residual monotonicity") for line in lines)
 
     def test_batch_order_fault_named(self, monkeypatch, capsys):
-        # channels drawn in reversed seed order within a chunk: each frame alone is
-        # unaffected, so only the chunk-against-run_trial comparison can catch it
-        import rbdmimo.channel as channel_mod
+        # a chunk's channels and noise drawn in reversed seed order: each frame alone
+        # is unaffected, so only the chunk-against-run_trial comparison can catch it
+        import rbdmimo.sim as sim_mod
 
-        draw = channel_mod.complex_normal_rows
-        monkeypatch.setattr(channel_mod, "complex_normal_rows", lambda seeds, n: draw(seeds[::-1], n))
+        draw = sim_mod.complex_normal_groups
+        monkeypatch.setattr(
+            sim_mod, "complex_normal_groups", lambda groups: draw([(s[::-1], n, v) for s, n, v in groups])
+        )
         failures = run_selftest(seed=7)
         lines = capsys.readouterr().out.splitlines()
         assert [f.split(":")[0] for f in failures] == ["trial determinism"]

@@ -141,6 +141,14 @@ class TestAwgn:
         with pytest.raises(ValueError, match="one seed per row"):
             awgn_add(x, 0.5, seeds[:2])
 
+    def test_uint64_seed_array_draws_as_int_list(self):
+        x = np.arange(12, dtype=complex).reshape(3, 4)
+        seeds = [5, 2**63, 2**64 - 1]
+        as_array = np.array(seeds, dtype=np.uint64)
+        assert np.array_equal(awgn_add(x, 0.5, as_array), awgn_add(x, 0.5, seeds))
+        with pytest.raises(ValueError, match="one seed per row"):
+            awgn_add(x, 0.5, as_array[:2])
+
     def test_deterministic(self):
         x = np.zeros(16, dtype=complex)
         assert np.array_equal(awgn_add(x, 1.0, 5), awgn_add(x, 1.0, 5))

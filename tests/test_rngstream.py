@@ -2,16 +2,19 @@
 the same seeds, and a row of a chunk is what a fresh stream gives alone."""
 
 import os
+import sys
 import threading
 
 import numpy as np
 import pytest
+from conftest import RecordingThread
 from hypothesis import given
 from hypothesis import strategies as st
 
 import rbdmimo.rngstream as rngstream
 from rbdmimo.rngstream import (
     complex_normal,
+    complex_normal_groups,
     complex_normal_rows,
     mix_seed,
     seed_array,
@@ -82,14 +85,6 @@ def test_empty_bit_rows():
     assert uniform_bits_rows(SEEDS, 0).shape == (len(SEEDS), 0)
 
 
-class RecordingThread(threading.Thread):
-    started = 0
-
-    def start(self):
-        RecordingThread.started += 1
-        super().start()
-
-
 @pytest.mark.parametrize("helper", [True, False])
 @pytest.mark.parametrize("n", [1, 5, 1024])
 def test_complex_normal_rows_match_single_streams(monkeypatch, helper, n):
@@ -115,3 +110,58 @@ def test_disabled_helper_never_runs(monkeypatch):
     monkeypatch.setattr(rngstream, "_helper_allowed", True)  # restored after the test
     rngstream._disable_helper()
     assert not rngstream._helper_runs(2**30)
+
+
+@pytest.mark.parametrize("helper", [True, False])
+def test_groups_share_one_session(monkeypatch, helper):
+    # each group of a session is its own complex_normal_rows draw, at its own variance
+    groups = [(SEEDS, 24, 1.0), (SEEDS[::-1], 3, 0.25), (SEEDS[:2], 0, 2.0)]
+    want = [complex_normal_rows(seeds, n, variance) for seeds, n, variance in groups]
+    monkeypatch.setattr(rngstream, "_helper_runs", lambda size: helper)
+    monkeypatch.setattr(rngstream.threading, "Thread", RecordingThread)
+    RecordingThread.started = 0
+    got = complex_normal_groups(groups)
+    assert RecordingThread.started == int(helper)
+    assert len(got) == len(want)
+    for rows, one in zip(got, want):
+        assert np.array_equal(rows, one)
+
+
+def test_helper_threshold_counts_the_whole_session(monkeypatch):
+    # two groups that each fall short of the threshold reach it together
+    monkeypatch.setattr(rngstream, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(rngstream, "_helper_allowed", True)
+    monkeypatch.setattr(rngstream.threading, "Thread", RecordingThread)
+    half = rngstream.TRIG_THREAD_ENTRIES // 2
+    for sizes, starts in (((half, half - 1), 0), ((half, half), 1)):
+        RecordingThread.started = 0
+        complex_normal_groups([([1], sizes[0], 1.0), ([2], sizes[1], 0.5)])
+        assert RecordingThread.started == starts
+
+
+def test_threads_draw_their_own_rows():
+    # two threads reset and read the per-thread generator row by row at the same
+    # time; a shared generator would hand one thread the other's stream
+    n, rounds = 64, 200
+    seeds = {0: [mix_seed(1, i) for i in range(3)], 1: [mix_seed(2, i) for i in range(3)]}
+    want = {t: [complex_normal(uniform_stream(seed), n) for seed in s] for t, s in seeds.items()}
+    bad, done = {0: 0, 1: 0}, {0: 0, 1: 0}
+
+    def draw(t):
+        for _ in range(rounds):
+            rows = complex_normal_rows(seeds[t], n)
+            bad[t] += sum(not np.array_equal(row, one) for row, one in zip(rows, want[t]))
+            done[t] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(t,)) for t in seeds]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert done == {0: rounds, 1: rounds} and bad == {0: 0, 1: 0}

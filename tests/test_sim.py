@@ -6,12 +6,13 @@ import re
 
 import numpy as np
 import pytest
+from conftest import RecordingThread
 
 from rbdmimo.channel import ChannelScenario, generate_channel
 from rbdmimo.detectors import exact_detect, preprocess
-from rbdmimo.modem import qam_demodulate_hard, qam_modulate, qam_spec
+from rbdmimo.modem import awgn_add, qam_demodulate_hard, qam_modulate, qam_spec
 import rbdmimo.rngstream as rngstream
-from rbdmimo.rngstream import mix_seed, uniform_stream
+from rbdmimo.rngstream import mix_seed, uniform_bits_rows, uniform_stream
 import rbdmimo.sim as sim
 from rbdmimo.sim import (
     FLAG_BELOW_RESOLUTION,
@@ -154,6 +155,32 @@ class TestConfigValidation:
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigError, match="unknown override"):
             apply_overrides(small_config(), {"qam": 64})
+
+
+class TestDrawFrames:
+    @pytest.mark.parametrize("scenario", [
+        ChannelScenario(), ChannelScenario("fully_correlated", zeta_t=0.2, zeta_r=0.3, theta=0.4),
+    ], ids=["uncorrelated", "fully_correlated"])
+    @pytest.mark.parametrize("frames", [1, 15, 16, 64])
+    def test_joint_draw_equals_separate_draws(self, monkeypatch, scenario, frames):
+        # a 128x8 chunk's channels and noise share one Box-Muller session, with the
+        # helper thread forced on (one start per chunk) or off; either way every
+        # frame is what generate_channel and awgn_add draw from its own seeds
+        cfg = small_config(n=128, m=8, qam_order=64, scenario=scenario)
+        seeds = mix_seed(5, 2, np.arange(frames))
+        sub = mix_seed(seeds[:, None], np.arange(3)).T
+        bits = uniform_bits_rows(sub[0], 48)
+        h = generate_channel(128, 8, scenario, sub[1]).H
+        sigma2 = snr_to_sigma2(6.0, 8)
+        want = preprocess(h, awgn_add(np.matvec(h, qam_modulate(bits, qam_spec(64))), sigma2, sub[2]), sigma2)
+        monkeypatch.setattr(rngstream.threading, "Thread", RecordingThread)
+        for helper in (True, False):
+            monkeypatch.setattr(rngstream, "_helper_runs", lambda size: helper)
+            RecordingThread.started = 0
+            got_bits, got = draw_frames(cfg, 6.0, seeds)
+            assert RecordingThread.started == int(helper)
+            assert np.array_equal(got_bits, bits)
+            assert np.array_equal(got.A, want.A) and np.array_equal(got.y_mf, want.y_mf)
 
 
 class TestRunTrial:
