@@ -50,7 +50,9 @@ term, against the kernels a k-step run executes and counts:
   (5j - 2)M^2 in it (plus M^2 once for the initial residual), which no
   mix of the executed kernels reproduces.  It is not a count of this
   code.  The normalizations, Givens rotations and the final triangular
-  solve and s = Q p are counted under their own KERNEL_OPS rules.
+  solve and s = Q p are counted under their own KERNEL_OPS rules.  Step j
+  is still charged the j + 2 rotations of an incremental QR, though it
+  runs one pivot inner product and R is formed once after the loop.
 * KERNEL_OPS["norm"], a basis vector's norm, charges M + 1 mults (M
   squared magnitudes and the square root) and no adds, while "inner"
   charges M - 1 adds for the same sum of products.  gmres's counted adds
@@ -148,6 +150,26 @@ def analytic_cost(algorithm: str, m: int, k: int) -> Cost:
         return Cost(complex_adds=adds, complex_mults=mults)
     if algorithm == "cr":
         return Cost(complex_adds=(4 * k + 1) * m, complex_mults=(k + 3) * m * m + 8 * k * m)
+    raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {COUNTED_ALGORITHMS}")
+
+
+def as_implemented_cost(algorithm: str, m: int, k: int) -> Cost:
+    """What the counter charges a k-step run that neither stops early nor breaks down.
+
+    The closed-form sum of each detector's KERNEL_OPS invocations; k < M
+    keeps gmres and cr clear of their exact finish.
+    """
+    if m < 1 or k < 1:
+        raise ValueError(f"require M >= 1 and k >= 1, got M={m}, k={k}")
+    if algorithm == "minres":
+        return Cost(complex_adds=k * (2 * m * m + 2 * m - 2), complex_mults=k * (2 * m * m + 3 * m + 1))
+    if algorithm == "gmres":
+        adds = (k + 1) * m * m + (k * k + k - 1) * m + k * k + 2 * k
+        mults = (k + 1) * m * m + (k * k + 4 * k + 2) * m + (5 * k * k + 25 * k) // 2 + 1
+        return Cost(complex_adds=adds, complex_mults=mults)
+    if algorithm == "cr":
+        adds = 3 * m * m - 2 * m + k * (m * m + 7 * m - 4)
+        return Cost(complex_adds=adds, complex_mults=(k + 3) * m * m + 8 * k * m + 2 * k)
     raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {COUNTED_ALGORITHMS}")
 
 

@@ -13,17 +13,14 @@ exact_detect is the Cholesky ground truth.  minres and cr are written
 with two shared kernels, a multiply-accumulate update (kernel_mac) and a
 ratio of Hermitian inner products (kernel_coeff).
 
-gmres, the bulk of the Krylov work, keeps its state in four arrays it
-allocates itself: the Arnoldi basis, the Hessenberg columns, the product
-of the Givens rotations and the triangle R.  Its two steps update them in
-place: arnoldi_step forms and orthogonalizes each basis vector in its slot
-of the basis (classical Gram-Schmidt: one vecdot writes every h_ij
-straight into the Hessenberg column, one multiply-sum removes them,
-whatever the step), and givens_lsq_update writes R and the rotated product
-rows where they lie.  An in-place step takes the operands of the plain
+gmres, the bulk of the Krylov work, keeps its state in three arrays it
+allocates itself: the Arnoldi basis, the Hessenberg columns and the real
+product of the Givens rotations.  One fused step per column (arnoldi_step)
+updates them in place, and R is formed once after the loop
+(givens_triangle).  An in-place step takes the operands of the plain
 expression in the same order, so it rounds exactly as the allocating form
-does.  cr and minres already make one numpy call per arithmetic step and
-keep the allocating form.
+does; cr and minres make one numpy call per arithmetic step and keep the
+allocating form.
 
 The three iterative detectors share one per-call scaffold, _Run: the
 argument checks, the batch view of the problem, the early-stop masks, the
@@ -31,8 +28,8 @@ trace columns and the result.  Each detector body keeps only its own
 recurrence.  Operations are counted in the detector bodies only, and only
 when a counter is passed: each step tallies the kernels it invoked by
 name (`run.count(matvec=1, coeff=1, mac=1)`), and the counter costs them
-from `rbdmimo.complexity.KERNEL_OPS`.  The kernels and the Arnoldi and
-Givens steps do not count.
+from `rbdmimo.complexity.KERNEL_OPS`.  The kernels and the fused
+Arnoldi-Givens step do not count.
 
 Detectors are pure functions of (problem, iteration count); starting
 iterates are always zero and every trace therefore begins at
@@ -188,12 +185,11 @@ class _Run:
         """
         res = np.array(self.residual_cols).T
         its = (norm2(np.array(self.iterates)) if iterate_cols is None else np.array(iterate_cols)).T
-        batch = DetectionResult(s_hat=s, iterations=self.iterations, trace=DetectionTrace(res, its))
         if self.single:
-            return batch.frame(0)
+            return DetectionResult(s[0], int(self.iterations[0]), DetectionTrace(res[0].tolist(), its[0].tolist()))
         past = np.arange(res.shape[-1]) > self.iterations[:, None]
         res[past] = its[past] = np.nan
-        return batch
+        return DetectionResult(s_hat=s, iterations=self.iterations, trace=DetectionTrace(res, its))
 
 
 def preprocess(h, y, sigma2: float) -> MmseProblem:
@@ -275,7 +271,10 @@ def cr_detect(prob: MmseProblem, k_iters: int, counter=None) -> DetectionResult:
 
     Initialization computes r0 = y_mf - A s0, e0 = A p0 and m0 = A r0 as
     written, then each iteration performs exactly one product m_k = A r_k
-    and updates e_k by the recurrence e_k = m_k + beta_k e_{k-1}.
+    and updates e_k by the recurrence e_k = m_k + beta_k e_{k-1}.  A run
+    that does not stop early also executes and counts the second half of
+    its last iteration (m, beta, p and e), which nothing reads; dropping it
+    changes the recorded operation counts.
     """
     run = _Run(prob, k_iters, counter)
     a, y = run.a, run.y
@@ -303,83 +302,66 @@ def cr_detect(prob: MmseProblem, k_iters: int, counter=None) -> DetectionResult:
     return run.result(s)
 
 
-def arnoldi_step(a, basis, h_col, j: int, tol) -> np.ndarray:
-    """Extend the (V+1, B, M) basis by vector j+1 using classical Gram-Schmidt.
+def arnoldi_step(a, basis, h_col, product, j: int, tol):
+    """Extend the (V+1, B, M) basis by vector j+1, then rotate the new column's pivot.
 
-    w = A q_j is formed in the slot of q_{j+1} and orthogonalized there in
-    place: one vecdot writes every h_ij = q_i^H w, i <= j, into h_col, the
-    (V+1, B) column j of the Hessenberg matrix, and w -= sum_i h_ij q_i
-    removes them.  The sum runs over the outer axis of the products, which
-    adds the terms in the order i = 0..j for every frame, so a frame of a
-    batch rounds exactly as it does alone (a BLAS matrix-vector product does
-    not: its order depends on the batch).  The step executes the same j+1
-    inner products and multiply-accumulates as modified Gram-Schmidt.
+    w = A q_j is formed in the slot of q_{j+1} and orthogonalized there by
+    classical Gram-Schmidt: one vecdot writes every h_ij = q_i^H w, i <= j,
+    into h_col, the (V+1, B) column j of the Hessenberg matrix, and
+    w -= sum_i h_ij q_i removes them.  The sum runs over the outer axis of
+    the products, which adds the terms in the order i = 0..j for every
+    frame, so a frame of a batch rounds exactly as it does alone (a BLAS
+    matrix-vector product does not).  The step executes the same j+1 inner
+    products and multiply-accumulates as modified Gram-Schmidt.
 
     Classical Gram-Schmidt loses orthogonality as O(eps cond(A)^2) where
     modified Gram-Schmidt loses O(eps cond(A)) (Giraud, Langou & Rozloznik,
-    Comput. Math. Appl. 50, 2005).  On square M x M channels (M = 8, 16,
-    32) at sigma2 = 1e-14, gmres_detect(prob, M) keeps its relative
-    residual below 6e-14 up to cond(A) = 1e8 and below 5e-11 at 1e10, with
-    a forward error below 8e-12 cond(A); modified Gram-Schmidt stays below
-    3e-15 and 1e-16 cond(A) there.  On MMSE frames both lose the same
-    orthogonality at full depth (max|Q^H Q - I| 1.7e-6 at 128x16 fully
-    correlated, 20 dB), which the residual's convergence sets
-    (tests/test_detectors.py).
+    Comput. Math. Appl. 50, 2005).  On square channels gmres(M) keeps its
+    relative residual below 6e-14 up to cond(A) = 1e8 (5e-11 at 1e10), and
+    on MMSE frames both lose the same orthogonality at full depth, which
+    the residual's convergence sets (tests/test_detectors.py measures both).
 
-    Returns the (B,) mask of happy breakdowns (||w|| <= tol after
-    orthogonalization).  Such a frame gets a zero basis vector: its Krylov
-    space is invariant and its least-squares iterate is exact.
+    Of the rotated column only the pivot rho = (row j of the real rotation
+    product, (B, V+1, V+1)) . Re h_col[:j+1] meets the new rotation, which
+    annihilates (rho, sigma = ||w||) with real c, b = (rho, sigma) /
+    hypot(rho, sigma) (Saad, Iterative Methods for Sparse Linear Systems,
+    2nd ed., 2003, 6.5.3), or is the identity for a zero pair; it changes
+    rows j and j+1 of the product, whose first column times beta is g.
+
+    Returns the (B,) mask of happy breakdowns (||w|| <= tol) and whether
+    any pair was zero.  A frame that breaks down gets a zero basis vector:
+    its Krylov space is invariant and its least-squares iterate is exact.
     """
     w = np.matvec(a, basis[j], basis[j + 1])
     q, h = basis[: j + 1], h_col[: j + 1]
     np.vecdot(q, w, out=h)
-    w -= (h[..., None] * q).sum(axis=0)
-    wn = norm2(w)
-    h_col[j + 1] = wn
-    happy = wn <= tol
-    if np.count_nonzero(happy):
-        np.divide(w, np.where(happy, 1.0, wn)[:, None], w)
-        w[happy] = 0.0
-    else:
-        np.divide(w, wn[:, None], w)
-    return happy
-
-
-def givens_lsq_update(product, r, col, j: int) -> np.ndarray:
-    """Fold Hessenberg column j, col of shape (B, V+1), into the QR factorization.
-
-    product (B, V+1, V+1) is the product of the j rotations so far, so one
-    matrix-vector product applies them all.  The new rotation (c, b)
-    annihilates the trailing (rho, sigma) pair with
-    c = rho / sqrt(rho^2 + sigma^2), b = sigma / sqrt(rho^2 + sigma^2);
-    its parameters are real, which triangularizes the numerically real
-    Hessenberg of Hermitian inputs.  The finished column of R (B, V, V) is
-    written in place and the rotation folded into the product, whose first
-    column times beta is the rotated right-hand side g.  Returns the R
-    column, a view into r.
-    """
-    # the previous rotations touch entries 0..j only
-    head = np.matvec(product[..., : j + 1, : j + 1], col[..., : j + 1])
-    diag, sub = head[..., j], col[..., j + 1]
-    rho, sigma = diag.real, sub.real
-    hyp = np.hypot(rho, sigma)
-    if np.count_nonzero(hyp) < hyp.size:
-        # a zero pair keeps the identity rotation
-        flat = hyp == 0.0
-        hyp = np.where(flat, 1.0, hyp)
-        c, b = np.where(flat, 1.0, rho / hyp), sigma / hyp
-    else:
-        c, b = rho / hyp, sigma / hyp
-    r_col = r[..., : j + 1, j]
-    r_col[...] = head
-    np.add(c * diag, b * sub, r_col[..., j])
+    w -= np.add.reduce(h[..., None] * q, 0)
+    sigma = norm2(w)
+    h_col[j + 1] = sigma
+    happy = sigma <= tol  # such a frame's w / inf is zero
+    np.divide(w, (np.where(happy, np.inf, sigma) if np.count_nonzero(happy) else sigma)[:, None], w)
     # row j+1 of the product is still e_{j+1}, so the rotation mixes two rows
-    row_j, row_next = product[..., j, : j + 2], product[..., j + 1, : j + 2]
-    np.multiply(-b[..., None], row_j[..., : j + 1], row_next[..., : j + 1])
-    row_next[..., j + 1] = c
-    row_j *= c[..., None]
-    row_j[..., j + 1] = b
-    return r_col
+    row_j, row_next = product[:, j, : j + 2], product[:, j + 1, : j + 2]
+    rho = np.vecdot(row_j[:, : j + 1], h.real.T)
+    hyp = np.hypot(rho, sigma)
+    flat = np.count_nonzero(hyp) < len(hyp)
+    if flat:
+        zero = hyp == 0.0
+        rho, hyp = np.where(zero, 1.0, rho), np.where(zero, 1.0, hyp)
+    c, b = rho / hyp, sigma / hyp
+    np.multiply(-b[:, None], row_j[:, : j + 1], row_next[:, : j + 1])
+    row_next[:, j + 1] = c
+    row_j *= c[:, None]
+    row_j[:, j + 1] = b
+    return happy, flat
+
+
+def givens_triangle(product, columns, v: int) -> np.ndarray:
+    """The (B, v, v) triangle R = P[:v, :v+1] Hbar of the first v (V, V+1, B) Hessenberg columns.
+
+    Row i of P is final after step i; a frame's zero columns past its stop add exact zeros.
+    """
+    return np.triu(product[:, :v, : v + 1] @ columns[:v, : v + 1].transpose(2, 1, 0))
 
 
 def _partial_solutions(r: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -398,13 +380,13 @@ def _partial_solutions(r: np.ndarray, g: np.ndarray) -> np.ndarray:
 def gmres_detect(prob: MmseProblem, v_iters: int, counter=None) -> DetectionResult:
     """GMRES detection with incremental Givens residual tracking.
 
-    Runs Arnoldi for at most min(v_iters, M) columns, folds each Hessenberg
-    column into the QR factorization as it appears, and performs the
-    triangular solve and solution update s = Q p once, after the loop.  The
-    trace holds the rotated-residual magnitudes |gamma_j|; the final one is
-    cross-checked against the explicitly formed residual, frame by frame.
-    The iterate norms ||s_j|| = ||p_j|| (by orthonormality) come from the
-    same triangular solve, since R[:j, :j] and g[:j] are final after step j.
+    Runs Arnoldi for at most min(v_iters, M) columns, each step rotating
+    only its new pivot, then forms R, solves the triangle and updates s = Q p
+    once.  The trace holds the rotated-residual magnitudes |gamma_j|; the
+    final one is cross-checked against the explicitly formed residual,
+    frame by frame.  The iterate norms ||s_j|| = ||p_j|| (by orthonormality)
+    come from the same triangular solve, since R[:j, :j] and g[:j] are final
+    after step j.
     """
     v_max = min(v_iters, prob.M)
     run = _Run(prob, v_max, counter)
@@ -416,33 +398,29 @@ def gmres_detect(prob: MmseProblem, v_iters: int, counter=None) -> DetectionResu
     beta = norm2(r0)
     if run.step(0, beta):
         return run.result(s, [np.zeros(frames)])
-    # the basis vectors, the Hessenberg columns (Hbar of frame b is
-    # columns[..., b].T), the rotation product (g is beta times its first
-    # column) and R; frames done at step 0 run on an all-zero basis, which
-    # breaks down at once
+    # the basis, the Hessenberg columns (Hbar of frame b is columns[..., b].T) and the
+    # real rotation product (g is beta times its first column); frames done at step 0
+    # run on an all-zero basis (r0 / inf = 0), which breaks down at once
     basis = np.zeros((v_max + 1, frames, size), dtype=np.complex128)
-    basis[0] = np.where(run.running[:, None], r0 / np.where(run.running, beta, 1.0)[:, None], 0.0)
+    np.divide(r0, (beta if run.live is None else np.where(run.live, beta, np.inf))[:, None], basis[0])
     run.count(norm=1, scale=1)
     columns = np.zeros((v_max, v_max + 1, frames), dtype=np.complex128)
-    product = np.tile(np.eye(v_max + 1, dtype=np.complex128), (frames, 1, 1))
-    r = np.zeros((frames, v_max, v_max), dtype=np.complex128)
+    product = np.tile(np.eye(v_max + 1), (frames, 1, 1))
     tol = ARNOLDI_BREAKDOWN_REL * beta
     for j in range(v_max):
-        happy = arnoldi_step(a, basis, columns[j], j, tol)
-        r_col = givens_lsq_update(product, r, columns[j].T, j)
+        happy, flat = arnoldi_step(a, basis, columns[j], product, j, tol)
         if counter is not None:
-            # j + 1 rotations of the column and one of g; a breakdown skips the divisions;
-            # Re R[j, j] is hypot(rho, sigma) > 0, or 0 for a zero pair (identity rotation)
-            flat = r_col[..., j].real == 0.0
+            # as charged: j + 1 rotations of the column and one of g; a breakdown
+            # skips the divisions, a zero pair the rotation parameters
             run.count(matvec=1, inner=j + 1, mac=j + 1, norm=1, scale=not happy.any(),
-                      rotation=j + 2, rotation_params=not flat.any())
+                      rotation=j + 2, rotation_params=not flat)
         live = run.live
         if run.step(j + 1, beta * np.abs(product[:, j + 1, 0]), happy=happy):
             break
         if run.live is not live:  # frames stopped here: zero their new basis vector
             basis[j + 1] *= run.live[:, None]
     v, iterations = j + 1, run.iterations
-    r, g = r[..., :v, :v], beta[:, None] * product[:, :v, 0]
+    r, g = givens_triangle(product, columns, v), beta[:, None] * product[:, :v, 0]
     if np.count_nonzero(iterations != v):
         # pad each frame's triangle with the identity past its last column
         short = np.arange(v) >= iterations[:, None]

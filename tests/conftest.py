@@ -45,10 +45,9 @@ def problem_batch(count, seed, m_range=(2, 16), n_factor_range=(2, 16), sigma2_r
 def gmres_buffers(r0, v_max):
     """gmres_detect's buffers for a (B, M) batch of nonzero starting residuals.
 
-    Returns (basis, columns, product, r, beta): the (V+1, B, M) basis
-    holding r0 / beta, the (V, V+1, B) Hessenberg columns, the identity
-    (B, V+1, V+1) rotation product, the (B, V, V) triangle R and the (B,)
-    residual norms beta.
+    Returns (basis, columns, product, beta): the (V+1, B, M) basis holding
+    r0 / beta, the (V, V+1, B) Hessenberg columns, the identity real
+    (B, V+1, V+1) rotation product and the (B,) residual norms beta.
     """
     r0 = np.asarray(r0, dtype=np.complex128)
     frames, size = r0.shape
@@ -56,10 +55,8 @@ def gmres_buffers(r0, v_max):
     basis = np.zeros((v_max + 1, frames, size), dtype=np.complex128)
     basis[0] = r0 / beta[:, None]
     columns = np.zeros((v_max, v_max + 1, frames), dtype=np.complex128)
-    product = np.zeros((frames, v_max + 1, v_max + 1), dtype=np.complex128)
-    product[:] = np.eye(v_max + 1)
-    r = np.zeros((frames, v_max, v_max), dtype=np.complex128)
-    return basis, columns, product, r, beta
+    product = np.tile(np.eye(v_max + 1), (frames, 1, 1))
+    return basis, columns, product, beta
 
 
 def sign_flipped_minres(prob, k, **kwargs):

@@ -6,6 +6,7 @@ import pytest
 from rbdmimo.complexity import (
     OpCounter,
     analytic_cost,
+    as_implemented_cost,
     cholesky_cost,
     cholesky_solve_cost,
     cost_report,
@@ -135,6 +136,21 @@ class TestMeasured:
         for (algorithm, prob, k), counts in degenerate.items():
             counter = measured_counter(algorithm, prob, k)
             assert (counter.mults, counter.adds, counter.matvecs) == counts, (algorithm, prob.y_mf, k)
+
+    @pytest.mark.parametrize("algorithm", list(ITERATIVE_DETECTORS))
+    def test_as_implemented_cost_is_the_counter(self, algorithm):
+        # k < M steps on these problems neither stop early nor break down
+        for m in range(1, 33):
+            prob = random_problem(m, 7)
+            for k in range(1, m):
+                counter = measured_counter(algorithm, prob, k)
+                assert counter.cost() == as_implemented_cost(algorithm, m, k), (m, k)
+
+    def test_as_implemented_cost_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            as_implemented_cost("gmres", 0, 1)
+        with pytest.raises(ValueError):
+            as_implemented_cost("lsqr", 4, 2)
 
     def test_zero_rotation_pair_counted_without_its_square_root(self):
         # A = 0 gives a zero (rho, sigma) pair at step 0: the identity rotation

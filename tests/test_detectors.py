@@ -14,7 +14,7 @@ from rbdmimo.detectors import (
     arnoldi_step,
     cr_detect,
     exact_detect,
-    givens_lsq_update,
+    givens_triangle,
     gmres_detect,
     kernel_coeff,
     kernel_mac,
@@ -53,9 +53,9 @@ def traffic_arnoldi_basis(n, m, scenario, snr_db, frames=64):
     config = SimConfig(n=n, m=m, qam_order=64, detector="gmres", k_iterations=m,
                        snr_db_list=(snr_db,), scenario=scenario)
     _, prob = draw_frames(config, snr_db, np.arange(frames))
-    basis, columns, _, _, beta = gmres_buffers(prob.y_mf, m)
+    basis, columns, product, beta = gmres_buffers(prob.y_mf, m)
     for j in range(m):
-        arnoldi_step(prob.A, basis, columns[j], j, ARNOLDI_BREAKDOWN_REL * beta)
+        arnoldi_step(prob.A, basis, columns[j], product, j, ARNOLDI_BREAKDOWN_REL * beta)
     return basis[:m].transpose(1, 2, 0), norm2(basis[:m]).T > 0
 
 
@@ -237,14 +237,29 @@ class TestCr:
             assert counter.matvecs == k + 3
 
 
+def steps_until_breakdown(prob, v):
+    """gmres_detect's fused steps on one problem, at most v of them, up to its first breakdown.
+
+    Returns the buffers of gmres_buffers and the number of steps taken.
+    """
+    basis, columns, product, beta = gmres_buffers(prob.y_mf[None], v)
+    for j in range(v):
+        happy, _ = arnoldi_step(prob.A, basis, columns[j], product, j, ARNOLDI_BREAKDOWN_REL * beta)
+        if happy[0]:
+            break
+    return basis, columns, product, beta, j + 1
+
+
 class TestArnoldiGivens:
-    # the steps run on gmres_detect's buffers for a batch of one: Q is
-    # basis[:, 0].T, Hbar is columns[..., 0].T, g is beta * product[..., 0]
-    # and the residual estimate after column j is beta * |product[:, j+1, 0]|
+    # the fused steps run on gmres_detect's buffers for a batch of one: Q is
+    # basis[:, 0].T, Hbar is columns[..., 0].T, g is beta * product[..., 0],
+    # the residual estimate after column j is beta * |product[:, j+1, 0]| and
+    # R after v columns is givens_triangle(product, columns, v)
     def test_identity_breaks_down_immediately(self):
-        basis, columns, _, _, beta = gmres_buffers([[3.0, 4.0j]], 2)
-        happy = arnoldi_step(np.eye(2, dtype=complex), basis, columns[0], 0, ARNOLDI_BREAKDOWN_REL * beta)
-        assert happy[0] and not basis[1:].any()
+        basis, columns, product, beta = gmres_buffers([[3.0, 4.0j]], 2)
+        happy, flat = arnoldi_step(np.eye(2, dtype=complex), basis, columns[0], product, 0,
+                                   ARNOLDI_BREAKDOWN_REL * beta)
+        assert happy[0] and not flat and not basis[1:].any()
         assert columns[0, 0, 0] == pytest.approx(1.0)
 
     def test_orthonormal_basis_and_factorization(self):
@@ -254,11 +269,10 @@ class TestArnoldiGivens:
         # (the final iterate stays accurate regardless, see TestGmres)
         for prob in problem_batch(20, 514, m_range=(3, 10)):
             m = prob.M
-            basis, columns, product, r, beta = gmres_buffers(prob.y_mf[None], m)
+            basis, columns, product, beta = gmres_buffers(prob.y_mf[None], m)
             cols_while_unconverged = 1
             for j in range(m):
-                happy = arnoldi_step(prob.A, basis, columns[j], j, ARNOLDI_BREAKDOWN_REL * beta)
-                givens_lsq_update(product, r, columns[j].T, j)
+                happy, _ = arnoldi_step(prob.A, basis, columns[j], product, j, ARNOLDI_BREAKDOWN_REL * beta)
                 estimate = beta[0] * np.abs(product[0, j + 1, 0])
                 if happy[0] or estimate <= 1e-13 * beta[0]:
                     break
@@ -289,25 +303,31 @@ class TestArnoldiGivens:
         assert np.abs(gram - np.eye(m) * nonzero[:, None, :]).max() <= bound
 
     def test_three_four_five_rotation(self):
-        _, _, product, r, _ = gmres_buffers([[1.0]], 1)
-        col = givens_lsq_update(product, r, np.array([[3.0, 4.0]], dtype=complex), 0)
+        # q0 = e0 and A e0 = 3 e0 + 4 e1: the pivot is 3 and sigma is 4
+        prob = MmseProblem(A=np.array([[3.0, 4.0], [4.0, 0.0]]), y_mf=np.array([1.0, 0.0]))
+        _, columns, product, _, v = steps_until_breakdown(prob, 1)
         assert product[0, 0, :2] == pytest.approx([0.6, 0.8])  # (c, b)
-        assert col[0, 0] == pytest.approx(5.0)
+        assert product[0, 1, :2] == pytest.approx([-0.8, 0.6])
+        assert givens_triangle(product, columns, v)[0, 0, 0] == pytest.approx(5.0)
 
     def test_zero_subdiagonal_identity_rotation(self):
-        _, _, product, r, beta = gmres_buffers([[2.0]], 1)
-        givens_lsq_update(product, r, np.array([[7.0, 0.0]], dtype=complex), 0)
+        _, columns, product, beta, v = steps_until_breakdown(toy_problem([7.0, 1.0], [2.0, 0.0]), 1)
         assert product[0, 0, :2] == pytest.approx([1.0, 0.0])  # (c, b)
         assert beta[0] * product[0, 0, 0] == pytest.approx(2.0)  # g[0]
+        assert givens_triangle(product, columns, v)[0, 0, 0] == pytest.approx(7.0)
+
+    def test_zero_pair_keeps_the_identity(self):
+        # A = 0 gives rho = sigma = 0: no rotation parameters, the identity rotation
+        basis, columns, product, beta = gmres_buffers([[1.0, 0.0]], 2)
+        happy, flat = arnoldi_step(np.zeros((1, 2, 2), dtype=complex), basis, columns[0], product, 0,
+                                   ARNOLDI_BREAKDOWN_REL * beta)
+        assert happy[0] and flat
+        assert np.array_equal(product[0], np.eye(3))
 
     def test_rotation_blocks_orthogonal(self):
-        gen = uniform_stream(515)
-        _, _, product, r, _ = gmres_buffers([[1.0]], 4)
-        col = np.zeros((1, 5))
-        for j in range(4):
-            col[0, : j + 2] = gen.standard_normal(j + 2)
-            givens_lsq_update(product, r, col.astype(complex), j)
-        assert np.abs(product[0] @ product[0].conj().T - np.eye(5)).max() < 1e-14
+        for prob in problem_batch(10, 515, m_range=(5, 12)):
+            _, _, product, _, _ = steps_until_breakdown(prob, 4)
+            assert np.abs(product[0] @ product[0].T - np.eye(5)).max() < 1e-14
 
     # gmres's triangular solve: the last column of _partial_solutions solves R p = g
     def test_back_substitute_identity(self):
@@ -327,16 +347,9 @@ class TestArnoldiGivens:
     def test_least_squares_vs_normal_equations(self):
         # the QR path must minimize ||beta e1 - Hbar p|| like the normal equations do
         for prob in problem_batch(20, 516, m_range=(4, 10)):
-            v = min(prob.M, 4)
-            basis, columns, product, r, beta = gmres_buffers(prob.y_mf[None], v)
-            done = 0
-            for j in range(v):
-                if arnoldi_step(prob.A, basis, columns[j], j, ARNOLDI_BREAKDOWN_REL * beta)[0]:
-                    break
-                givens_lsq_update(product, r, columns[j].T, j)
-                done = j + 1
-            v = done
-            p = _partial_solutions(r[0, :v, :v], beta[0] * product[0, :v, 0])[..., -1]
+            _, columns, product, beta, v = steps_until_breakdown(prob, min(prob.M, 4))
+            r = givens_triangle(product, columns, v)[0]
+            p = _partial_solutions(r, beta[0] * product[0, :v, 0])[..., -1]
             hbar = columns[..., 0].T[: v + 1, :v]
             rhs = np.zeros(v + 1, dtype=complex)
             rhs[0] = np.linalg.norm(prob.y_mf)
@@ -524,20 +537,57 @@ class TestBatch:
         lopsided = toy_problem([1000.0, 1.0, 2.0], [1.0, 1e-14, 1e-14])
         ordinary = [make_problem(3, 560 + i, sigma2=0.2) for i in range(2)]
         frames = [ordinary[0], lopsided, ordinary[1]]
-        columns = []
+        steps = []
 
-        def recording(product, r, col, j):
-            columns.append(col.copy())
-            return givens(product, r, col, j)
+        def recording(a, basis, h_col, product, j, tol):
+            masks = step(a, basis, h_col, product, j, tol)
+            steps.append((h_col.copy(), product))
+            return masks
 
-        givens = detectors.givens_lsq_update
-        monkeypatch.setattr(detectors, "givens_lsq_update", recording)
+        step = detectors.arnoldi_step
+        monkeypatch.setattr(detectors, "arnoldi_step", recording)
         batch = gmres_detect(stack_problems(frames), 3)
         assert batch.iterations.tolist() == [3, 1, 3]
-        assert len(columns) == 3 and abs(columns[0][1, 1]) > 1e-13
-        assert all(not col[1].any() for col in columns[1:])
+        assert len(steps) == 3 and abs(steps[0][0][1, 1]) > 1e-13
+        assert all(not h_col[:, 1].any() for h_col, _ in steps[1:])
+        beta, residual = batch.trace.residual_norms[1, :2]
+        assert beta * abs(steps[-1][1][1, 1, 0]) == residual
         for i, prob in enumerate(frames):
             assert_same_result(batch.frame(i), gmres_detect(prob, 3))
+
+    @pytest.mark.parametrize("m", [2, 8, 17, 32])
+    def test_gmres_triangle_formed_once(self, m, monkeypatch):
+        # frames that run every step, stop on their residual, or break down
+        # after d steps (d distinct eigenvalues); R is exactly upper
+        # triangular with Hbar = P^T R, and a frame's triangle in the batch is
+        # the one it gets alone, bit for bit, with zero columns past its stop
+        gen = uniform_stream(570 + m)
+        distinct = sorted({1, 2, max(m // 3, 1), m - 1})
+        frames = [make_problem(m, 571 + m, sigma2=0.01), make_problem(m, 572 + m)] + [
+            toy_problem([1.0 + i % d for i in range(m)], random_complex(gen, m)) for d in distinct
+        ]
+        triangles = []
+
+        def recording(product, columns, v):
+            r = form(product, columns, v)
+            triangles.append((product[:, :v, : v + 1].copy(), columns[:v, : v + 1].transpose(2, 1, 0).copy(), r))
+            return r
+
+        form = detectors.givens_triangle
+        monkeypatch.setattr(detectors, "givens_triangle", recording)
+        batch = gmres_detect(stack_problems(frames), m)
+        alone = [gmres_detect(prob, m) for prob in frames]
+        assert len(triangles) == len(frames) + 1 and len(set(batch.iterations.tolist())) >= min(m, 4)
+        for product, hbar, r in triangles:
+            assert np.array_equal(r, np.triu(r))
+            for b in range(len(r)):
+                err = np.abs(hbar[b] - product[b].T @ r[b]).max()
+                assert err <= 1e-13 * np.linalg.norm(hbar[b]), (m, b, err)
+        r_batch = triangles[0][2]
+        for b, (res, (_, _, r)) in enumerate(zip(alone, triangles[1:])):
+            t = res.iterations
+            assert np.array_equal(r_batch[b, :t, :t], r[0]) and not r_batch[b, :, t:].any()
+            assert_same_result(batch.frame(b), res)
 
     def test_exact_stack_matches_single_frames(self):
         frames = [make_problem(5, 540 + i) for i in range(4)]
