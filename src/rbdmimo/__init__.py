@@ -8,6 +8,7 @@ Library layout:
 * `detectors`   MMSE preprocessing and the residual-based detectors
 * `complexity`  closed-form and counted operation totals
 * `sim`         seeded Monte-Carlo BER sweeps and persistence
+* `blas`        OpenBLAS on one thread in a sweep's pool workers
 * `selftest`    fast named invariant checks
 * `cli`         simulate / complexity / selftest commands
 """

@@ -59,6 +59,7 @@ from .linalg import (
     norm2,
     require_hermitian,
 )
+from .rngstream import _workspace
 
 EARLY_STOP_REL = 1e-13
 ARNOLDI_BREAKDOWN_REL = 1e-13
@@ -197,7 +198,8 @@ def preprocess(h, y, sigma2: float) -> MmseProblem:
 
     h may be a (B, N, M) stack with y of shape (B, N).  The Gram matrix is
     mirrored from its lower triangle so A is exactly Hermitian with a real
-    diagonal.
+    diagonal.  H^H is formed in this thread's "trig" buffer (see
+    rngstream) instead of a fresh copy of H.
     """
     h = np.asarray(h, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
@@ -213,7 +215,7 @@ def preprocess(h, y, sigma2: float) -> MmseProblem:
             raise ValueError(f"{name} contains non-finite values")
     if sigma2 < 0:
         raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
-    h_herm = h.conj().swapaxes(-1, -2)
+    h_herm = np.conjugate(h, out=_workspace("trig", 2 * h.size).view(np.complex128).reshape(h.shape)).swapaxes(-1, -2)
     gram = h_herm @ h
     lower = np.tril(gram, -1)
     a = lower + lower.conj().swapaxes(-1, -2)

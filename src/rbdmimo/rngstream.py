@@ -44,16 +44,38 @@ entries the split does not pay (1.03 of the serial time); at 2**14
 entries Box-Muller takes 0.79 of its serial time and at 2**15-2**16
 entries 0.66-0.67 (medians of interleaved in-process pairs).
 
-Threads and fork: the generator is `threading.local`, so user threads and
-the helper (which draws nothing) never share one; concurrent callers each
-reset their own.  The helper is started and joined inside the call: no
-thread outlives it, so forking a worker process stays safe, and a forked
-worker inherits a copy of its parent's generator, which every row resets
+Memory: each drawing thread has one workspace of two float64 buffers,
+"trig" and "uniforms" (`_workspace`), which grow to the largest request and
+are then reused, so a steady run of chunks allocates nothing of a chunk's
+size (glibc hands such an array back to the kernel when it is freed, and
+the next chunk page-faults it in again).  Box-Muller works in place: the
+radii overwrite their uniforms, cos and sin go to two contiguous arrays
+of "trig", and the complex result is written over the dead uniforms.
+`sim.draw_frames` draws its chunk into "uniforms"
+(`_workspace_normal_groups`), and `detectors.preprocess` then forms H^H
+in the dead "trig"; the bits and the problem it returns are fresh.  The
+public draws (`complex_normal`, `complex_normal_groups`/`_rows`, hence
+`generate_channel` and `awgn_add`) and `preprocess` use only "trig", for
+intermediates, and return fresh arrays.  A chunk of B frames of N x M holds
+B N (M + 1) normals, 16 bytes each in either buffer, and
+`sim.CHUNK_ENTRIES` caps B N M, so a simulating thread's workspace stays
+within 32 (1 + 1/M) CHUNK_ENTRIES bytes: 2.25 MiB at 128x8 and 4 MiB at
+most, unless a single frame exceeds the cap and runs alone.  A larger
+direct draw or preprocess grows "trig" to 16 bytes per complex entry.
+
+Threads and fork: the generator and the workspace are `threading.local`,
+so concurrent callers reset their own generator and draw into their own
+buffers.  The helper draws nothing and owns no workspace: it writes only
+the calling thread's cos arrays, which that thread does not touch before
+the join, and no thread outlives the call.  A forked worker therefore
+inherits a consistent copy of its parent's generator, which every row
+resets before it reads, and of its workspace, which every draw writes
 before it reads.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 
@@ -149,6 +171,32 @@ def _thread_philox():
         return _thread.philox
 
 
+def _workspace(name: str, floats: int) -> np.ndarray:
+    """The first `floats` float64 of this thread's workspace buffer `name`, grown to fit.
+
+    The buffer is replaced by a larger one only when a request exceeds it,
+    so it grows to the largest request and then stays (see the module
+    docstring).  "uniforms" holds a chunk's channel and noise uniforms and
+    then their normals (_workspace_normal_groups); "trig" holds Box-Muller's
+    cos and sin, and then preprocess's H^H.
+    """
+    buffers = _thread.__dict__.setdefault("workspace", {})
+    buf = buffers.get(name)
+    if buf is None or buf.size < floats:
+        buf = buffers[name] = np.empty(floats)
+    return buf[:floats]
+
+
+def _carve(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive C-contiguous views of `flat`, one of each shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
 def _fill_rows(seeds, out: np.ndarray, raw: bool = False) -> None:
     """Write row b of out from a fresh uniform_stream(seeds[b]).
 
@@ -205,21 +253,31 @@ def _cos_all(angles, outs) -> None:
         np.cos(angle, out=out)
 
 
+def _check_variance(variance) -> None:
+    if not (np.isfinite(variance) and variance >= 0):
+        raise ValueError(f"variance must be finite and >= 0, got {variance!r}")
+
+
 def _box_muller(uniforms, variances) -> list[np.ndarray]:
     """sqrt(variance / 2) * (z0 + 1j z1) for the Box-Muller pairs (z0, z1) of each group.
 
-    Group g is a (B, 2, n) array of uniforms in [0, 1): u[:, 0] feeds the
-    radii, u[:, 1] the angles; the result is (B, n), scaled by
-    variances[g].  Computed in place over the uniforms; u[:, 0] is mapped
-    into (0, 1] so the logarithm stays finite.  From TRIG_THREAD_ENTRIES
-    entries of the whole session up, every group's cos runs on a helper
-    thread, started and joined here, while this thread forms every group's
-    radii and sines.
+    Group g is a C-contiguous (B, 2, n) array of uniforms in [0, 1): u[:, 0]
+    feeds the radii, u[:, 1] the angles; its result is the same memory read
+    as (B, n) complex, scaled by variances[g].  The radii are formed in
+    place in u[:, 0] (mapped into (0, 1] so the logarithm stays finite),
+    cos and sin go into two contiguous arrays of this thread's "trig"
+    buffer, and the output is written over the uniforms once the radii and
+    angles are dead.  From TRIG_THREAD_ENTRIES entries of the whole session
+    up, every group's cos runs on a helper thread, started and joined here,
+    while this thread forms every group's radii and sines.
     """
+    shapes = [(u.shape[0], u.shape[2]) for u in uniforms]
+    size = sum(map(math.prod, shapes))
+    trig = _workspace("trig", 2 * size)
+    z0s, z1s = _carve(trig[:size], shapes), _carve(trig[size:], shapes)
     angles = [np.multiply(u[:, 1], 2.0 * np.pi, out=u[:, 1]) for u in uniforms]
-    z0s = [np.empty_like(angle) for angle in angles]
     helper = None
-    if _helper_runs(sum(angle.size for angle in angles)):
+    if _helper_runs(size):
         helper = threading.Thread(target=_cos_all, args=(angles, z0s))
         helper.start()
     try:
@@ -231,17 +289,16 @@ def _box_muller(uniforms, variances) -> list[np.ndarray]:
             radii.append(np.sqrt(radius, out=radius))
         if helper is None:
             _cos_all(angles, z0s)
-            z1s = [np.sin(angle, out=angle) for angle in angles]
-        else:
-            z1s = [np.sin(angle) for angle in angles]  # the helper still reads the angles
+        for angle, z1 in zip(angles, z1s):
+            np.sin(angle, out=z1)
     finally:
         if helper is not None:
             helper.join()
     outs = []
-    for z0, z1, radius, variance in zip(z0s, z1s, radii, variances):
+    for u, z0, z1, radius, variance in zip(uniforms, z0s, z1s, radii, variances):
         z0 *= radius
         z1 *= radius
-        out = np.empty(z0.shape, dtype=np.complex128)
+        out = u.reshape(u.shape[0], 2 * u.shape[2]).view(np.complex128)  # the uniforms are dead from here
         scale = np.sqrt(variance / 2.0)
         np.multiply(z0, scale, out=out.real)
         np.multiply(z1, scale, out=out.imag)
@@ -249,12 +306,22 @@ def _box_muller(uniforms, variances) -> list[np.ndarray]:
     return outs
 
 
+def _normal_session(groups, uniforms) -> list[np.ndarray]:
+    """Fill each group's (B, 2, n) uniforms from its seeds, then one Box-Muller session over them all."""
+    for (seeds, _, variance), u in zip(groups, uniforms):
+        _check_variance(variance)
+        _fill_rows(seeds, u)
+    return _box_muller(uniforms, [variance for _, _, variance in groups])
+
+
 def complex_normal(gen: np.random.Generator, n: int, variance: float = 1.0) -> np.ndarray:
     """n circularly-symmetric complex Gaussians with per-entry variance `variance`.
 
     Each entry uses one Box-Muller pair, variance/2 per real dimension; the
     first n uniforms of the stream feed the radii, the next n the angles.
+    A negative or non-finite variance raises ValueError before any draw.
     """
+    _check_variance(variance)
     return _box_muller([gen.random(2 * n).reshape(1, 2, n)], [variance])[0][0]
 
 
@@ -262,13 +329,19 @@ def complex_normal_groups(groups) -> list[np.ndarray]:
     """One (len(seeds), n) array per (seeds, n, variance) group, all in one Box-Muller session.
 
     Row b of a group is complex_normal(uniform_stream(seeds[b]), n, variance).
+    Each array is fresh: it is the memory its uniforms were drawn into.
     """
-    uniforms = []
-    for seeds, n, _ in groups:
-        u = np.empty((len(seeds), 2, n))
-        _fill_rows(seeds, u)
-        uniforms.append(u)
-    return _box_muller(uniforms, [variance for _, _, variance in groups])
+    return _normal_session(groups, [np.empty((len(seeds), 2, n)) for seeds, n, _ in groups])
+
+
+def _workspace_normal_groups(groups) -> list[np.ndarray]:
+    """complex_normal_groups drawn into this thread's "uniforms" workspace buffer.
+
+    The arrays are views of the workspace, so they hold their values only
+    until this thread's next workspace draw; a caller must not return them.
+    """
+    shapes = [(len(seeds), 2, n) for seeds, n, _ in groups]
+    return _normal_session(groups, _carve(_workspace("uniforms", sum(map(math.prod, shapes))), shapes))
 
 
 def complex_normal_rows(seeds, n: int, variance: float = 1.0) -> np.ndarray:

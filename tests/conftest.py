@@ -1,12 +1,15 @@
 """Shared fixtures: deterministic random MMSE problem instances, fault injection,
-a thread-start recorder, and the hypothesis profile every property test runs under."""
+a thread-start recorder, the BLAS thread count, and the hypothesis profile every
+property test runs under."""
 
+import ctypes
 import threading
 
 import numpy as np
 import pytest
 
 import rbdmimo.detectors as detectors
+import rbdmimo.blas as blas
 from rbdmimo.channel import ChannelScenario, generate_channel
 from rbdmimo.detectors import MmseProblem, preprocess
 from rbdmimo.linalg import norm2
@@ -79,3 +82,12 @@ class RecordingThread(threading.Thread):
     def start(self):
         RecordingThread.started += 1
         super().start()
+
+
+def blas_threads():
+    """The threads the loaded OpenBLAS runs on, or None where it reports none."""
+    get = blas.openblas_function("get")
+    if get is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()

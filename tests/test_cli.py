@@ -152,9 +152,9 @@ class TestSelftest:
         # is unaffected, so only the chunk-against-run_trial comparison can catch it
         import rbdmimo.sim as sim_mod
 
-        draw = sim_mod.complex_normal_groups
+        draw = sim_mod._workspace_normal_groups
         monkeypatch.setattr(
-            sim_mod, "complex_normal_groups", lambda groups: draw([(s[::-1], n, v) for s, n, v in groups])
+            sim_mod, "_workspace_normal_groups", lambda groups: draw([(s[::-1], n, v) for s, n, v in groups])
         )
         failures = run_selftest(seed=7)
         lines = capsys.readouterr().out.splitlines()

@@ -12,6 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rbdmimo.rngstream as rngstream
+from rbdmimo.channel import ChannelScenario, generate_channel
+from rbdmimo.detectors import preprocess
+from rbdmimo.modem import awgn_add
 from rbdmimo.rngstream import (
     complex_normal,
     complex_normal_groups,
@@ -165,3 +168,53 @@ def test_threads_draw_their_own_rows():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert done == {0: rounds, 1: rounds} and bad == {0: 0, 1: 0}
+
+
+@pytest.mark.parametrize("variance", [-1.0, float("nan"), float("inf"), -float("inf")])
+def test_bad_variance_rejected_before_any_draw(variance):
+    gen = uniform_stream(3)
+    with pytest.raises(ValueError, match="variance must be finite and >= 0"):
+        complex_normal(gen, 3, variance)
+    assert gen.random() == uniform_stream(3).random()  # nothing was drawn
+    with pytest.raises(ValueError, match="variance must be finite and >= 0"):
+        complex_normal_groups([(SEEDS, 4, 1.0), (SEEDS, 2, variance)])
+    with pytest.raises(ValueError, match="variance must be finite and >= 0"):
+        complex_normal_rows(SEEDS, 4, variance)
+
+
+def workspace_buffers():
+    """This thread's workspace buffers by name (empty before its first draw)."""
+    return dict(getattr(rngstream._thread, "workspace", {}))
+
+
+def test_public_draws_are_fresh_arrays():
+    # each public draw, and preprocess, returns its own memory: later draws and
+    # preprocessing of any size, in or out of the workspace, leave it as it was
+    h = generate_channel(32, 4, ChannelScenario(), SEEDS).H
+    y = awgn_add(np.matvec(h, np.ones(4)), 0.5, SEEDS)
+    prob = preprocess(h, y, 0.5)
+    draws = [
+        complex_normal_rows(SEEDS, 1024, 0.5),
+        *complex_normal_groups([(SEEDS, 24, 1.0), (SEEDS[:2], 3, 0.25)]),
+        complex_normal(uniform_stream(4), 100),
+        h, y, prob.A, prob.y_mf,
+    ]
+    kept = [d.copy() for d in draws]
+    for n in (4, 2048, 5):
+        complex_normal_rows(SEEDS, n)
+        w, noise = rngstream._workspace_normal_groups([(SEEDS, n * 4, 1.0), (SEEDS, n, 2.0)])
+        preprocess(w.reshape(len(SEEDS), n, 4), noise, 0.5)
+    buffers = workspace_buffers()
+    assert set(buffers) == {"trig", "uniforms"}
+    for draw, copy in zip(draws, kept):
+        assert np.array_equal(draw, copy)
+        assert not any(np.shares_memory(draw, buf) for buf in buffers.values())
+
+
+def test_workspace_draws_equal_public_draws():
+    groups = [(SEEDS, 24, 1.0), (SEEDS[::-1], 3, 0.25), (SEEDS[:2], 0, 2.0)]
+    want = complex_normal_groups(groups)
+    got = rngstream._workspace_normal_groups(groups)
+    assert all(np.shares_memory(rows, workspace_buffers()["uniforms"]) for rows in got if rows.size)
+    for rows, one in zip(got, want):
+        assert np.array_equal(rows, one)

@@ -3,10 +3,12 @@
 import math
 import multiprocessing
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
-from conftest import RecordingThread
+from conftest import RecordingThread, blas_threads
 
 from rbdmimo.channel import ChannelScenario, generate_channel
 from rbdmimo.detectors import exact_detect, preprocess
@@ -161,11 +163,13 @@ class TestDrawFrames:
     @pytest.mark.parametrize("scenario", [
         ChannelScenario(), ChannelScenario("fully_correlated", zeta_t=0.2, zeta_r=0.3, theta=0.4),
     ], ids=["uncorrelated", "fully_correlated"])
-    @pytest.mark.parametrize("frames", [1, 15, 16, 64])
+    @pytest.mark.parametrize("frames", [1, 14, 15, 16, 64])
     def test_joint_draw_equals_separate_draws(self, monkeypatch, scenario, frames):
         # a 128x8 chunk's channels and noise share one Box-Muller session, with the
-        # helper thread forced on (one start per chunk) or off; either way every
-        # frame is what generate_channel and awgn_add draw from its own seeds
+        # helper thread forced on (one start per chunk), forced off, or by its own
+        # rule (a frame is 1,152 entries, so 14 frames fall below TRIG_THREAD_ENTRIES
+        # and 15 reach it); every frame is what generate_channel and awgn_add draw
+        # from its own seeds
         cfg = small_config(n=128, m=8, qam_order=64, scenario=scenario)
         seeds = mix_seed(5, 2, np.arange(frames))
         sub = mix_seed(seeds[:, None], np.arange(3)).T
@@ -174,13 +178,77 @@ class TestDrawFrames:
         sigma2 = snr_to_sigma2(6.0, 8)
         want = preprocess(h, awgn_add(np.matvec(h, qam_modulate(bits, qam_spec(64))), sigma2, sub[2]), sigma2)
         monkeypatch.setattr(rngstream.threading, "Thread", RecordingThread)
-        for helper in (True, False):
+        by_rule = rngstream._helper_runs(frames * 1152)
+        assert by_rule == (frames >= 15 and rngstream._usable_cpus() > 1 and rngstream._helper_allowed)
+        for helper in (True, False, by_rule):
             monkeypatch.setattr(rngstream, "_helper_runs", lambda size: helper)
             RecordingThread.started = 0
             got_bits, got = draw_frames(cfg, 6.0, seeds)
             assert RecordingThread.started == int(helper)
             assert np.array_equal(got_bits, bits)
             assert np.array_equal(got.A, want.A) and np.array_equal(got.y_mf, want.y_mf)
+
+    def test_chunk_outlives_later_draws(self):
+        # a chunk's bits and problem are fresh arrays: no later draw in the
+        # thread's workspace, of any shape or size, changes them
+        cfg = small_config(n=128, m=8, qam_order=64)
+        bits, prob = draw_frames(cfg, 6.0, mix_seed(5, 2, np.arange(64)))
+        kept = [bits.copy(), prob.A.copy(), prob.y_mf.copy()]
+        for n, m, frames in ((128, 8, 64), (128, 16, 32), (16, 4, 1), (128, 8, 7)):
+            draw_frames(small_config(n=n, m=m, qam_order=64), 3.0, mix_seed(6, 0, np.arange(frames)))
+        buffers = rngstream._thread.workspace.values()
+        for array, copy in zip((bits, prob.A, prob.y_mf), kept):
+            assert np.array_equal(array, copy)
+            assert not any(np.shares_memory(array, buf) for buf in buffers)
+
+    def test_workspace_stops_growing_after_warm_up(self):
+        # in a thread of its own, so its workspace starts empty: the warm-up chunk
+        # sizes the workspace, and chunks no larger reuse its buffers
+        seen = []
+
+        def draw():
+            draw_frames(small_config(n=128, m=8, qam_order=64), 3.0, mix_seed(7, 0, np.arange(64)))
+            warm = dict(rngstream._thread.workspace)
+            for n, m, frames in ((128, 8, 64), (128, 8, 33), (128, 16, 32), (16, 4, 1)):
+                draw_frames(small_config(n=n, m=m, qam_order=64), 3.0, mix_seed(8, 0, np.arange(frames)))
+                now = rngstream._thread.workspace
+                seen.append(now.keys() == warm.keys() and all(now[name] is warm[name] for name in warm))
+            seen.append(sorted((name, buf.nbytes) for name, buf in warm.items()))
+
+        thread = threading.Thread(target=draw)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        # 64 frames of 1,024 channel and 128 noise entries, 16 bytes each per buffer
+        assert seen == [True] * 4 + [[("trig", 64 * 1152 * 16), ("uniforms", 64 * 1152 * 16)]]
+
+    def test_threads_draw_their_own_chunks(self):
+        # two threads draw chunks at once, each in its own workspace; a shared
+        # workspace would hand one thread's normals or cos and sin to the other
+        cfgs = {0: small_config(n=128, m=8, qam_order=64), 1: small_config(n=64, m=4, qam_order=16)}
+        seeds = {t: mix_seed(9, t, np.arange(40)) for t in cfgs}
+        want = {t: draw_frames(cfgs[t], 5.0, seeds[t]) for t in cfgs}
+        rounds, bad, done = 30, {0: 0, 1: 0}, {0: 0, 1: 0}
+
+        def draw(t):
+            for _ in range(rounds):
+                bits, prob = draw_frames(cfgs[t], 5.0, seeds[t])
+                bad[t] += not (np.array_equal(bits, want[t][0]) and np.array_equal(prob.A, want[t][1].A)
+                               and np.array_equal(prob.y_mf, want[t][1].y_mf))
+                done[t] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(t,)) for t in cfgs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert done == {0: rounds, 1: rounds} and bad == {0: 0, 1: 0}
 
 
 class TestRunTrial:
@@ -342,6 +410,20 @@ class TestSweep:
         helper = cpus > 2 and rngstream._usable_cpus() > 1
         assert sorted(p.name for p in tmp_path.iterdir()) == [f"{snr} {helper}" for snr in (0.0, 4.0, 8.0)]
         assert rngstream._helper_allowed
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches workers only through fork")
+    @pytest.mark.skipif(blas_threads() is None, reason="no OpenBLAS thread count to read")
+    def test_pool_workers_run_blas_on_one_thread(self, monkeypatch, tmp_path):
+        parent, real = blas_threads(), sim._run_points
+
+        def recording(configs, snr_db, snr_index):
+            (tmp_path / f"{snr_db} {blas_threads()}").touch()
+            return real(configs, snr_db, snr_index)
+
+        monkeypatch.setattr(sim, "_run_points", recording)
+        run_sweep(small_config(), workers=2)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{snr} 1" for snr in (0.0, 4.0, 8.0)]
+        assert blas_threads() == parent
 
 
 class TestRunSweeps:
