@@ -14,13 +14,13 @@ entropy pool for a seed it then discards).  The reset and the read of a
 row happen inside one call (`_fill_rows`), so no caller holds the shared
 generator between rows.
 
-One Box-Muller session per chunk: `complex_normal_groups` fills the
-uniforms of several row groups (a chunk's channel entries and its noise)
-and transforms them together, each group scaled by its own variance.
+One Box-Muller session per chunk: `_chunk_normals` fills the uniforms of
+several row groups (a chunk's channel entries and its noise) and
+transforms them together, each group scaled by its own variance.
 Box-Muller on the counter-based Philox (Box & Muller 1958; Salmon et al.,
 SC'11) makes every row a pure function of its seed, so neither the
-grouping nor the shared generator changes a value: `complex_normal_rows`
-is the one-group case, and `complex_normal` the one-row one.
+grouping nor the shared generator changes a value: each group equals
+`complex_normal_rows`, and a row of that `complex_normal`.
 
 Bits contract: a row of n bits is `uniform_stream(seed).integers(0, 2, n)`.
 numpy draws that range from successive 32-bit halves of the raw 64-bit
@@ -32,45 +32,42 @@ which gives the same bits without the per-bit sampling loop.
 Helper thread: Box-Muller's cos and sin are most of the cost of a normal,
 and numpy releases the GIL inside them.  From TRIG_THREAD_ENTRIES entries
 of the whole session up (a 128x8 chunk of channels and noise qualifies
-from 15 frames), and only if the process may run on more than one CPU
-(`os.sched_getaffinity`), every group's cos runs on a helper thread while
-the calling thread forms every group's radii and sines.  A sweep's pool
-whose workers occupy every CPU switches the helper off in each worker,
-where it would only contend with the other workers.  Both threads apply
-the same ufuncs to the same inputs, so the values do not depend on
-whether the helper runs.  Starting and joining a thread costs about
-35-45 us on a 2-vCPU VM (Python 3.11, numpy 2.4), so up to about 2**13
-entries the split does not pay (1.03 of the serial time); at 2**14
-entries Box-Muller takes 0.79 of its serial time and at 2**15-2**16
-entries 0.66-0.67 (medians of interleaved in-process pairs).
+from 15 frames), and only if the process may run on more CPUs
+(`os.sched_getaffinity`) than there are processes drawing on them, every
+group's cos runs on a helper thread while the calling thread forms every
+group's radii and sines.  A process draws alone unless a sweep's pool
+worker records its pool's size (`_share_cpus`), so a serial run needs two
+CPUs and a pool of w workers more than w.  Both threads apply the same
+ufuncs to the same inputs, so the values do not depend on whether the
+helper runs.  Starting and joining a thread costs about 35-45 us on a
+2-vCPU VM (Python 3.11, numpy 2.4), so up to about 2**13 entries the
+split does not pay (1.03 of the serial time); at 2**14 entries
+Box-Muller takes 0.79 of its serial time and at 2**15-2**16 entries
+0.66-0.67 (medians of interleaved in-process pairs).
 
-Memory: each drawing thread has one workspace of two float64 buffers,
-"trig" and "uniforms" (`_workspace`), which grow to the largest request and
-are then reused, so a steady run of chunks allocates nothing of a chunk's
-size (glibc hands such an array back to the kernel when it is freed, and
-the next chunk page-faults it in again).  Box-Muller works in place: the
-radii overwrite their uniforms, cos and sin go to two contiguous arrays
-of "trig", and the complex result is written over the dead uniforms.
-`sim.draw_frames` draws its chunk into "uniforms"
-(`_workspace_normal_groups`), and `detectors.preprocess` then forms H^H
-in the dead "trig"; the bits and the problem it returns are fresh.  The
-public draws (`complex_normal`, `complex_normal_groups`/`_rows`, hence
-`generate_channel` and `awgn_add`) and `preprocess` use only "trig", for
-intermediates, and return fresh arrays.  A chunk of B frames of N x M holds
-B N (M + 1) normals, 16 bytes each in either buffer, and
-`sim.CHUNK_ENTRIES` caps B N M, so a simulating thread's workspace stays
-within 32 (1 + 1/M) CHUNK_ENTRIES bytes: 2.25 MiB at 128x8 and 4 MiB at
-most, unless a single frame exceeds the cap and runs alone.  A larger
-direct draw or preprocess grows "trig" to 16 bytes per complex entry.
+Memory: each drawing thread has one chunk buffer (`_thread.chunk`), which
+grows to the largest chunk and is then reused.  `sim.draw_frames` draws
+its chunk's uniforms into it (`_chunk_normals`), Box-Muller forms the
+radii in place over them and writes the complex normals over the dead
+uniforms, so a steady run of chunks does not allocate them afresh (glibc
+hands an array of a chunk's size back to the kernel when it is freed, and
+the next chunk page-faults it in again).  Cos and sin go to one fresh
+array per session.  The public draws (`complex_normal`,
+`complex_normal_rows`, hence `generate_channel` and `awgn_add`) never
+touch the chunk buffer and return fresh arrays.  A chunk of B frames of
+N x M holds B N (M + 1) normals, 16 bytes each, and `sim.CHUNK_ENTRIES`
+caps B N M, so a simulating thread's buffer stays within
+16 (1 + 1/M) CHUNK_ENTRIES bytes: 1.125 MiB at 128x8 and 2 MiB at most,
+unless a single frame exceeds the cap and runs alone.
 
-Threads and fork: the generator and the workspace are `threading.local`,
-so concurrent callers reset their own generator and draw into their own
-buffers.  The helper draws nothing and owns no workspace: it writes only
-the calling thread's cos arrays, which that thread does not touch before
-the join, and no thread outlives the call.  A forked worker therefore
-inherits a consistent copy of its parent's generator, which every row
-resets before it reads, and of its workspace, which every draw writes
-before it reads.
+Threads and fork: the generator and the chunk buffer are
+`threading.local`, so concurrent callers reset their own generator and
+draw into their own buffer.  The helper draws nothing and owns no buffer:
+it writes only the calling thread's cos array, which that thread does not
+touch before the join, and no thread outlives the call.  A forked worker
+therefore inherits a consistent copy of its parent's generator, which
+every row resets before it reads, and of its chunk buffer, which every
+chunk writes before it reads.
 """
 
 from __future__ import annotations
@@ -85,7 +82,7 @@ _MASK64 = (1 << 64) - 1
 _BIT_SHIFTS = np.array([31, 63], dtype=np.uint64)  # the top bits of a raw word's two 32-bit halves
 
 # Box-Muller runs cos on a helper thread from this many entries up, if the
-# process may use more than one CPU (see the module docstring)
+# process has a CPU to spare (see the module docstring)
 TRIG_THREAD_ENTRIES = 2**14
 
 # splitmix64 constants (Steele/Lea/Flood generator, public domain)
@@ -171,22 +168,6 @@ def _thread_philox():
         return _thread.philox
 
 
-def _workspace(name: str, floats: int) -> np.ndarray:
-    """The first `floats` float64 of this thread's workspace buffer `name`, grown to fit.
-
-    The buffer is replaced by a larger one only when a request exceeds it,
-    so it grows to the largest request and then stays (see the module
-    docstring).  "uniforms" holds a chunk's channel and noise uniforms and
-    then their normals (_workspace_normal_groups); "trig" holds Box-Muller's
-    cos and sin, and then preprocess's H^H.
-    """
-    buffers = _thread.__dict__.setdefault("workspace", {})
-    buf = buffers.get(name)
-    if buf is None or buf.size < floats:
-        buf = buffers[name] = np.empty(floats)
-    return buf[:floats]
-
-
 def _carve(flat: np.ndarray, shapes) -> list[np.ndarray]:
     """Consecutive C-contiguous views of `flat`, one of each shape."""
     views, start = [], 0
@@ -234,18 +215,19 @@ def _usable_cpus() -> int:
     return cpus or 1
 
 
-_helper_allowed = True
+# processes drawing on this process's CPUs: 1, or a sweep pool's worker count
+_drawing_processes = 1
 
 
-def _disable_helper() -> None:
-    """Keep Box-Muller on the calling thread in this process from now on."""
-    global _helper_allowed
-    _helper_allowed = False
+def _share_cpus(processes: int) -> None:
+    """Record that `processes` processes, this one among them, draw on this process's CPUs."""
+    global _drawing_processes
+    _drawing_processes = processes
 
 
 def _helper_runs(size: int) -> bool:
-    """Whether Box-Muller over `size` entries runs cos on a helper thread."""
-    return _helper_allowed and size >= TRIG_THREAD_ENTRIES and _usable_cpus() > 1
+    """Whether Box-Muller over `size` entries runs cos on a helper thread (see the module docstring)."""
+    return size >= TRIG_THREAD_ENTRIES and _usable_cpus() > _drawing_processes
 
 
 def _cos_all(angles, outs) -> None:
@@ -265,15 +247,15 @@ def _box_muller(uniforms, variances) -> list[np.ndarray]:
     feeds the radii, u[:, 1] the angles; its result is the same memory read
     as (B, n) complex, scaled by variances[g].  The radii are formed in
     place in u[:, 0] (mapped into (0, 1] so the logarithm stays finite),
-    cos and sin go into two contiguous arrays of this thread's "trig"
-    buffer, and the output is written over the uniforms once the radii and
-    angles are dead.  From TRIG_THREAD_ENTRIES entries of the whole session
-    up, every group's cos runs on a helper thread, started and joined here,
-    while this thread forms every group's radii and sines.
+    cos and sin go into the two halves of one fresh array, and the output
+    is written over the uniforms once the radii and angles are dead.  If
+    _helper_runs for the whole session, every group's cos runs on a helper
+    thread, started and joined here, while this thread forms every group's
+    radii and sines.
     """
     shapes = [(u.shape[0], u.shape[2]) for u in uniforms]
     size = sum(map(math.prod, shapes))
-    trig = _workspace("trig", 2 * size)
+    trig = np.empty(2 * size)
     z0s, z1s = _carve(trig[:size], shapes), _carve(trig[size:], shapes)
     angles = [np.multiply(u[:, 1], 2.0 * np.pi, out=u[:, 1]) for u in uniforms]
     helper = None
@@ -325,25 +307,24 @@ def complex_normal(gen: np.random.Generator, n: int, variance: float = 1.0) -> n
     return _box_muller([gen.random(2 * n).reshape(1, 2, n)], [variance])[0][0]
 
 
-def complex_normal_groups(groups) -> list[np.ndarray]:
-    """One (len(seeds), n) array per (seeds, n, variance) group, all in one Box-Muller session.
+def complex_normal_rows(seeds, n: int, variance: float = 1.0) -> np.ndarray:
+    """(len(seeds), n) complex Gaussians: row b is complex_normal(uniform_stream(seeds[b]), n, variance).
 
-    Row b of a group is complex_normal(uniform_stream(seeds[b]), n, variance).
-    Each array is fresh: it is the memory its uniforms were drawn into.
+    The array is fresh: it is the memory its uniforms were drawn into.
     """
-    return _normal_session(groups, [np.empty((len(seeds), 2, n)) for seeds, n, _ in groups])
+    return _normal_session([(seeds, n, variance)], [np.empty((len(seeds), 2, n))])[0]
 
 
-def _workspace_normal_groups(groups) -> list[np.ndarray]:
-    """complex_normal_groups drawn into this thread's "uniforms" workspace buffer.
+def _chunk_normals(groups) -> list[np.ndarray]:
+    """One (len(seeds), n) array per (seeds, n, variance) group, one Box-Muller session in this thread's chunk buffer.
 
-    The arrays are views of the workspace, so they hold their values only
-    until this thread's next workspace draw; a caller must not return them.
+    Row b of a group is complex_normal_rows(seeds, n, variance)[b].  The
+    arrays are views of the chunk buffer, so they hold their values only
+    until this thread's next chunk; a caller must not return them.
     """
     shapes = [(len(seeds), 2, n) for seeds, n, _ in groups]
-    return _normal_session(groups, _carve(_workspace("uniforms", sum(map(math.prod, shapes))), shapes))
-
-
-def complex_normal_rows(seeds, n: int, variance: float = 1.0) -> np.ndarray:
-    """(len(seeds), n) complex Gaussians: row b is complex_normal(uniform_stream(seeds[b]), n, variance)."""
-    return complex_normal_groups([(seeds, n, variance)])[0]
+    floats = sum(map(math.prod, shapes))
+    buf = getattr(_thread, "chunk", None)
+    if buf is None or buf.size < floats:  # so it grows to the largest chunk and then stays
+        buf = _thread.chunk = np.empty(floats)
+    return _normal_session(groups, _carve(buf[:floats], shapes))

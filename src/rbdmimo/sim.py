@@ -45,7 +45,7 @@ import numpy as np
 from .channel import ChannelScenario, ConfigError, correlate_channel, finite_real
 from .detectors import DETECTOR_NAMES, ITERATIVE_DETECTORS, MmseProblem, exact_detect, preprocess
 from .modem import SUPPORTED_ORDERS, qam_demodulate_hard, qam_modulate, qam_spec
-from .rngstream import _disable_helper, _usable_cpus, _workspace_normal_groups, mix_seed, seed_array, uniform_bits_rows
+from .rngstream import _chunk_normals, _share_cpus, mix_seed, seed_array, uniform_bits_rows
 
 SNR_CONVENTION = "sigma2 = M / 10^(snr_db/10) (per-receive-antenna SNR, unit symbol energy)"
 
@@ -55,7 +55,7 @@ FLAG_BELOW_RESOLUTION = "below_resolution"
 MIN_FRAMES_PER_POINT = 10
 FIRST_CHUNK_FRAMES = 16
 # most entries of H in one chunk (1 MiB of complex128); it also bounds each
-# drawing thread's rngstream workspace, at 2.25 MiB for 128x8 chunks
+# drawing thread's rngstream chunk buffer, at 1.125 MiB for 128x8 chunks
 CHUNK_ENTRIES = 2**16
 _SUB_STREAMS = np.arange(3)  # bits, channel, noise
 
@@ -162,7 +162,7 @@ def draw_frames(config: SimConfig, snr_db: float, trial_seeds) -> tuple[np.ndarr
     modulo 2**64 (see seed_array).  Sub-streams: mix_seed(trial_seed, 0)
     for bits, (..., 1) for the channel, (..., 2) for the noise, derived for
     the whole chunk at once.  The chunk's channel entries and noise come
-    from one Box-Muller session in this thread's rngstream workspace; each
+    from one Box-Muller session in this thread's rngstream chunk buffer; each
     frame equals generate_channel and awgn_add on its own seeds, and
     preprocess checks that every h and y is finite.  The bits and the
     problem are fresh arrays, which later draws leave alone.
@@ -173,7 +173,7 @@ def draw_frames(config: SimConfig, snr_db: float, trial_seeds) -> tuple[np.ndarr
     bits = uniform_bits_rows(sub_seeds[0], n_bits)
     symbols = qam_modulate(bits, spec)
     sigma2 = snr_to_sigma2(snr_db, config.m)
-    w, noise = _workspace_normal_groups([(sub_seeds[1], config.n * config.m, 1.0), (sub_seeds[2], config.n, sigma2)])
+    w, noise = _chunk_normals([(sub_seeds[1], config.n * config.m, 1.0), (sub_seeds[2], config.n, sigma2)])
     h = correlate_channel(w.reshape(-1, config.n, config.m), config.scenario)
     y = np.matvec(h, symbols)
     y += noise
@@ -273,18 +273,17 @@ def _point_task(args):
         return None, f"snr_db={snr_db}: {exc}"
 
 
-def _init_pool_worker(helper: bool) -> None:
-    """Set up a pool worker: OpenBLAS on one thread, and no Box-Muller helper thread unless `helper`.
+def _init_pool_worker(workers: int) -> None:
+    """Set up a worker of a pool of `workers`: OpenBLAS on one thread, and the CPUs shared with the pool.
 
     The workers already run points in parallel, so BLAS threads of their
-    own only contend with one another.  The parent process keeps its BLAS
-    threads.
+    own, or Box-Muller helper threads on CPUs the pool occupies, only
+    contend with one another.  The parent process keeps both.
     """
     from .blas import single_thread
 
     single_thread()
-    if not helper:
-        _disable_helper()
+    _share_cpus(workers)
 
 
 def run_sweeps(configs, workers: int | None = None) -> tuple[SweepResult, ...]:
@@ -315,9 +314,7 @@ def run_sweeps(configs, workers: int | None = None) -> tuple[SweepResult, ...]:
     if workers is not None and workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # 10-15 ms of import that only a pool needs
 
-        # workers that occupy every CPU leave no CPU for a Box-Muller helper thread
-        helper = workers < _usable_cpus()
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_pool_worker, initargs=(helper,)) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_pool_worker, initargs=(workers,)) as pool:
             outcomes = list(pool.map(_point_task, tasks))
     else:
         outcomes = [_point_task(task) for task in tasks]

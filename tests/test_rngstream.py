@@ -1,7 +1,6 @@
 """Tests for the seed mixer and the row draws: ints and integer arrays give
 the same seeds, and a row of a chunk is what a fresh stream gives alone."""
 
-import os
 import sys
 import threading
 
@@ -17,7 +16,6 @@ from rbdmimo.detectors import preprocess
 from rbdmimo.modem import awgn_add
 from rbdmimo.rngstream import (
     complex_normal,
-    complex_normal_groups,
     complex_normal_rows,
     mix_seed,
     seed_array,
@@ -103,27 +101,25 @@ def test_complex_normal_rows_match_single_streams(monkeypatch, helper, n):
         assert np.array_equal(row, one)
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs the CPU affinity of the process")
-def test_helper_runs_from_threshold_on_more_than_one_cpu():
+@pytest.mark.parametrize("cpus, processes", [(1, 1), (2, 1), (2, 2), (64, 2)])
+def test_helper_runs_from_threshold_on_a_spare_cpu(monkeypatch, cpus, processes):
+    # a serial process (one drawing process) needs two CPUs, a pool of two workers three
+    monkeypatch.setattr(rngstream, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(rngstream, "_drawing_processes", 1)  # restored after the test
+    rngstream._share_cpus(processes)
     assert not rngstream._helper_runs(rngstream.TRIG_THREAD_ENTRIES - 1)
-    assert rngstream._helper_runs(rngstream.TRIG_THREAD_ENTRIES) == (len(os.sched_getaffinity(0)) > 1)
-
-
-def test_disabled_helper_never_runs(monkeypatch):
-    monkeypatch.setattr(rngstream, "_helper_allowed", True)  # restored after the test
-    rngstream._disable_helper()
-    assert not rngstream._helper_runs(2**30)
+    assert rngstream._helper_runs(rngstream.TRIG_THREAD_ENTRIES) == (cpus > processes)
 
 
 @pytest.mark.parametrize("helper", [True, False])
 def test_groups_share_one_session(monkeypatch, helper):
-    # each group of a session is its own complex_normal_rows draw, at its own variance
+    # each group of a chunk's session is its own complex_normal_rows draw, at its own variance
     groups = [(SEEDS, 24, 1.0), (SEEDS[::-1], 3, 0.25), (SEEDS[:2], 0, 2.0)]
     want = [complex_normal_rows(seeds, n, variance) for seeds, n, variance in groups]
     monkeypatch.setattr(rngstream, "_helper_runs", lambda size: helper)
     monkeypatch.setattr(rngstream.threading, "Thread", RecordingThread)
     RecordingThread.started = 0
-    got = complex_normal_groups(groups)
+    got = rngstream._chunk_normals(groups)
     assert RecordingThread.started == int(helper)
     assert len(got) == len(want)
     for rows, one in zip(got, want):
@@ -133,12 +129,12 @@ def test_groups_share_one_session(monkeypatch, helper):
 def test_helper_threshold_counts_the_whole_session(monkeypatch):
     # two groups that each fall short of the threshold reach it together
     monkeypatch.setattr(rngstream, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(rngstream, "_helper_allowed", True)
+    monkeypatch.setattr(rngstream, "_drawing_processes", 1)
     monkeypatch.setattr(rngstream.threading, "Thread", RecordingThread)
     half = rngstream.TRIG_THREAD_ENTRIES // 2
     for sizes, starts in (((half, half - 1), 0), ((half, half), 1)):
         RecordingThread.started = 0
-        complex_normal_groups([([1], sizes[0], 1.0), ([2], sizes[1], 0.5)])
+        rngstream._chunk_normals([([1], sizes[0], 1.0), ([2], sizes[1], 0.5)])
         assert RecordingThread.started == starts
 
 
@@ -177,44 +173,51 @@ def test_bad_variance_rejected_before_any_draw(variance):
         complex_normal(gen, 3, variance)
     assert gen.random() == uniform_stream(3).random()  # nothing was drawn
     with pytest.raises(ValueError, match="variance must be finite and >= 0"):
-        complex_normal_groups([(SEEDS, 4, 1.0), (SEEDS, 2, variance)])
+        rngstream._chunk_normals([(SEEDS, 4, 1.0), (SEEDS, 2, variance)])
     with pytest.raises(ValueError, match="variance must be finite and >= 0"):
         complex_normal_rows(SEEDS, 4, variance)
 
 
-def workspace_buffers():
-    """This thread's workspace buffers by name (empty before its first draw)."""
-    return dict(getattr(rngstream._thread, "workspace", {}))
-
-
 def test_public_draws_are_fresh_arrays():
     # each public draw, and preprocess, returns its own memory: later draws and
-    # preprocessing of any size, in or out of the workspace, leave it as it was
+    # preprocessing of any size, in or out of the chunk buffer, leave it as it was
     h = generate_channel(32, 4, ChannelScenario(), SEEDS).H
     y = awgn_add(np.matvec(h, np.ones(4)), 0.5, SEEDS)
     prob = preprocess(h, y, 0.5)
     draws = [
         complex_normal_rows(SEEDS, 1024, 0.5),
-        *complex_normal_groups([(SEEDS, 24, 1.0), (SEEDS[:2], 3, 0.25)]),
+        complex_normal_rows(SEEDS[:2], 3, 0.25),
         complex_normal(uniform_stream(4), 100),
         h, y, prob.A, prob.y_mf,
     ]
     kept = [d.copy() for d in draws]
     for n in (4, 2048, 5):
         complex_normal_rows(SEEDS, n)
-        w, noise = rngstream._workspace_normal_groups([(SEEDS, n * 4, 1.0), (SEEDS, n, 2.0)])
+        w, noise = rngstream._chunk_normals([(SEEDS, n * 4, 1.0), (SEEDS, n, 2.0)])
         preprocess(w.reshape(len(SEEDS), n, 4), noise, 0.5)
-    buffers = workspace_buffers()
-    assert set(buffers) == {"trig", "uniforms"}
     for draw, copy in zip(draws, kept):
         assert np.array_equal(draw, copy)
-        assert not any(np.shares_memory(draw, buf) for buf in buffers.values())
+        assert not np.shares_memory(draw, rngstream._thread.chunk)
+    # nor do the public draws and preprocess give a thread a chunk buffer of its own
+    has_buffer = []
+
+    def draw_and_preprocess():
+        h = generate_channel(32, 4, ChannelScenario(), SEEDS).H
+        preprocess(h, awgn_add(np.matvec(h, np.ones(4)), 0.5, SEEDS), 0.5)
+        complex_normal(uniform_stream(4), 100)
+        has_buffer.append(hasattr(rngstream._thread, "chunk"))
+
+    thread = threading.Thread(target=draw_and_preprocess)
+    thread.start()
+    thread.join(timeout=60)
+    assert has_buffer == [False]
 
 
 def test_workspace_draws_equal_public_draws():
+    # the chunk buffer's draws are views of it, with the public draws' values
     groups = [(SEEDS, 24, 1.0), (SEEDS[::-1], 3, 0.25), (SEEDS[:2], 0, 2.0)]
-    want = complex_normal_groups(groups)
-    got = rngstream._workspace_normal_groups(groups)
-    assert all(np.shares_memory(rows, workspace_buffers()["uniforms"]) for rows in got if rows.size)
+    want = [complex_normal_rows(seeds, n, variance) for seeds, n, variance in groups]
+    got = rngstream._chunk_normals(groups)
+    assert all(np.shares_memory(rows, rngstream._thread.chunk) for rows in got if rows.size)
     for rows, one in zip(got, want):
         assert np.array_equal(rows, one)

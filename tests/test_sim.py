@@ -179,7 +179,7 @@ class TestDrawFrames:
         want = preprocess(h, awgn_add(np.matvec(h, qam_modulate(bits, qam_spec(64))), sigma2, sub[2]), sigma2)
         monkeypatch.setattr(rngstream.threading, "Thread", RecordingThread)
         by_rule = rngstream._helper_runs(frames * 1152)
-        assert by_rule == (frames >= 15 and rngstream._usable_cpus() > 1 and rngstream._helper_allowed)
+        assert by_rule == (frames >= 15 and rngstream._usable_cpus() > rngstream._drawing_processes)
         for helper in (True, False, by_rule):
             monkeypatch.setattr(rngstream, "_helper_runs", lambda size: helper)
             RecordingThread.started = 0
@@ -190,41 +190,39 @@ class TestDrawFrames:
 
     def test_chunk_outlives_later_draws(self):
         # a chunk's bits and problem are fresh arrays: no later draw in the
-        # thread's workspace, of any shape or size, changes them
+        # thread's chunk buffer, of any shape or size, changes them
         cfg = small_config(n=128, m=8, qam_order=64)
         bits, prob = draw_frames(cfg, 6.0, mix_seed(5, 2, np.arange(64)))
         kept = [bits.copy(), prob.A.copy(), prob.y_mf.copy()]
         for n, m, frames in ((128, 8, 64), (128, 16, 32), (16, 4, 1), (128, 8, 7)):
             draw_frames(small_config(n=n, m=m, qam_order=64), 3.0, mix_seed(6, 0, np.arange(frames)))
-        buffers = rngstream._thread.workspace.values()
         for array, copy in zip((bits, prob.A, prob.y_mf), kept):
             assert np.array_equal(array, copy)
-            assert not any(np.shares_memory(array, buf) for buf in buffers)
+            assert not np.shares_memory(array, rngstream._thread.chunk)
 
     def test_workspace_stops_growing_after_warm_up(self):
-        # in a thread of its own, so its workspace starts empty: the warm-up chunk
-        # sizes the workspace, and chunks no larger reuse its buffers
+        # in a thread of its own, so it starts without a chunk buffer: the warm-up
+        # chunk sizes the buffer, and chunks no larger reuse it
         seen = []
 
         def draw():
             draw_frames(small_config(n=128, m=8, qam_order=64), 3.0, mix_seed(7, 0, np.arange(64)))
-            warm = dict(rngstream._thread.workspace)
+            warm = rngstream._thread.chunk
             for n, m, frames in ((128, 8, 64), (128, 8, 33), (128, 16, 32), (16, 4, 1)):
                 draw_frames(small_config(n=n, m=m, qam_order=64), 3.0, mix_seed(8, 0, np.arange(frames)))
-                now = rngstream._thread.workspace
-                seen.append(now.keys() == warm.keys() and all(now[name] is warm[name] for name in warm))
-            seen.append(sorted((name, buf.nbytes) for name, buf in warm.items()))
+                seen.append(rngstream._thread.chunk is warm)
+            seen.append(warm.nbytes)
 
         thread = threading.Thread(target=draw)
         thread.start()
         thread.join(timeout=60)
         assert not thread.is_alive()
-        # 64 frames of 1,024 channel and 128 noise entries, 16 bytes each per buffer
-        assert seen == [True] * 4 + [[("trig", 64 * 1152 * 16), ("uniforms", 64 * 1152 * 16)]]
+        # 64 frames of 1,024 channel and 128 noise entries, 16 bytes each
+        assert seen == [True] * 4 + [64 * 1152 * 16]
 
     def test_threads_draw_their_own_chunks(self):
-        # two threads draw chunks at once, each in its own workspace; a shared
-        # workspace would hand one thread's normals or cos and sin to the other
+        # two threads draw chunks at once, each in its own chunk buffer; a shared
+        # buffer would hand one thread's normals to the other
         cfgs = {0: small_config(n=128, m=8, qam_order=64), 1: small_config(n=64, m=4, qam_order=16)}
         seeds = {t: mix_seed(9, t, np.arange(40)) for t in cfgs}
         want = {t: draw_frames(cfgs[t], 5.0, seeds[t]) for t in cfgs}
@@ -405,11 +403,10 @@ class TestSweep:
             return real(configs, snr_db, snr_index)
 
         monkeypatch.setattr(sim, "_run_points", recording)
-        monkeypatch.setattr(sim, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(rngstream, "_usable_cpus", lambda: cpus)
         assert run_sweep(small_config(), workers=2) == serial
-        helper = cpus > 2 and rngstream._usable_cpus() > 1
-        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{snr} {helper}" for snr in (0.0, 4.0, 8.0)]
-        assert rngstream._helper_allowed
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{snr} {cpus > 2}" for snr in (0.0, 4.0, 8.0)]
+        assert rngstream._drawing_processes == 1
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches workers only through fork")
     @pytest.mark.skipif(blas_threads() is None, reason="no OpenBLAS thread count to read")
