@@ -61,7 +61,6 @@ from .sim import (
     plot_data,
     read_results,
     run_ber_point,
-    run_frames,
     run_sweep,
     run_sweeps,
     run_trial,

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import as_complex_matrix, require_hermitian
-from .rngstream import complex_normal_rows
+from .rngstream import complex_normal, uniform_stream
 
 UNCORRELATED = "uncorrelated"
 USER_CORRELATED = "user_correlated"
@@ -72,7 +72,7 @@ class ChannelScenario:
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """H is N x M for one seed, or (B, N, M) for a sequence of B seeds."""
+    """H is the N x M channel matrix of one seed."""
 
     H: np.ndarray
 
@@ -136,17 +136,14 @@ def correlate_channel(w: np.ndarray, scenario: ChannelScenario) -> np.ndarray:
     return w
 
 
-def generate_channel(n: int, m: int, scenario: ChannelScenario, rng_seed) -> ChannelRealization:
+def generate_channel(n: int, m: int, scenario: ChannelScenario, rng_seed: int) -> ChannelRealization:
     """Draw one N x M channel matrix for the given scenario, deterministically.
 
-    Given a sequence of seeds instead of one, draws a (B, N, M) stack whose
-    matrix b is the draw for seed b.  W entries come from the seeded
-    Box-Muller stream in row-major order with per-entry variance 1, and
-    H = correlate_channel(W, scenario).
+    W is complex_normal(uniform_stream(rng_seed), N M) in row-major order,
+    per-entry variance 1, and H = correlate_channel(W, scenario).  rng_seed
+    is one integer (see uniform_stream).
     """
     if m < 1 or n < m:
         raise ValueError(f"require N >= M >= 1, got N={n}, M={m}")
-    batched = not isinstance(rng_seed, (int, np.integer))
-    seeds = rng_seed if batched else (rng_seed,)
-    h = correlate_channel(complex_normal_rows(seeds, n * m).reshape(len(seeds), n, m), scenario)
-    return ChannelRealization(H=h if batched else h[0])
+    w = complex_normal(uniform_stream(rng_seed), n * m).reshape(n, m)
+    return ChannelRealization(H=correlate_channel(w, scenario))

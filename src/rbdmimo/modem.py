@@ -7,7 +7,8 @@ MSB first as a binary-reflected Gray codeword, with the all-zeros word
 mapping to the most negative amplitude level.  Constellations are scaled
 to unit average symbol energy.
 
-Every function also takes a batch of frames, one frame per row.
+The modulator and the slicer also take a batch of frames, one frame per
+row; awgn_add takes one frame.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rngstream import complex_normal_rows
+from .rngstream import complex_normal, uniform_stream
 
 SUPPORTED_ORDERS = (4, 16, 64)
 
@@ -99,22 +100,19 @@ def qam_demodulate_hard(symbols, spec: QamSpec) -> np.ndarray:
     return bits.reshape(*symbols.shape[:-1], -1)
 
 
-def awgn_add(x, sigma2: float, rng_seed) -> np.ndarray:
-    """Add circularly-symmetric complex Gaussian noise of per-entry variance sigma2.
+def awgn_add(x, sigma2: float, rng_seed: int) -> np.ndarray:
+    """Add circularly-symmetric complex Gaussian noise of per-entry variance sigma2 to one frame.
 
-    x is one frame with one integer rng_seed, or a (B, N) batch with a
-    sequence of B seeds, one per row.
+    x is 1-D and the noise is complex_normal(uniform_stream(rng_seed),
+    x.size, sigma2); rng_seed is one integer (see uniform_stream).
     """
     if not np.isfinite(sigma2):
         raise ValueError("sigma2 contains non-finite values")
     if sigma2 < 0:
         raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
     x = np.asarray(x, dtype=np.complex128)
-    if x.ndim not in (1, 2):
-        raise ValueError(f"expected one frame or a batch of frames, got ndim={x.ndim}")
+    if x.ndim != 1:
+        raise ValueError(f"expected one frame, got ndim={x.ndim}")
     if not np.isfinite(x).all():
         raise ValueError("x contains non-finite values")
-    seeds = (rng_seed,) if x.ndim == 1 else rng_seed
-    if x.ndim == 2 and len(seeds) != x.shape[0]:
-        raise ValueError(f"need one seed per row: {x.shape[0]} rows, {len(seeds)} seeds")
-    return x + complex_normal_rows(seeds, x.shape[-1], variance=sigma2).reshape(x.shape)
+    return x + complex_normal(uniform_stream(rng_seed), x.size, sigma2)

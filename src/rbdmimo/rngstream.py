@@ -6,21 +6,23 @@ identical values regardless of call order or parallel scheduling.  Normal
 variates are produced by the Box-Muller transform applied to that uniform
 stream; complex Gaussians take one Box-Muller pair per entry.
 
-The `*_rows` functions draw one row per seed for a batch of frames.  Each
-row is exactly what a fresh `uniform_stream(seed)` gives, but the rows come
-from one Philox generator per thread whose state is reset per seed
-(`Philox(key=seed)` builds a generator, about 15 us, and also reads the OS
-entropy pool for a seed it then discards).  The reset and the read of a
-row happen inside one call (`_fill_rows`), so no caller holds the shared
-generator between rows.
+The public draws are per frame: `uniform_stream(seed)` keys a fresh
+Philox by one integer seed, `complex_normal` reads a frame's normals from
+it, and neither touches per-thread state.  The chunk draws
+(`uniform_bits_rows`, `_chunk_normals`) give row b of a batch exactly
+what a fresh `uniform_stream(seeds[b])` gives, but from one Philox per
+thread whose state is reset per seed (`Philox(key=seed)` builds a
+generator, about 15 us, and also reads the OS entropy pool for a seed it
+then discards).  The reset and the read of a row happen inside one call
+(`_fill_rows`), so no caller holds the shared generator between rows.
 
 One Box-Muller session per chunk: `_chunk_normals` fills the uniforms of
 several row groups (a chunk's channel entries and its noise) and
 transforms them together, each group scaled by its own variance.
 Box-Muller on the counter-based Philox (Box & Muller 1958; Salmon et al.,
 SC'11) makes every row a pure function of its seed, so neither the
-grouping nor the shared generator changes a value: each group equals
-`complex_normal_rows`, and a row of that `complex_normal`.
+grouping nor the shared generator changes a value: row b of a group
+equals `complex_normal(uniform_stream(seeds[b]), n, variance)`.
 
 Bits contract: a row of n bits is `uniform_stream(seed).integers(0, 2, n)`.
 numpy draws that range from successive 32-bit halves of the raw 64-bit
@@ -52,13 +54,11 @@ radii in place over them and writes the complex normals over the dead
 uniforms, so a steady run of chunks does not allocate them afresh (glibc
 hands an array of a chunk's size back to the kernel when it is freed, and
 the next chunk page-faults it in again).  Cos and sin go to one fresh
-array per session.  The public draws (`complex_normal`,
-`complex_normal_rows`, hence `generate_channel` and `awgn_add`) never
-touch the chunk buffer and return fresh arrays.  A chunk of B frames of
-N x M holds B N (M + 1) normals, 16 bytes each, and `sim.CHUNK_ENTRIES`
-caps B N M, so a simulating thread's buffer stays within
-16 (1 + 1/M) CHUNK_ENTRIES bytes: 1.125 MiB at 128x8 and 2 MiB at most,
-unless a single frame exceeds the cap and runs alone.
+array per session, and the public draws return fresh arrays.  A chunk of
+B frames of N x M holds B N (M + 1) normals, 16 bytes each, and
+`sim.CHUNK_ENTRIES` caps B N M, so a simulating thread's buffer stays
+within 16 (1 + 1/M) CHUNK_ENTRIES bytes: 1.125 MiB at 128x8 and 2 MiB at
+most, unless a single frame exceeds the cap and runs alone.
 
 Threads and fork: the generator and the chunk buffer are
 `threading.local`, so concurrent callers reset their own generator and
@@ -139,8 +139,14 @@ def seed_array(seeds) -> np.ndarray:
 
 
 def uniform_stream(seed: int) -> np.random.Generator:
-    """Counter-based uniform stream (Philox) keyed by a 64-bit seed."""
-    return np.random.Generator(np.random.Philox(key=seed & _MASK64))
+    """Counter-based uniform stream (Philox) keyed by an integer seed taken modulo 2**64.
+
+    This is where a public draw's seed becomes a Philox key.  Anything but
+    an int or a numpy integer, a bool included, raises TypeError.
+    """
+    if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
+    return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
 
 
 _thread = threading.local()
@@ -288,14 +294,6 @@ def _box_muller(uniforms, variances) -> list[np.ndarray]:
     return outs
 
 
-def _normal_session(groups, uniforms) -> list[np.ndarray]:
-    """Fill each group's (B, 2, n) uniforms from its seeds, then one Box-Muller session over them all."""
-    for (seeds, _, variance), u in zip(groups, uniforms):
-        _check_variance(variance)
-        _fill_rows(seeds, u)
-    return _box_muller(uniforms, [variance for _, _, variance in groups])
-
-
 def complex_normal(gen: np.random.Generator, n: int, variance: float = 1.0) -> np.ndarray:
     """n circularly-symmetric complex Gaussians with per-entry variance `variance`.
 
@@ -307,24 +305,23 @@ def complex_normal(gen: np.random.Generator, n: int, variance: float = 1.0) -> n
     return _box_muller([gen.random(2 * n).reshape(1, 2, n)], [variance])[0][0]
 
 
-def complex_normal_rows(seeds, n: int, variance: float = 1.0) -> np.ndarray:
-    """(len(seeds), n) complex Gaussians: row b is complex_normal(uniform_stream(seeds[b]), n, variance).
-
-    The array is fresh: it is the memory its uniforms were drawn into.
-    """
-    return _normal_session([(seeds, n, variance)], [np.empty((len(seeds), 2, n))])[0]
-
-
 def _chunk_normals(groups) -> list[np.ndarray]:
     """One (len(seeds), n) array per (seeds, n, variance) group, one Box-Muller session in this thread's chunk buffer.
 
-    Row b of a group is complex_normal_rows(seeds, n, variance)[b].  The
-    arrays are views of the chunk buffer, so they hold their values only
-    until this thread's next chunk; a caller must not return them.
+    Row b of a group is complex_normal(uniform_stream(seeds[b]), n,
+    variance).  The arrays are views of the chunk buffer, so they hold
+    their values only until this thread's next chunk; a caller must not
+    return them.  A negative or non-finite variance raises ValueError
+    before any draw.
     """
+    for _, _, variance in groups:
+        _check_variance(variance)
     shapes = [(len(seeds), 2, n) for seeds, n, _ in groups]
     floats = sum(map(math.prod, shapes))
     buf = getattr(_thread, "chunk", None)
     if buf is None or buf.size < floats:  # so it grows to the largest chunk and then stays
         buf = _thread.chunk = np.empty(floats)
-    return _normal_session(groups, _carve(buf[:floats], shapes))
+    uniforms = _carve(buf[:floats], shapes)
+    for (seeds, _, _), u in zip(groups, uniforms):
+        _fill_rows(seeds, u)
+    return _box_muller(uniforms, [variance for _, _, variance in groups])

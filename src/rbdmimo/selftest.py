@@ -13,7 +13,7 @@ from .complexity import analytic_cost, cholesky_cost, measured_counter, random_p
 from .detectors import cr_detect, exact_detect, gmres_detect, minres_detect, residual_bound_minres
 from .rngstream import mix_seed
 from .sim import (FLAG_BELOW_RESOLUTION, FLAG_OK, MIN_FRAMES_PER_POINT, BerPoint, SimConfig,
-                  run_ber_point, run_frames, run_trial)
+                  draw_frames, frame_errors, run_ber_point, run_trial)
 
 
 class CheckFailure(AssertionError):
@@ -160,7 +160,7 @@ def check_determinism(seed):
     if first != second:
         raise CheckFailure("trial determinism", f"{first} != {second}")
     seeds = [mix_seed(seed, 0, t) for t in range(8)]
-    chunk = run_frames(config, 0.0, seeds).tolist()
+    chunk = frame_errors(config, *draw_frames(config, 0.0, seeds)).tolist()
     alone = [run_trial(config, 0.0, t)[0] for t in seeds]
     if chunk != alone:
         raise CheckFailure("trial determinism", f"chunk errors {chunk} != per-frame errors {alone}")
@@ -170,7 +170,7 @@ def check_determinism(seed):
         snr_db_list=(0.0, 3.0), target_bit_errors=100, max_bits=60 * 16, master_seed=seed,
     )
     for i, snr_db in enumerate(config.snr_db_list):
-        point, serial = run_ber_point(config, snr_db, i), _serial_ber_point(config, i)
+        point, serial = run_ber_point(config, snr_db), _serial_ber_point(config, i)
         if point != serial:
             raise CheckFailure("trial determinism", f"BER point {point} != frame-by-frame {serial}")
 

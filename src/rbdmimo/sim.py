@@ -10,8 +10,8 @@ Frames run in chunks, in two stages.  `draw_frames` draws the bits,
 channels and noise of a whole chunk as stacked arrays and preprocesses
 them into the MMSE problem; it reads no detector field of the config.
 `frame_errors` then detects and demaps the drawn chunk under one config's
-detector and counts each frame's bit errors.  `run_frames` is the two in
-turn, and each frame of a chunk equals `run_trial` on its own seed.
+detector and counts each frame's bit errors.  Each frame of a chunk
+equals `run_trial` on its own seed.
 
 A point starts with FIRST_CHUNK_FRAMES frames and doubles the chunk after
 each one, up to CHUNK_ENTRIES entries of H (at least one frame), so it
@@ -162,10 +162,11 @@ def draw_frames(config: SimConfig, snr_db: float, trial_seeds) -> tuple[np.ndarr
     modulo 2**64 (see seed_array).  Sub-streams: mix_seed(trial_seed, 0)
     for bits, (..., 1) for the channel, (..., 2) for the noise, derived for
     the whole chunk at once.  The chunk's channel entries and noise come
-    from one Box-Muller session in this thread's rngstream chunk buffer; each
-    frame equals generate_channel and awgn_add on its own seeds, and
-    preprocess checks that every h and y is finite.  The bits and the
-    problem are fresh arrays, which later draws leave alone.
+    from one Box-Muller session in this thread's rngstream chunk buffer;
+    each frame equals generate_channel and awgn_add, each called alone on
+    that frame's seed, and preprocess checks that every h and y is finite.
+    The bits and the problem are fresh arrays, which later draws leave
+    alone.
     """
     spec = qam_spec(config.qam_order)
     n_bits = config.m * spec.bits_per_symbol
@@ -190,18 +191,13 @@ def frame_errors(config: SimConfig, bits: np.ndarray, prob: MmseProblem) -> np.n
     return np.count_nonzero(bits_hat != bits, axis=-1)
 
 
-def run_frames(config: SimConfig, snr_db: float, trial_seeds) -> np.ndarray:
-    """Bit errors of each frame of a chunk, one frame per trial seed (see draw_frames)."""
-    return frame_errors(config, *draw_frames(config, snr_db, trial_seeds))
-
-
 def run_trial(config: SimConfig, snr_db: float, trial_seed: int) -> tuple[int, int]:
     """One frame; returns (bit_errors, bits_sent).  Deterministic in trial_seed."""
-    errors = run_frames(config, snr_db, [trial_seed])
+    errors = frame_errors(config, *draw_frames(config, snr_db, [trial_seed]))
     return int(errors[0]), config.m * qam_spec(config.qam_order).bits_per_symbol
 
 
-def run_ber_point(config: SimConfig, snr_db: float, snr_index: int | None = None) -> BerPoint:
+def run_ber_point(config: SimConfig, snr_db: float) -> BerPoint:
     """Accumulate trials at one SNR until target_bit_errors or max_bits.
 
     At least MIN_FRAMES_PER_POINT frames are always run.  Points that stop
@@ -209,13 +205,13 @@ def run_ber_point(config: SimConfig, snr_db: float, snr_index: int | None = None
     in chunks of FIRST_CHUNK_FRAMES, then twice the previous chunk, never
     more than CHUNK_ENTRIES // (N*M) frames (at least one) nor past the
     bit budget's last frame; the point ends at the first frame that meets
-    the stop rule, whatever the schedule.
+    the stop rule, whatever the schedule.  snr_db must be in the config's
+    snr_db_list, whose index for it seeds the frames.
     """
-    if snr_index is None:
-        try:
-            snr_index = config.snr_db_list.index(float(snr_db))
-        except ValueError:
-            raise ValueError(f"snr_db {snr_db} is not in the configured sweep list") from None
+    try:
+        snr_index = config.snr_db_list.index(float(snr_db))
+    except ValueError:
+        raise ValueError(f"snr_db {snr_db} is not in the configured sweep list") from None
     return _run_points((config,), snr_db, snr_index)[0]
 
 
@@ -289,15 +285,16 @@ def _init_pool_worker(workers: int) -> None:
 def run_sweeps(configs, workers: int | None = None) -> tuple[SweepResult, ...]:
     """One SweepResult per config, drawing each frame once for all of them.
 
-    The configs may differ only in detector and k_iterations; any other
-    difference raises ConfigError.  Each point draws a chunk once and
-    decides it for every config still running there, and each config's
-    points equal those of run_sweep on it alone.  workers is None or an
-    integer >= 1; points run in parallel across SNRs if workers > 1: seed
-    derivation is index-based, so serial and parallel execution give
-    bit-identical results.  Each pool worker runs BLAS on one thread (see
-    _init_pool_worker).  Per-point failures are collected and raised
-    together after every point has been attempted.
+    The configs are SimConfigs that may differ only in detector and
+    k_iterations; anything else raises ConfigError, naming the first
+    offending config's index, before any point runs.  Each point draws a
+    chunk once and decides it for every config still running there, and
+    each config's points equal those of run_sweep on it alone.  workers is
+    None or an integer >= 1; points run in parallel across SNRs if
+    workers > 1: seed derivation is index-based, so serial and parallel
+    execution give bit-identical results.  Each pool worker runs BLAS on
+    one thread (see _init_pool_worker).  Per-point failures are collected
+    and raised together after every point has been attempted.
     """
     if workers is not None:
         if isinstance(workers, (bool, np.bool_)) or not isinstance(workers, (int, np.integer)) or workers < 1:
@@ -307,7 +304,9 @@ def run_sweeps(configs, workers: int | None = None) -> tuple[SweepResult, ...]:
     if not configs:
         raise ConfigError("run_sweeps needs at least one config")
     first = configs[0]
-    for i, cfg in enumerate(configs[1:], start=1):
+    for i, cfg in enumerate(configs):
+        if not isinstance(cfg, SimConfig):
+            raise ConfigError(f"config {i} must be a SimConfig, got {cfg!r}")
         if replace(cfg, detector=first.detector, k_iterations=first.k_iterations) != first:
             raise ConfigError(f"config {i} differs from config 0 in more than detector and k_iterations")
     tasks = [(configs, snr_db, i) for i, snr_db in enumerate(first.snr_db_list)]

@@ -99,25 +99,18 @@ class TestGenerateChannel:
         rt_sqrt = matrix_sqrt_psd(correlation_matrix(3, 0.4, 0.3))
         assert np.abs(h - w @ rt_sqrt).max() < 1e-12
 
-    def test_seed_sequence_stacks_single_draws(self):
-        sc = ChannelScenario("fully_correlated", zeta_t=0.2, zeta_r=0.3)
-        seeds = [mix_seed(31, i) for i in range(4)]
-        stack = generate_channel(8, 4, sc, seeds)
-        assert stack.H.shape == (4, 8, 4)
-        for seed, h in zip(seeds, stack.H):
-            assert np.array_equal(h, generate_channel(8, 4, sc, seed).H)
-
-    def test_uint64_seed_array_draws_as_int_list(self):
-        sc = ChannelScenario("fully_correlated", zeta_t=0.2, zeta_r=0.3)
-        seeds = [0, 2**63, 2**64 - 1, mix_seed(31, 1)]
-        as_array = generate_channel(8, 4, sc, np.array(seeds, dtype=np.uint64)).H
-        assert np.array_equal(as_array, generate_channel(8, 4, sc, seeds).H)
-
     def test_correlates_the_drawn_w(self):
         sc = ChannelScenario("fully_correlated", zeta_t=0.2, zeta_r=0.3, theta=0.4)
-        w = complex_normal(uniform_stream(55), 18).reshape(1, 6, 3)
-        assert np.array_equal(generate_channel(6, 3, sc, [55]).H, correlate_channel(w, sc))
+        w = complex_normal(uniform_stream(55), 18).reshape(6, 3)
+        assert np.array_equal(generate_channel(6, 3, sc, 55).H, correlate_channel(w, sc))
         assert correlate_channel(w, ChannelScenario()) is w
+
+    @pytest.mark.parametrize("seed", [[5, 7], np.array([5, 7], dtype=np.uint64), 5.0, True],
+                             ids=["list", "uint64-array", "float", "bool"])
+    def test_one_integer_seed(self, seed):
+        # a batch of seeds, or anything else but an integer, is no seed
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            generate_channel(8, 2, ChannelScenario(), seed)
 
     def test_invalid_dims(self):
         with pytest.raises(ValueError):

@@ -132,22 +132,15 @@ class TestAwgn:
             with pytest.raises(ValueError, match="x contains non-finite"):
                 awgn_add(y, 1.0, 0)
 
-    def test_batch_rows_match_single_frames(self):
-        x = np.arange(12, dtype=complex).reshape(3, 4)
-        seeds = [5, 6, 7]
-        batch = awgn_add(x, 0.5, seeds)
-        for row, seed, got in zip(x, seeds, batch):
-            assert np.array_equal(got, awgn_add(row, 0.5, seed))
-        with pytest.raises(ValueError, match="one seed per row"):
-            awgn_add(x, 0.5, seeds[:2])
+    def test_one_frame(self):
+        with pytest.raises(ValueError, match="expected one frame, got ndim=2"):
+            awgn_add(np.zeros((3, 4), dtype=complex), 0.5, 5)
 
-    def test_uint64_seed_array_draws_as_int_list(self):
-        x = np.arange(12, dtype=complex).reshape(3, 4)
-        seeds = [5, 2**63, 2**64 - 1]
-        as_array = np.array(seeds, dtype=np.uint64)
-        assert np.array_equal(awgn_add(x, 0.5, as_array), awgn_add(x, 0.5, seeds))
-        with pytest.raises(ValueError, match="one seed per row"):
-            awgn_add(x, 0.5, as_array[:2])
+    @pytest.mark.parametrize("seed", [[5, 7, 9], np.array([5, 7, 9], dtype=np.uint64), 5.0, True],
+                             ids=["list", "uint64-array", "float", "bool"])
+    def test_one_integer_seed(self, seed):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            awgn_add(np.zeros(3, dtype=complex), 0.5, seed)
 
     def test_deterministic(self):
         x = np.zeros(16, dtype=complex)

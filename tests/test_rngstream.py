@@ -1,5 +1,6 @@
-"""Tests for the seed mixer and the row draws: ints and integer arrays give
-the same seeds, and a row of a chunk is what a fresh stream gives alone."""
+"""Tests for the seed mixer and the draws: ints and integer arrays give the
+same seeds, a public draw takes one integer seed, and a row of a chunk is
+what a fresh stream gives alone."""
 
 import sys
 import threading
@@ -16,7 +17,6 @@ from rbdmimo.detectors import preprocess
 from rbdmimo.modem import awgn_add
 from rbdmimo.rngstream import (
     complex_normal,
-    complex_normal_rows,
     mix_seed,
     seed_array,
     splitmix64,
@@ -73,6 +73,19 @@ def test_array_matches_scalar(components, master):
 SEEDS = [0, 1, 2**63 - 1, 2**63, 2**64 - 1, mix_seed(5, 7)]
 
 
+@pytest.mark.parametrize("seed", [[5, 7], np.array([5, 7], dtype=np.uint64), 5.0, True, np.bool_(True)],
+                         ids=["list", "uint64-array", "float", "bool", "numpy-bool"])
+def test_stream_takes_one_integer_seed(seed):
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        uniform_stream(seed)
+
+
+def test_numpy_integer_seeds_key_as_ints():
+    # every integer seed is taken modulo 2**64, whatever its type
+    for seed, same in ((np.uint64(2**64 - 1), -1), (np.int64(-1), 2**64 - 1), (2**64 + 5, np.uint8(5))):
+        assert uniform_stream(seed).random(4).tolist() == uniform_stream(same).random(4).tolist()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 48, 96, 1000])
 def test_bits_from_raw_words_equal_integers(n):
     rows = uniform_bits_rows(SEEDS, n)
@@ -86,19 +99,30 @@ def test_empty_bit_rows():
     assert uniform_bits_rows(SEEDS, 0).shape == (len(SEEDS), 0)
 
 
+def public_draws(groups):
+    """Per group, the list of complex_normal(uniform_stream(seed), n, variance) over its seeds."""
+    return [[complex_normal(uniform_stream(seed), n, variance) for seed in seeds] for seeds, n, variance in groups]
+
+
+def assert_rows_equal(got, want):
+    for rows, ones in zip(got, want):
+        assert len(rows) == len(ones)
+        for row, one in zip(rows, ones):
+            assert np.array_equal(row, one)
+
+
 @pytest.mark.parametrize("helper", [True, False])
 @pytest.mark.parametrize("n", [1, 5, 1024])
 def test_complex_normal_rows_match_single_streams(monkeypatch, helper, n):
     # the chunk's Box-Muller runs with the helper thread forced on or off,
     # whatever the array size and CPU count; one row alone never uses it here
-    want = [complex_normal(uniform_stream(seed), n, variance=0.3) for seed in SEEDS]
+    want = public_draws([(SEEDS, n, 0.3)])
     monkeypatch.setattr(rngstream, "_helper_runs", lambda size: helper)
     monkeypatch.setattr(rngstream.threading, "Thread", RecordingThread)
     RecordingThread.started = 0
-    rows = complex_normal_rows(SEEDS, n, variance=0.3)
+    got = rngstream._chunk_normals([(SEEDS, n, 0.3)])
     assert RecordingThread.started == int(helper)
-    for row, one in zip(rows, want):
-        assert np.array_equal(row, one)
+    assert_rows_equal(got, want)
 
 
 @pytest.mark.parametrize("cpus, processes", [(1, 1), (2, 1), (2, 2), (64, 2)])
@@ -113,17 +137,16 @@ def test_helper_runs_from_threshold_on_a_spare_cpu(monkeypatch, cpus, processes)
 
 @pytest.mark.parametrize("helper", [True, False])
 def test_groups_share_one_session(monkeypatch, helper):
-    # each group of a chunk's session is its own complex_normal_rows draw, at its own variance
+    # each row of each group of a chunk's session is its own stream's draw, at its group's variance
     groups = [(SEEDS, 24, 1.0), (SEEDS[::-1], 3, 0.25), (SEEDS[:2], 0, 2.0)]
-    want = [complex_normal_rows(seeds, n, variance) for seeds, n, variance in groups]
+    want = public_draws(groups)
     monkeypatch.setattr(rngstream, "_helper_runs", lambda size: helper)
     monkeypatch.setattr(rngstream.threading, "Thread", RecordingThread)
     RecordingThread.started = 0
     got = rngstream._chunk_normals(groups)
     assert RecordingThread.started == int(helper)
     assert len(got) == len(want)
-    for rows, one in zip(got, want):
-        assert np.array_equal(rows, one)
+    assert_rows_equal(got, want)
 
 
 def test_helper_threshold_counts_the_whole_session(monkeypatch):
@@ -148,7 +171,7 @@ def test_threads_draw_their_own_rows():
 
     def draw(t):
         for _ in range(rounds):
-            rows = complex_normal_rows(seeds[t], n)
+            rows, = rngstream._chunk_normals([(seeds[t], n, 1.0)])
             bad[t] += sum(not np.array_equal(row, one) for row, one in zip(rows, want[t]))
             done[t] += 1
 
@@ -174,50 +197,48 @@ def test_bad_variance_rejected_before_any_draw(variance):
     assert gen.random() == uniform_stream(3).random()  # nothing was drawn
     with pytest.raises(ValueError, match="variance must be finite and >= 0"):
         rngstream._chunk_normals([(SEEDS, 4, 1.0), (SEEDS, 2, variance)])
-    with pytest.raises(ValueError, match="variance must be finite and >= 0"):
-        complex_normal_rows(SEEDS, 4, variance)
 
 
 def test_public_draws_are_fresh_arrays():
     # each public draw, and preprocess, returns its own memory: later draws and
     # preprocessing of any size, in or out of the chunk buffer, leave it as it was
-    h = generate_channel(32, 4, ChannelScenario(), SEEDS).H
-    y = awgn_add(np.matvec(h, np.ones(4)), 0.5, SEEDS)
+    h = generate_channel(32, 4, ChannelScenario(), SEEDS[0]).H
+    y = awgn_add(np.matvec(h, np.ones(4)), 0.5, SEEDS[1])
     prob = preprocess(h, y, 0.5)
     draws = [
-        complex_normal_rows(SEEDS, 1024, 0.5),
-        complex_normal_rows(SEEDS[:2], 3, 0.25),
-        complex_normal(uniform_stream(4), 100),
+        complex_normal(uniform_stream(4), 1024, 0.5),
+        complex_normal(uniform_stream(5), 3, 0.25),
         h, y, prob.A, prob.y_mf,
     ]
     kept = [d.copy() for d in draws]
     for n in (4, 2048, 5):
-        complex_normal_rows(SEEDS, n)
+        complex_normal(uniform_stream(6), n)
         w, noise = rngstream._chunk_normals([(SEEDS, n * 4, 1.0), (SEEDS, n, 2.0)])
         preprocess(w.reshape(len(SEEDS), n, 4), noise, 0.5)
     for draw, copy in zip(draws, kept):
         assert np.array_equal(draw, copy)
         assert not np.shares_memory(draw, rngstream._thread.chunk)
-    # nor do the public draws and preprocess give a thread a chunk buffer of its own
-    has_buffer = []
+    # nor do the public draws and preprocess give a thread a chunk buffer or a
+    # generator of its own
+    per_thread = []
 
     def draw_and_preprocess():
-        h = generate_channel(32, 4, ChannelScenario(), SEEDS).H
-        preprocess(h, awgn_add(np.matvec(h, np.ones(4)), 0.5, SEEDS), 0.5)
+        h = generate_channel(32, 4, ChannelScenario(), SEEDS[0]).H
+        preprocess(h, awgn_add(np.matvec(h, np.ones(4)), 0.5, SEEDS[1]), 0.5)
         complex_normal(uniform_stream(4), 100)
-        has_buffer.append(hasattr(rngstream._thread, "chunk"))
+        per_thread.append([hasattr(rngstream._thread, name) for name in ("chunk", "philox")])
 
     thread = threading.Thread(target=draw_and_preprocess)
     thread.start()
     thread.join(timeout=60)
-    assert has_buffer == [False]
+    assert not thread.is_alive()
+    assert per_thread == [[False, False]]
 
 
 def test_workspace_draws_equal_public_draws():
     # the chunk buffer's draws are views of it, with the public draws' values
     groups = [(SEEDS, 24, 1.0), (SEEDS[::-1], 3, 0.25), (SEEDS[:2], 0, 2.0)]
-    want = [complex_normal_rows(seeds, n, variance) for seeds, n, variance in groups]
+    want = public_draws(groups)
     got = rngstream._chunk_normals(groups)
     assert all(np.shares_memory(rows, rngstream._thread.chunk) for rows in got if rows.size)
-    for rows, one in zip(got, want):
-        assert np.array_equal(rows, one)
+    assert_rows_equal(got, want)

@@ -14,7 +14,7 @@ from rbdmimo.channel import ChannelScenario, generate_channel
 from rbdmimo.detectors import exact_detect, preprocess
 from rbdmimo.modem import awgn_add, qam_demodulate_hard, qam_modulate, qam_spec
 import rbdmimo.rngstream as rngstream
-from rbdmimo.rngstream import mix_seed, uniform_bits_rows, uniform_stream
+from rbdmimo.rngstream import mix_seed, uniform_stream
 import rbdmimo.sim as sim
 from rbdmimo.sim import (
     FLAG_BELOW_RESOLUTION,
@@ -27,11 +27,11 @@ from rbdmimo.sim import (
     config_as_dict,
     config_from_dict,
     draw_frames,
+    frame_errors,
     interpolate_snr_at_ber,
     plot_data,
     read_results,
     run_ber_point,
-    run_frames,
     run_sweep,
     run_sweeps,
     run_trial,
@@ -168,15 +168,17 @@ class TestDrawFrames:
         # a 128x8 chunk's channels and noise share one Box-Muller session, with the
         # helper thread forced on (one start per chunk), forced off, or by its own
         # rule (a frame is 1,152 entries, so 14 frames fall below TRIG_THREAD_ENTRIES
-        # and 15 reach it); every frame is what generate_channel and awgn_add draw
-        # from its own seeds
+        # and 15 reach it); every frame is what the public per-frame draws give,
+        # each called alone on that frame's seed
         cfg = small_config(n=128, m=8, qam_order=64, scenario=scenario)
         seeds = mix_seed(5, 2, np.arange(frames))
-        sub = mix_seed(seeds[:, None], np.arange(3)).T
-        bits = uniform_bits_rows(sub[0], 48)
-        h = generate_channel(128, 8, scenario, sub[1]).H
         sigma2 = snr_to_sigma2(6.0, 8)
-        want = preprocess(h, awgn_add(np.matvec(h, qam_modulate(bits, qam_spec(64))), sigma2, sub[2]), sigma2)
+        bits, want = [], []
+        for seed in map(int, seeds):
+            bits.append(uniform_stream(mix_seed(seed, 0)).integers(0, 2, 48))
+            h = generate_channel(128, 8, scenario, mix_seed(seed, 1)).H
+            y = awgn_add(np.matvec(h, qam_modulate(bits[-1], qam_spec(64))), sigma2, mix_seed(seed, 2))
+            want.append(preprocess(h, y, sigma2))
         monkeypatch.setattr(rngstream.threading, "Thread", RecordingThread)
         by_rule = rngstream._helper_runs(frames * 1152)
         assert by_rule == (frames >= 15 and rngstream._usable_cpus() > rngstream._drawing_processes)
@@ -186,7 +188,8 @@ class TestDrawFrames:
             got_bits, got = draw_frames(cfg, 6.0, seeds)
             assert RecordingThread.started == int(helper)
             assert np.array_equal(got_bits, bits)
-            assert np.array_equal(got.A, want.A) and np.array_equal(got.y_mf, want.y_mf)
+            for b, one in enumerate(want):
+                assert np.array_equal(got.A[b], one.A) and np.array_equal(got.y_mf[b], one.y_mf)
 
     def test_chunk_outlives_later_draws(self):
         # a chunk's bits and problem are fresh arrays: no later draw in the
@@ -269,7 +272,7 @@ class TestRunTrial:
     def test_chunk_matches_single_frames(self, detector):
         cfg = small_config(detector=detector, k_iterations=2)
         seeds = [mix_seed(78, t) for t in range(12)]
-        chunk = run_frames(cfg, 0.0, seeds)
+        chunk = frame_errors(cfg, *draw_frames(cfg, 0.0, seeds))
         assert chunk.tolist() == [run_trial(cfg, 0.0, t)[0] for t in seeds]
         assert chunk.sum() > 0
 
@@ -359,8 +362,10 @@ class TestSweep:
     def test_subset_reproduces_points(self):
         cfg = small_config()
         full = run_sweep(cfg)
-        alone = run_ber_point(cfg, 4.0)
-        assert alone == full.points[1]
+        # a point's frames are seeded by its SNR's index in the config's list
+        assert [run_ber_point(cfg, snr_db) for snr_db in cfg.snr_db_list] == list(full.points)
+        with pytest.raises(ValueError, match="not in the configured sweep list"):
+            run_ber_point(cfg, 2.0)
 
     @pytest.mark.parametrize("workers", [
         None,
@@ -469,6 +474,14 @@ class TestRunSweeps:
     def test_mixed_configs_rejected(self, change):
         with pytest.raises(ConfigError, match="config 1 differs from config 0"):
             run_sweeps([small_config(), small_config(detector="gmres", **change)])
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_non_config_rejected(self, monkeypatch, index):
+        configs = [small_config(), small_config(detector="gmres")]
+        configs[index] = "sweep.json"
+        monkeypatch.setattr(sim, "_point_task", lambda task: pytest.fail("a point ran"))
+        with pytest.raises(ConfigError, match=f"config {index} must be a SimConfig, got 'sweep.json'"):
+            run_sweeps(configs)
 
     def test_no_config_rejected(self):
         with pytest.raises(ConfigError, match="at least one config"):
