@@ -192,15 +192,16 @@ class _Run:
         return DetectionResult(s_hat=s, iterations=self.iterations, trace=DetectionTrace(res, its))
 
 
-def preprocess(h, y, sigma2: float) -> MmseProblem:
+def preprocess(h, y, sigma2: float | np.ndarray) -> MmseProblem:
     """Form the MMSE problem from the channel and received vector.
 
-    h may be a (B, N, M) stack with y of shape (B, N).  The Gram matrix is
-    mirrored from its lower triangle so A is exactly Hermitian with a real
-    diagonal.
+    h may be a (B, N, M) stack with y of shape (B, N), and sigma2 one
+    noise variance or one per frame.  The Gram matrix is mirrored from its
+    lower triangle so A is exactly Hermitian with a real diagonal.
     """
     h = np.asarray(h, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
+    sigma2 = np.asarray(sigma2, dtype=float)
     if h.ndim not in (2, 3):
         raise ValueError(f"expected an N x M channel or a stack of them, got ndim={h.ndim}")
     n, m = h.shape[-2:]
@@ -208,17 +209,19 @@ def preprocess(h, y, sigma2: float) -> MmseProblem:
         raise ValueError(f"require N >= M, got N={n}, M={m}")
     if y.shape != h.shape[:-1]:
         raise ValueError(f"dimension mismatch: H is {h.shape}, y is {y.shape}")
+    if sigma2.ndim and sigma2.shape != h.shape[:-2]:
+        raise ValueError(f"dimension mismatch: H is {h.shape}, sigma2 is {sigma2.shape}")
     for name, value in (("H", h), ("y", y), ("sigma2", sigma2)):
         if not np.isfinite(value).all():
             raise ValueError(f"{name} contains non-finite values")
-    if sigma2 < 0:
+    if not all(s >= 0 for s in sigma2.flat):
         raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
     h_herm = h.conj().swapaxes(-1, -2)
     gram = h_herm @ h
     lower = np.tril(gram, -1)
     a = lower + lower.conj().swapaxes(-1, -2)
     diag = np.arange(m)
-    a[..., diag, diag] = gram[..., diag, diag].real + sigma2
+    a[..., diag, diag] = gram[..., diag, diag].real + sigma2[..., None]
     return MmseProblem(A=a, y_mf=np.matvec(h_herm, y))
 
 

@@ -18,7 +18,8 @@ then discards).  The reset and the read of a row happen inside one call
 
 One Box-Muller session per chunk: `_chunk_normals` fills the uniforms of
 several row groups (a chunk's channel entries and its noise) and
-transforms them together, each group scaled by its own variance.
+transforms them together, each group scaled by its own variance, one for
+the group or one per row (a packed chunk's frames of several SNRs).
 Box-Muller on the counter-based Philox (Box & Muller 1958; Salmon et al.,
 SC'11) makes every row a pure function of its seed, so neither the
 grouping nor the shared generator changes a value: row b of a group
@@ -241,8 +242,12 @@ def _cos_all(angles, outs) -> None:
         np.cos(angle, out=out)
 
 
-def _check_variance(variance) -> None:
-    if not (np.isfinite(variance) and variance >= 0):
+def _check_variance(variance, rows: int = 1) -> None:
+    """A variance is one finite float >= 0, or a 1-D array of one per row."""
+    v = np.asarray(variance, dtype=float)
+    if v.ndim and v.shape != (rows,):
+        raise ValueError(f"expected one variance or one per row ({rows}), got shape {v.shape}")
+    if not all(0.0 <= x < math.inf for x in v.flat):  # NaN fails both comparisons
         raise ValueError(f"variance must be finite and >= 0, got {variance!r}")
 
 
@@ -251,13 +256,13 @@ def _box_muller(uniforms, variances) -> list[np.ndarray]:
 
     Group g is a C-contiguous (B, 2, n) array of uniforms in [0, 1): u[:, 0]
     feeds the radii, u[:, 1] the angles; its result is the same memory read
-    as (B, n) complex, scaled by variances[g].  The radii are formed in
-    place in u[:, 0] (mapped into (0, 1] so the logarithm stays finite),
-    cos and sin go into the two halves of one fresh array, and the output
-    is written over the uniforms once the radii and angles are dead.  If
-    _helper_runs for the whole session, every group's cos runs on a helper
-    thread, started and joined here, while this thread forms every group's
-    radii and sines.
+    as (B, n) complex, scaled by variances[g], one float or one per row.
+    The radii are formed in place in u[:, 0] (mapped into (0, 1] so the
+    logarithm stays finite), cos and sin go into the two halves of one
+    fresh array, and the output is written over the uniforms once the
+    radii and angles are dead.  If _helper_runs for the whole session,
+    every group's cos runs on a helper thread, started and joined here,
+    while this thread forms every group's radii and sines.
     """
     shapes = [(u.shape[0], u.shape[2]) for u in uniforms]
     size = sum(map(math.prod, shapes))
@@ -287,7 +292,9 @@ def _box_muller(uniforms, variances) -> list[np.ndarray]:
         z0 *= radius
         z1 *= radius
         out = u.reshape(u.shape[0], 2 * u.shape[2]).view(np.complex128)  # the uniforms are dead from here
-        scale = np.sqrt(variance / 2.0)
+        scale = np.sqrt(np.divide(variance, 2.0))
+        if np.ndim(scale):  # one variance per row
+            scale = scale[:, None]
         np.multiply(z0, scale, out=out.real)
         np.multiply(z1, scale, out=out.imag)
         outs.append(out)
@@ -308,14 +315,15 @@ def complex_normal(gen: np.random.Generator, n: int, variance: float = 1.0) -> n
 def _chunk_normals(groups) -> list[np.ndarray]:
     """One (len(seeds), n) array per (seeds, n, variance) group, one Box-Muller session in this thread's chunk buffer.
 
-    Row b of a group is complex_normal(uniform_stream(seeds[b]), n,
-    variance).  The arrays are views of the chunk buffer, so they hold
-    their values only until this thread's next chunk; a caller must not
-    return them.  A negative or non-finite variance raises ValueError
-    before any draw.
+    A group's variance is one float or one per seed, and row b of the
+    group is complex_normal(uniform_stream(seeds[b]), n, variance of row
+    b).  The arrays are views of the chunk buffer, so they hold their
+    values only until this thread's next chunk; a caller must not return
+    them.  A negative or non-finite variance, or a variance array that is
+    not one per seed, raises ValueError before any draw.
     """
-    for _, _, variance in groups:
-        _check_variance(variance)
+    for seeds, _, variance in groups:
+        _check_variance(variance, len(seeds))
     shapes = [(len(seeds), 2, n) for seeds, n, _ in groups]
     floats = sum(map(math.prod, shapes))
     buf = getattr(_thread, "chunk", None)

@@ -13,7 +13,7 @@ from .complexity import analytic_cost, cholesky_cost, measured_counter, random_p
 from .detectors import cr_detect, exact_detect, gmres_detect, minres_detect, residual_bound_minres
 from .rngstream import mix_seed
 from .sim import (FLAG_BELOW_RESOLUTION, FLAG_OK, MIN_FRAMES_PER_POINT, BerPoint, SimConfig,
-                  draw_frames, frame_errors, run_ber_point, run_trial)
+                  draw_frames, frame_errors, run_ber_point, run_trial, snr_to_sigma2)
 
 
 class CheckFailure(AssertionError):
@@ -160,7 +160,7 @@ def check_determinism(seed):
     if first != second:
         raise CheckFailure("trial determinism", f"{first} != {second}")
     seeds = [mix_seed(seed, 0, t) for t in range(8)]
-    chunk = frame_errors(config, *draw_frames(config, 0.0, seeds)).tolist()
+    chunk = frame_errors(config, *draw_frames(config, snr_to_sigma2(0.0, config.m), seeds)).tolist()
     alone = [run_trial(config, 0.0, t)[0] for t in seeds]
     if chunk != alone:
         raise CheckFailure("trial determinism", f"chunk errors {chunk} != per-frame errors {alone}")

@@ -8,25 +8,33 @@ exactly, in any execution order, serial or parallel.
 
 Frames run in chunks, in two stages.  `draw_frames` draws the bits,
 channels and noise of a whole chunk as stacked arrays and preprocesses
-them into the MMSE problem; it reads no detector field of the config.
-`frame_errors` then detects and demaps the drawn chunk under one config's
-detector and counts each frame's bit errors.  Each frame of a chunk
-equals `run_trial` on its own seed.
+them into the MMSE problem; it reads no detector field of the config, and
+it takes one noise variance per frame, so a chunk may hold frames of
+several SNRs.  `frame_errors` then detects and demaps the drawn chunk
+under one config's detector and counts each frame's bit errors.  Each
+frame of a chunk equals `run_trial` on its own seed and SNR.
 
-A point starts with FIRST_CHUNK_FRAMES frames and doubles the chunk after
-each one, up to CHUNK_ENTRIES entries of H (at least one frame), so it
-pays the fixed cost of a chunk only a few times.  Each config adds up its
-per-frame errors and stops at the first frame where the serial stop rule
-holds, so frames, bits, errors and flags do not depend on the chunk
-schedule, and the seeding contract is unchanged.
+A point's frames come in ranges: FIRST_CHUNK_FRAMES frames, then twice
+the last range, up to CHUNK_ENTRIES entries of H (at least one frame).
+One scheduler, `_run_schedule`, runs a list of points in rounds: each
+round takes the next range of every point still running and packs them,
+in point order, into shared draws of at most that cap, so a serial sweep
+pays the fixed cost of a draw and of a detector call a few times in all
+rather than a few times per point.  Each config adds up its per-frame
+errors and stops at the first frame where the serial stop rule holds, so
+frames, bits, errors and flags depend neither on the ranges nor on the
+packing, and the seeding contract is unchanged.
 
 Trial seeds do not depend on the detector, so configs that differ only in
 detector and k_iterations see the same frames.  `run_sweeps` takes such a
-set of configs and draws each chunk once for all of them: every config
-still running at a point decides the chunk, and the chunks go on until
-the last config stops.  Its results equal separate sweeps exactly.
-`run_sweep` is `run_sweeps` of one config and `run_ber_point` one point of
-it, so there is one chunk loop.
+set of configs and draws each frame once for all of them: every config
+still running at one of a draw's points decides the draw, and the rounds
+go on until the last config stops at every point.  Its results equal
+separate sweeps exactly.  Serially it schedules all its points at once;
+a pool worker and `run_ber_point` schedule one point.  If a packed serial
+run raises, its points run again one at a time, so the error names only
+the SNRs that fail.  `run_sweep` is `run_sweeps` of one config, so there
+is one chunk loop.
 
 SNR convention: sigma2 = M / 10^(snr_db / 10), i.e. per-receive-antenna
 SNR at unit average symbol energy.  Detector comparisons are SNR gaps
@@ -153,27 +161,27 @@ def snr_to_sigma2(snr_db: float, m: int) -> float:
     return m / 10.0 ** (snr_db / 10.0)
 
 
-def draw_frames(config: SimConfig, snr_db: float, trial_seeds) -> tuple[np.ndarray, MmseProblem]:
+def draw_frames(config: SimConfig, sigma2, trial_seeds) -> tuple[np.ndarray, MmseProblem]:
     """The sent bits and the MMSE problem of each frame of a chunk, one frame per trial seed.
 
     The draw reads no detector field of the config, so every config that
     differs only in detector and k_iterations gets the same frames.
-    trial_seeds is an integer array or a sequence of ints, each taken
-    modulo 2**64 (see seed_array).  Sub-streams: mix_seed(trial_seed, 0)
-    for bits, (..., 1) for the channel, (..., 2) for the noise, derived for
-    the whole chunk at once.  The chunk's channel entries and noise come
-    from one Box-Muller session in this thread's rngstream chunk buffer;
-    each frame equals generate_channel and awgn_add, each called alone on
-    that frame's seed, and preprocess checks that every h and y is finite.
-    The bits and the problem are fresh arrays, which later draws leave
-    alone.
+    sigma2 is the noise variance, one float or one per frame (a packed
+    chunk holds frames of several SNRs).  trial_seeds is an integer array
+    or a sequence of ints, each taken modulo 2**64 (see seed_array).
+    Sub-streams: mix_seed(trial_seed, 0) for bits, (..., 1) for the
+    channel, (..., 2) for the noise, derived for the whole chunk at once.
+    The chunk's channel entries and noise come from one Box-Muller session
+    in this thread's rngstream chunk buffer; each frame equals
+    generate_channel and awgn_add, each called alone on that frame's seed
+    and variance, and preprocess checks that every h and y is finite.  The
+    bits and the problem are fresh arrays, which later draws leave alone.
     """
     spec = qam_spec(config.qam_order)
     n_bits = config.m * spec.bits_per_symbol
     sub_seeds = mix_seed(seed_array(trial_seeds)[:, None], _SUB_STREAMS).T
     bits = uniform_bits_rows(sub_seeds[0], n_bits)
     symbols = qam_modulate(bits, spec)
-    sigma2 = snr_to_sigma2(snr_db, config.m)
     w, noise = _chunk_normals([(sub_seeds[1], config.n * config.m, 1.0), (sub_seeds[2], config.n, sigma2)])
     h = correlate_channel(w.reshape(-1, config.n, config.m), config.scenario)
     y = np.matvec(h, symbols)
@@ -193,7 +201,7 @@ def frame_errors(config: SimConfig, bits: np.ndarray, prob: MmseProblem) -> np.n
 
 def run_trial(config: SimConfig, snr_db: float, trial_seed: int) -> tuple[int, int]:
     """One frame; returns (bit_errors, bits_sent).  Deterministic in trial_seed."""
-    errors = frame_errors(config, *draw_frames(config, snr_db, [trial_seed]))
+    errors = frame_errors(config, *draw_frames(config, snr_to_sigma2(snr_db, config.m), [trial_seed]))
     return int(errors[0]), config.m * qam_spec(config.qam_order).bits_per_symbol
 
 
@@ -216,48 +224,98 @@ def run_ber_point(config: SimConfig, snr_db: float) -> BerPoint:
 
 
 def _run_points(configs, snr_db: float, snr_index: int) -> list[BerPoint]:
-    """One BerPoint per config at one SNR, each chunk drawn once for every config still running.
+    """One BerPoint per config at one SNR: the schedule of that point alone."""
+    return _run_schedule(configs, [(snr_index, snr_db)])[0]
 
-    The configs differ only in detector and k_iterations.  Each one stops
-    at its own frame under the serial rule; the chunks go on while any
-    config runs, so a config that runs reads every frame of each chunk.
+
+class _Point:
+    """A point of a schedule: its next frame, its next range's size, and each config's errors and last frame."""
+
+    def __init__(self, snr_index: int, snr_db: float, m: int, size: int, configs: int):
+        self.snr_index, self.snr_db = snr_index, float(snr_db)
+        self.sigma2 = snr_to_sigma2(snr_db, m)  # a Python float, repeated exactly for each of its frames
+        self.frames, self.size = 0, size
+        self.errors = [0] * configs
+        self.ends = [0] * configs  # a config's last frame, 0 while it runs
+
+
+def _run_schedule(configs, points) -> list[list[BerPoint]]:
+    """For each (snr_index, snr_db) point, one BerPoint per config: the chunk loop.
+
+    The configs differ only in detector and k_iterations.  Each round
+    takes the next frame range of every point where a config still runs:
+    a point's ranges are FIRST_CHUNK_FRAMES frames, then twice the last,
+    never more than CHUNK_ENTRIES // (N*M) frames (at least one) nor past
+    the bit budget's last frame.  The round packs the ranges, in point
+    order, into shared draws of at most that cap, and decides each draw
+    under every config that runs at one of its points.  Each config stops
+    at each point at its own frame under the serial rule, so neither the
+    ranges nor the packing change a result.
     """
     config = configs[0]
     n_bits = config.m * qam_spec(config.qam_order).bits_per_symbol
     # the bit budget ends a point at this frame, whatever its error count
     last_frame = max(MIN_FRAMES_PER_POINT, -(-config.max_bits // n_bits))
     cap = max(1, CHUNK_ENTRIES // (config.n * config.m))
-    size = min(FIRST_CHUNK_FRAMES, cap)
-    errors = [0] * len(configs)
-    ends = [0] * len(configs)  # a config's last frame, 0 while it runs
-    frames = 0
-    while not all(ends):
-        counts = np.arange(frames + 1, min(frames + size, last_frame) + 1)
-        seeds = mix_seed(config.master_seed, snr_index, np.arange(frames, counts[-1]))
-        bits, prob = draw_frames(config, snr_db, seeds)
-        for i, cfg in enumerate(configs):
-            if ends[i]:
+    state = [_Point(i, snr_db, config.m, min(FIRST_CHUNK_FRAMES, cap), len(configs)) for i, snr_db in points]
+    while True:
+        draws, width = [], cap  # a full width, so the first range opens a draw
+        for point in state:
+            if all(point.ends):
                 continue
-            totals = errors[i] + np.cumsum(frame_errors(cfg, bits, prob))
+            stop = min(point.frames + point.size, last_frame)
+            if width + stop - point.frames > cap:
+                draws.append([])
+                width = 0
+            draws[-1].append((point, point.frames, stop))
+            width += stop - point.frames
+            point.frames, point.size = stop, min(2 * point.size, cap)
+        if not draws:
+            break
+        for ranges in draws:
+            _draw_and_decide(configs, ranges, last_frame)
+    return [
+        [_ber_point(cfg, point.snr_db, errs, end, n_bits) for cfg, errs, end in zip(configs, point.errors, point.ends)]
+        for point in state
+    ]
+
+
+def _draw_and_decide(configs, ranges, last_frame: int) -> None:
+    """Draw the (point, start, stop) frame ranges together and apply each config's stop rule at each point.
+
+    A config that runs at any point of the draw decides all of its frames.
+    """
+    config = configs[0]
+    widths = [stop - start for _, start, stop in ranges]
+    seeds = np.concatenate([mix_seed(config.master_seed, p.snr_index, np.arange(a, b)) for p, a, b in ranges])
+    bits, prob = draw_frames(config, np.repeat([p.sigma2 for p, _, _ in ranges], widths), seeds)
+    offsets = np.cumsum([0, *widths])
+    for i, cfg in enumerate(configs):
+        if all(p.ends[i] for p, _, _ in ranges):
+            continue
+        errors = frame_errors(cfg, bits, prob)
+        for (point, start, stop), lo, hi in zip(ranges, offsets, offsets[1:]):
+            if point.ends[i]:
+                continue
+            counts = np.arange(start + 1, stop + 1)
+            totals = point.errors[i] + np.cumsum(errors[lo:hi])
             stops = ((counts >= MIN_FRAMES_PER_POINT) & (totals >= cfg.target_bit_errors)) | (counts == last_frame)
             end = int(np.argmax(stops)) if stops.any() else len(counts) - 1
-            errors[i] = int(totals[end])
+            point.errors[i] = int(totals[end])
             if stops[end]:
-                ends[i] = int(counts[end])
-        frames = int(counts[-1])
-        size = min(2 * size, cap)
-    points = []
-    for cfg, errs, end in zip(configs, errors, ends):
-        bits_sent = end * n_bits
-        points.append(BerPoint(
-            snr_db=float(snr_db),
-            bits_sent=bits_sent,
-            bit_errors=errs,
-            ber=errs / bits_sent,
-            frames=end,
-            flag=FLAG_OK if errs >= cfg.target_bit_errors else FLAG_BELOW_RESOLUTION,
-        ))
-    return points
+                point.ends[i] = int(counts[end])
+
+
+def _ber_point(cfg: SimConfig, snr_db: float, errors: int, frames: int, n_bits: int) -> BerPoint:
+    bits_sent = frames * n_bits
+    return BerPoint(
+        snr_db=snr_db,
+        bits_sent=bits_sent,
+        bit_errors=errors,
+        ber=errors / bits_sent,
+        frames=frames,
+        flag=FLAG_OK if errors >= cfg.target_bit_errors else FLAG_BELOW_RESOLUTION,
+    )
 
 
 def _point_task(args):
@@ -287,14 +345,18 @@ def run_sweeps(configs, workers: int | None = None) -> tuple[SweepResult, ...]:
 
     The configs are SimConfigs that may differ only in detector and
     k_iterations; anything else raises ConfigError, naming the first
-    offending config's index, before any point runs.  Each point draws a
-    chunk once and decides it for every config still running there, and
+    offending config's index, before any point runs.  Each frame is drawn
+    once and decided for every config still running at its point, and
     each config's points equal those of run_sweep on it alone.  workers is
-    None or an integer >= 1; points run in parallel across SNRs if
-    workers > 1: seed derivation is index-based, so serial and parallel
-    execution give bit-identical results.  Each pool worker runs BLAS on
-    one thread (see _init_pool_worker).  Per-point failures are collected
-    and raised together after every point has been attempted.
+    None or an integer >= 1.  Serially, one schedule runs every point:
+    each round packs the next frame range of every running point into
+    shared draws (see _run_schedule).  If workers > 1, points run in
+    parallel across SNRs, one schedule per point, and each pool worker
+    runs BLAS on one thread (see _init_pool_worker).  Seed derivation is
+    index-based, so every route gives bit-identical results.  Per-point
+    failures are collected and raised together after every point has been
+    attempted; if a packed serial run raises, the points are run again one
+    at a time, so that the error names only the SNRs that fail.
     """
     if workers is not None:
         if isinstance(workers, (bool, np.bool_)) or not isinstance(workers, (int, np.integer)) or workers < 1:
@@ -316,7 +378,10 @@ def run_sweeps(configs, workers: int | None = None) -> tuple[SweepResult, ...]:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_pool_worker, initargs=(workers,)) as pool:
             outcomes = list(pool.map(_point_task, tasks))
     else:
-        outcomes = [_point_task(task) for task in tasks]
+        try:
+            outcomes = [(points, None) for points in _run_schedule(configs, list(enumerate(first.snr_db_list)))]
+        except Exception:  # noqa: BLE001 - a packed draw mixes points, so run them alone to name the failing ones
+            outcomes = [_point_task(task) for task in tasks]
     failures = [failure for _, failure in outcomes if failure is not None]
     if failures:
         raise RuntimeError(f"{len(failures)} sweep point(s) failed: " + "; ".join(failures))

@@ -11,7 +11,27 @@ from rbdmimo.channel import (
     matrix_sqrt_psd,
 )
 from rbdmimo.linalg import hermitian_defect, hermitian_eigen_extrema
+import rbdmimo.rngstream as rngstream
 from rbdmimo.rngstream import complex_normal, mix_seed, uniform_stream
+
+BLOCK = 8192  # seeds per chunk draw of the moment tests
+
+
+def drawn_channels(n, m, scenario, master, count):
+    """(count, N, M) channels, channel i generate_channel(n, m, scenario, mix_seed(master, i)).H.
+
+    They are drawn BLOCK seeds at a time in one chunk draw, which gives
+    each row what a fresh stream gives alone; the first rows are checked
+    against generate_channel itself.
+    """
+    h = np.empty((count, n, m), dtype=complex)
+    for lo in range(0, count, BLOCK):
+        seeds = mix_seed(master, np.arange(lo, min(lo + BLOCK, count)))
+        w, = rngstream._chunk_normals([(seeds, n * m, 1.0)])
+        h[lo:lo + len(seeds)] = correlate_channel(w.reshape(-1, n, m), scenario)
+    for i in range(64):
+        assert np.array_equal(h[i], generate_channel(n, m, scenario, mix_seed(master, i)).H)
+    return h
 
 
 class TestCorrelationMatrix:
@@ -118,9 +138,7 @@ class TestGenerateChannel:
 
     def test_entry_moments(self):
         # 1e5 draws of a 4x2 matrix: entries should be zero-mean unit-variance
-        draws = np.empty((100_000, 8), dtype=complex)
-        for i in range(draws.shape[0]):
-            draws[i] = generate_channel(4, 2, ChannelScenario(), mix_seed(9000, i)).H.ravel()
+        draws = drawn_channels(4, 2, ChannelScenario(), 9000, 100_000).reshape(-1, 8)
         mean = draws.mean()
         var = np.mean(np.abs(draws) ** 2)
         assert abs(mean.real) <= 0.02 and abs(mean.imag) <= 0.02
@@ -129,9 +147,7 @@ class TestGenerateChannel:
     def test_kronecker_covariance_oracle(self):
         # cov(vec H) for the doubly correlated model is Rt^T (x) Rr
         sc = ChannelScenario("fully_correlated", zeta_t=0.2, zeta_r=0.3)
-        vecs = np.empty((100_000, 4), dtype=complex)
-        for i in range(vecs.shape[0]):
-            vecs[i] = generate_channel(2, 2, sc, mix_seed(9100, i)).H.ravel(order="F")
+        vecs = drawn_channels(2, 2, sc, 9100, 100_000).transpose(0, 2, 1).reshape(-1, 4)  # vec H, column-major
         cov = (vecs.T @ vecs.conj()) / vecs.shape[0]  # cov[a,b] = E[v_a conj(v_b)]
         rt = correlation_matrix(2, 0.2, 0.0)
         rr = correlation_matrix(2, 0.3, 0.0)

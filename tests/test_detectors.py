@@ -26,7 +26,7 @@ from rbdmimo.detectors import (
 from rbdmimo.channel import ChannelScenario
 from rbdmimo.linalg import hermitian_defect, hermitian_eigen_extrema, norm2
 from rbdmimo.rngstream import uniform_stream
-from rbdmimo.sim import SimConfig, draw_frames
+from rbdmimo.sim import SimConfig, draw_frames, snr_to_sigma2
 
 
 def random_complex(gen, *shape):
@@ -52,7 +52,7 @@ def traffic_arnoldi_basis(n, m, scenario, snr_db, frames=64):
     """
     config = SimConfig(n=n, m=m, qam_order=64, detector="gmres", k_iterations=m,
                        snr_db_list=(snr_db,), scenario=scenario)
-    _, prob = draw_frames(config, snr_db, np.arange(frames))
+    _, prob = draw_frames(config, snr_to_sigma2(snr_db, m), np.arange(frames))
     basis, columns, product, beta = gmres_buffers(prob.y_mf, m)
     for j in range(m):
         arnoldi_step(prob.A, basis, columns[j], product, j, ARNOLDI_BREAKDOWN_REL * beta)
@@ -114,6 +114,24 @@ class TestPreprocess:
         with pytest.raises(ValueError, match="sigma2 must be >= 0"):
             preprocess(h, y, -0.1)
 
+
+    def test_per_frame_noise_variances(self):
+        # a stack may carry one sigma2 per frame: each frame is preprocess of it alone
+        gen = uniform_stream(504)
+        h, y = random_complex(gen, 3, 6, 2), random_complex(gen, 3, 6)
+        sigma2 = np.array([0.1, 0.0, 2.5])
+        prob = preprocess(h, y, sigma2)
+        for b in range(3):
+            one = preprocess(h[b], y[b], float(sigma2[b]))
+            assert np.array_equal(prob.A[b], one.A) and np.array_equal(prob.y_mf[b], one.y_mf)
+        for bad, message in ((np.array([0.1, np.nan, 0.2]), "sigma2 contains non-finite"),
+                             (np.array([0.1, -0.1, 0.2]), "sigma2 must be >= 0"),
+                             (np.array([0.1, 0.2]), "dimension mismatch"),
+                             (np.array([0.1]), "dimension mismatch")):
+            with pytest.raises(ValueError, match=message):
+                preprocess(h, y, bad)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            preprocess(h[0], y[0], np.array([0.1]))
 
 class TestKernels:
     def test_mac_zero_coefficient(self):

@@ -199,6 +199,30 @@ def test_bad_variance_rejected_before_any_draw(variance):
         rngstream._chunk_normals([(SEEDS, 4, 1.0), (SEEDS, 2, variance)])
 
 
+@pytest.mark.parametrize("helper", [True, False])
+def test_per_row_variances_match_single_streams(monkeypatch, helper):
+    # a packed chunk's noise has one variance per row (frames of several SNRs);
+    # each row is what a fresh stream gives alone at that row's variance, with
+    # the helper thread forced on or off
+    monkeypatch.setattr(rngstream, "_helper_runs", lambda size: helper)
+    variances = [0.3, 2.0, 2.0, 0.0, 1e-3, 0.3]
+    w, noise = rngstream._chunk_normals([(SEEDS, 24, 1.0), (SEEDS[::-1], 128, np.array(variances))])
+    assert_rows_equal([w], public_draws([(SEEDS, 24, 1.0)]))
+    for seed, variance, row in zip(SEEDS[::-1], variances, noise):
+        assert np.array_equal(row, complex_normal(uniform_stream(seed), 128, variance))
+
+
+@pytest.mark.parametrize("variance", [-1.0, float("nan"), float("inf")])
+def test_bad_per_row_variance_rejected_before_any_draw(monkeypatch, variance):
+    variances = np.full(len(SEEDS), 0.5)
+    variances[2] = variance
+    monkeypatch.setattr(rngstream, "_fill_rows", lambda *args, **kwargs: pytest.fail("a row was drawn"))
+    with pytest.raises(ValueError, match="variance must be finite and >= 0"):
+        rngstream._chunk_normals([(SEEDS, 4, 1.0), (SEEDS, 2, variances)])
+    with pytest.raises(ValueError, match="one per row"):
+        rngstream._chunk_normals([(SEEDS, 4, 1.0), (SEEDS, 2, np.full(len(SEEDS) - 1, 0.5))])
+
+
 def test_public_draws_are_fresh_arrays():
     # each public draw, and preprocess, returns its own memory: later draws and
     # preprocessing of any size, in or out of the chunk buffer, leave it as it was

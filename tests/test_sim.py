@@ -185,20 +185,32 @@ class TestDrawFrames:
         for helper in (True, False, by_rule):
             monkeypatch.setattr(rngstream, "_helper_runs", lambda size: helper)
             RecordingThread.started = 0
-            got_bits, got = draw_frames(cfg, 6.0, seeds)
+            got_bits, got = draw_frames(cfg, sigma2, seeds)
             assert RecordingThread.started == int(helper)
             assert np.array_equal(got_bits, bits)
             for b, one in enumerate(want):
                 assert np.array_equal(got.A[b], one.A) and np.array_equal(got.y_mf[b], one.y_mf)
 
+    def test_frames_of_several_snrs_in_one_chunk(self):
+        # one noise variance per frame: a chunk packing frames of two SNRs equals
+        # a chunk of each SNR drawn alone
+        cfg = small_config(n=128, m=8, qam_order=64)
+        seeds = mix_seed(5, 3, np.arange(7))
+        sigma2 = [snr_to_sigma2(4.0, 8), snr_to_sigma2(12.0, 8)]
+        bits, prob = draw_frames(cfg, np.repeat(sigma2, [3, 4]), seeds)
+        for part, (lo, hi) in zip(sigma2, ((0, 3), (3, 7))):
+            want_bits, want = draw_frames(cfg, part, seeds[lo:hi])
+            assert np.array_equal(bits[lo:hi], want_bits)
+            assert np.array_equal(prob.A[lo:hi], want.A) and np.array_equal(prob.y_mf[lo:hi], want.y_mf)
+
     def test_chunk_outlives_later_draws(self):
         # a chunk's bits and problem are fresh arrays: no later draw in the
         # thread's chunk buffer, of any shape or size, changes them
         cfg = small_config(n=128, m=8, qam_order=64)
-        bits, prob = draw_frames(cfg, 6.0, mix_seed(5, 2, np.arange(64)))
+        bits, prob = draw_frames(cfg, snr_to_sigma2(6.0, 8), mix_seed(5, 2, np.arange(64)))
         kept = [bits.copy(), prob.A.copy(), prob.y_mf.copy()]
         for n, m, frames in ((128, 8, 64), (128, 16, 32), (16, 4, 1), (128, 8, 7)):
-            draw_frames(small_config(n=n, m=m, qam_order=64), 3.0, mix_seed(6, 0, np.arange(frames)))
+            draw_frames(small_config(n=n, m=m, qam_order=64), snr_to_sigma2(3.0, m), mix_seed(6, 0, np.arange(frames)))
         for array, copy in zip((bits, prob.A, prob.y_mf), kept):
             assert np.array_equal(array, copy)
             assert not np.shares_memory(array, rngstream._thread.chunk)
@@ -209,10 +221,11 @@ class TestDrawFrames:
         seen = []
 
         def draw():
-            draw_frames(small_config(n=128, m=8, qam_order=64), 3.0, mix_seed(7, 0, np.arange(64)))
+            draw_frames(small_config(n=128, m=8, qam_order=64), snr_to_sigma2(3.0, 8), mix_seed(7, 0, np.arange(64)))
             warm = rngstream._thread.chunk
             for n, m, frames in ((128, 8, 64), (128, 8, 33), (128, 16, 32), (16, 4, 1)):
-                draw_frames(small_config(n=n, m=m, qam_order=64), 3.0, mix_seed(8, 0, np.arange(frames)))
+                cfg = small_config(n=n, m=m, qam_order=64)
+                draw_frames(cfg, snr_to_sigma2(3.0, m), mix_seed(8, 0, np.arange(frames)))
                 seen.append(rngstream._thread.chunk is warm)
             seen.append(warm.nbytes)
 
@@ -228,12 +241,12 @@ class TestDrawFrames:
         # buffer would hand one thread's normals to the other
         cfgs = {0: small_config(n=128, m=8, qam_order=64), 1: small_config(n=64, m=4, qam_order=16)}
         seeds = {t: mix_seed(9, t, np.arange(40)) for t in cfgs}
-        want = {t: draw_frames(cfgs[t], 5.0, seeds[t]) for t in cfgs}
+        want = {t: draw_frames(cfgs[t], snr_to_sigma2(5.0, cfgs[t].m), seeds[t]) for t in cfgs}
         rounds, bad, done = 30, {0: 0, 1: 0}, {0: 0, 1: 0}
 
         def draw(t):
             for _ in range(rounds):
-                bits, prob = draw_frames(cfgs[t], 5.0, seeds[t])
+                bits, prob = draw_frames(cfgs[t], snr_to_sigma2(5.0, cfgs[t].m), seeds[t])
                 bad[t] += not (np.array_equal(bits, want[t][0]) and np.array_equal(prob.A, want[t][1].A)
                                and np.array_equal(prob.y_mf, want[t][1].y_mf))
                 done[t] += 1
@@ -272,7 +285,7 @@ class TestRunTrial:
     def test_chunk_matches_single_frames(self, detector):
         cfg = small_config(detector=detector, k_iterations=2)
         seeds = [mix_seed(78, t) for t in range(12)]
-        chunk = frame_errors(cfg, *draw_frames(cfg, 0.0, seeds))
+        chunk = frame_errors(cfg, *draw_frames(cfg, snr_to_sigma2(0.0, cfg.m), seeds))
         assert chunk.tolist() == [run_trial(cfg, 0.0, t)[0] for t in seeds]
         assert chunk.sum() > 0
 
@@ -353,6 +366,8 @@ class TestSweep:
             monkeypatch.setattr(sim, "FIRST_CHUNK_FRAMES", first)
             monkeypatch.setattr(sim, "CHUNK_ENTRIES", cap * cfg.n * cfg.m)
             assert run_sweep(cfg) == reference
+            # the serial sweep packs its points; each one alone schedules only itself
+            assert [run_ber_point(cfg, snr_db) for snr_db in cfg.snr_db_list] == list(reference.points)
         assert run_sweep(cfg, workers=3) == reference
 
     def test_rerun_identical(self):
@@ -374,19 +389,41 @@ class TestSweep:
         )),
     ])
     def test_failed_point_reported_after_the_others_ran(self, monkeypatch, tmp_path, workers):
-        real = sim._run_points
+        # every draw holding 4 dB frames raises; a serial sweep's packed draws
+        # hold every point's frames, so its points run again one at a time
+        snr_of = {snr_to_sigma2(snr_db, 4): snr_db for snr_db in small_config().snr_db_list}
+        real = sim.draw_frames
 
-        def failing_at_4_db(configs, snr_db, snr_index):
-            (tmp_path / f"{snr_db}").touch()  # a file, so that a worker's call is seen too
-            if snr_db == 4.0:
+        def failing_at_4_db(config, sigma2, seeds):
+            snrs = {snr_of[float(v)] for v in np.atleast_1d(sigma2)}
+            for snr_db in snrs:
+                (tmp_path / f"{snr_db}").touch()  # a file, so that a worker's call is seen too
+            if 4.0 in snrs:
                 raise ValueError("boom")
-            return real(configs, snr_db, snr_index)
+            return real(config, sigma2, seeds)
 
-        monkeypatch.setattr(sim, "_run_points", failing_at_4_db)
+        monkeypatch.setattr(sim, "draw_frames", failing_at_4_db)
         with pytest.raises(RuntimeError) as info:
             run_sweep(small_config(), workers=workers)
         assert str(info.value) == "1 sweep point(s) failed: snr_db=4.0: boom"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["0.0", "4.0", "8.0"]
+
+    def test_packed_failure_reruns_each_point_alone(self, monkeypatch):
+        # a failure only a packed draw meets: the points, run again one at a
+        # time through the same schedule, give the sweep's results
+        cfg = small_config()
+        reference = [run_ber_point(cfg, snr_db) for snr_db in cfg.snr_db_list]
+        real, sizes = sim.draw_frames, []
+
+        def failing_when_packed(config, sigma2, seeds):
+            if len(set(np.atleast_1d(sigma2).tolist())) > 1:
+                raise ValueError("packed")
+            sizes.append(len(seeds))
+            return real(config, sigma2, seeds)
+
+        monkeypatch.setattr(sim, "draw_frames", failing_when_packed)
+        assert run_sweep(cfg).points == tuple(reference)
+        assert sum(sizes) >= sum(p.frames for p in reference)
 
     @pytest.mark.parametrize("workers", [0, -3, True, 2.5, "2"])
     def test_rejects_bad_workers(self, workers):
@@ -453,17 +490,32 @@ class TestRunSweeps:
 
     def test_each_chunk_drawn_once(self, monkeypatch):
         configs = [small_config(detector=det, k_iterations=k) for det, k in self.DETECTORS]
-        calls = []
+        cfg = configs[0]
+        # (snr index, trial index) of every trial seed within the bit budget
+        budget = cfg.max_bits // (cfg.m * 4)
+        frame_of = {
+            int(seed): (i, t)
+            for i in range(len(cfg.snr_db_list))
+            for t, seed in enumerate(mix_seed(cfg.master_seed, i, np.arange(budget)))
+        }
+        draws = []
 
-        def recording(config, snr, seeds):
-            calls.append((snr, len(seeds)))
-            return draw_frames(config, snr, seeds)
+        def recording(config, sigma2, seeds):
+            frames = [frame_of[int(seed)] for seed in seeds]
+            assert np.array_equal(sigma2, [snr_to_sigma2(cfg.snr_db_list[i], cfg.m) for i, _ in frames])
+            draws.append(frames)
+            return draw_frames(config, sigma2, seeds)
 
         monkeypatch.setattr(sim, "draw_frames", recording)
         results = run_sweeps(configs)
-        # each point reads as many frames as its longest-running config, at most one chunk more
-        for i, snr in enumerate(configs[0].snr_db_list):
-            drawn = [size for at, size in calls if at == snr]
+        assert any(len({i for i, _ in frames}) > 1 for frames in draws)  # the points share draws
+        assert max(map(len, draws)) <= sim.CHUNK_ENTRIES // (cfg.n * cfg.m)
+        # each point reads its frames in order, once, and as many as its
+        # longest-running config, at most one of its ranges more
+        for i in range(len(cfg.snr_db_list)):
+            trials = [t for frames in draws for at, t in frames if at == i]
+            assert trials == list(range(len(trials)))
+            drawn = [n for n in (sum(at == i for at, _ in frames) for frames in draws) if n]
             longest = max(result.points[i].frames for result in results)
             assert sum(drawn[:-1]) < longest <= sum(drawn)
 
@@ -494,9 +546,9 @@ class TestChunkSchedule:
         """The point, and the frame count of each chunk it drew."""
         sizes = []
 
-        def recording(config, snr, seeds):
+        def recording(config, sigma2, seeds):
             sizes.append(len(seeds))
-            return draw_frames(config, snr, seeds)
+            return draw_frames(config, sigma2, seeds)
 
         monkeypatch.setattr(sim, "draw_frames", recording)
         return run_ber_point(cfg, snr_db), sizes
@@ -520,6 +572,26 @@ class TestChunkSchedule:
         point, sizes = self.requested(monkeypatch, cfg, 60.0)
         assert point.frames == sim.MIN_FRAMES_PER_POINT
         assert sizes == [1] * sim.MIN_FRAMES_PER_POINT
+
+    @pytest.mark.parametrize("detector", ["cholesky", "cr", "gmres", "minres"])
+    def test_benchmark_sweep_packs_its_points(self, monkeypatch, detector):
+        # 128x8, 64-QAM, 100 errors or 100 frames: 4 dB reaches the error target
+        # within its first two ranges (16 + 32 frames), 10 and 12 dB run to the
+        # budget (16 + 32 + 52).  The rounds pack 16 + 16 + 16, then 32 + 32 | 32,
+        # then 52 | 52 frames, never past the 64-frame cap
+        cfg = small_config(n=128, m=8, qam_order=64, detector=detector, k_iterations=4,
+                           snr_db_list=(4.0, 10.0, 12.0), max_bits=100 * 48, master_seed=20_260_809)
+        sizes = []
+
+        def recording(config, sigma2, seeds):
+            sizes.append(len(seeds))
+            return draw_frames(config, sigma2, seeds)
+
+        monkeypatch.setattr(sim, "draw_frames", recording)
+        points = run_sweep(cfg).points
+        assert sizes == [48, 64, 32, 52, 52] and max(sizes) <= sim.CHUNK_ENTRIES // (128 * 8)
+        assert 16 < points[0].frames <= 48 and points[0].flag == FLAG_OK
+        assert [p.frames for p in points[1:]] == [100, 100]
 
     def test_error_target_point_draws_at_most_one_chunk_past_its_stop(self, monkeypatch):
         point, sizes = self.requested(monkeypatch, small_config(), 0.0)
