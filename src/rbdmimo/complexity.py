@@ -134,14 +134,20 @@ class OpCounter:
         return Cost(complex_adds=self.adds, complex_mults=self.mults)
 
 
+def _count(name: str, value) -> int:
+    """An M or k as an int: anything but an int or numpy integer >= 1, a bool included, raises ValueError naming it."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"require integer {name} >= 1, got {name}={value!r}")
+    return int(value)
+
+
 def analytic_cost(algorithm: str, m: int, k: int) -> Cost:
     """Closed-form operation count for one detection, exact integer arithmetic.
 
     The half-integer coefficients in the gmres row always cancel because
     k^2 + k and k^2 + 3k are even for every integer k.
     """
-    if m < 1 or k < 1:
-        raise ValueError(f"require M >= 1 and k >= 1, got M={m}, k={k}")
+    m, k = _count("M", m), _count("k", k)
     if algorithm == "minres":
         return Cost(complex_adds=2 * k * m, complex_mults=4 * k * m * m + 2 * k * m)
     if algorithm == "gmres":
@@ -159,8 +165,7 @@ def as_implemented_cost(algorithm: str, m: int, k: int) -> Cost:
     The closed-form sum of each detector's KERNEL_OPS invocations; k < M
     keeps gmres and cr clear of their exact finish.
     """
-    if m < 1 or k < 1:
-        raise ValueError(f"require M >= 1 and k >= 1, got M={m}, k={k}")
+    m, k = _count("M", m), _count("k", k)
     if algorithm == "minres":
         return Cost(complex_adds=k * (2 * m * m + 2 * m - 2), complex_mults=k * (2 * m * m + 3 * m + 1))
     if algorithm == "gmres":
@@ -181,8 +186,7 @@ def cholesky_solve_cost(m: int) -> Cost:
     two triangular solves.  Additions are the inner-product accumulations:
     (M^3 - M)/6 for the factorization plus M^2 - M for the solves.
     """
-    if m < 1:
-        raise ValueError(f"require M >= 1, got M={m}")
+    m = _count("M", m)
     factor_mults = (m**3 + 3 * m**2 - 4 * m) // 6
     factor_adds = (m**3 - m) // 6
     return Cost(
@@ -200,8 +204,7 @@ def cholesky_cost(m: int) -> Cost:
     lower triangle with dense length-M inner products (M^2 (M+1)/2), and
     the final matrix-vector application (M^2).  Leading order 5M^3/6.
     """
-    if m < 1:
-        raise ValueError(f"require M >= 1, got M={m}")
+    m = _count("M", m)
     factor_mults = (m**3 + 3 * m**2 - 4 * m) // 6
     invert_mults = m * (m + 1) * (m + 2) // 6
     assembly_mults = m * m * (m + 1) // 2

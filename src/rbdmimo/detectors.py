@@ -130,6 +130,12 @@ def _batch_view(prob: MmseProblem):
     return (single, prob.A[None], prob.y_mf[None]) if single else (single, prob.A, prob.y_mf)
 
 
+def _check_iterations(k) -> None:
+    """Reject an iteration count that is not an int or numpy integer >= 1 (a bool included)."""
+    if isinstance(k, (bool, np.bool_)) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"iteration count must be >= 1 and an integer, got {k!r}")
+
+
 class _Run:
     """The scaffold of one detector call.
 
@@ -142,8 +148,7 @@ class _Run:
     """
 
     def __init__(self, prob: MmseProblem, k: int, counter=None):
-        if k < 1:
-            raise ValueError(f"iteration count must be >= 1, got {k}")
+        _check_iterations(k)
         self.single, self.a, self.y = _batch_view(prob)
         if counter is not None and not self.single:
             raise ValueError("operation counts are per problem: count one problem, not a batch")
@@ -391,6 +396,7 @@ def gmres_detect(prob: MmseProblem, v_iters: int, counter=None) -> DetectionResu
     come from the same triangular solve, since R[:j, :j] and g[:j] are final
     after step j.
     """
+    _check_iterations(v_iters)  # before min(), which would turn 2.5 into M = 2
     v_max = min(v_iters, prob.M)
     run = _Run(prob, v_max, counter)
     a, y = run.a, run.y

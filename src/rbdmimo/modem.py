@@ -85,6 +85,8 @@ def qam_demodulate_hard(symbols, spec: QamSpec) -> np.ndarray:
     symbols = np.asarray(symbols, dtype=np.complex128)
     if symbols.ndim not in (1, 2):
         raise ValueError(f"expected symbols of one frame or a batch of frames, got ndim={symbols.ndim}")
+    if not np.isfinite(symbols).all():
+        raise ValueError("symbols must be finite to slice, got a nan or inf entry")
     idx_to_gray, _, _ = _axis_tables(spec.order)
     side = idx_to_gray.shape[0]
     half = spec.bits_per_symbol // 2

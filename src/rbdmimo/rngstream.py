@@ -104,10 +104,17 @@ def splitmix64(x):
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _seed_int(seed) -> int:
+    """An int or numpy integer seed modulo 2**64; anything else, a bool included, raises TypeError."""
+    if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
+    return int(seed) & _MASK64
+
+
 def _component(c):
-    """A seed component modulo 2**64: an int, or a uint64 array for an integer array."""
+    """A seed component modulo 2**64: an int (see _seed_int), or a uint64 array for an integer array."""
     if not isinstance(c, np.ndarray):
-        return int(c) & _MASK64
+        return _seed_int(c)
     if c.dtype.kind not in "iu":
         raise TypeError(f"seed components must be integers, got an array of {c.dtype}")
     return c.astype(np.uint64)  # signed values wrap, as int & _MASK64 does
@@ -132,11 +139,11 @@ def mix_seed(*components):
 def seed_array(seeds) -> np.ndarray:
     """uint64 array of 64-bit seeds from an integer array or a sequence of ints.
 
-    Each seed is taken modulo 2**64, as mix_seed takes its components.
+    Each seed is checked and taken modulo 2**64, as mix_seed takes its components.
     """
     if isinstance(seeds, np.ndarray):
         return _component(seeds)
-    return np.array([int(s) & _MASK64 for s in seeds], dtype=np.uint64)
+    return np.array([_component(s) for s in seeds], dtype=np.uint64)
 
 
 def uniform_stream(seed: int) -> np.random.Generator:
@@ -145,9 +152,7 @@ def uniform_stream(seed: int) -> np.random.Generator:
     This is where a public draw's seed becomes a Philox key.  Anything but
     an int or a numpy integer, a bool included, raises TypeError.
     """
-    if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an integer, got {seed!r}")
-    return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
+    return np.random.Generator(np.random.Philox(key=_seed_int(seed)))
 
 
 _thread = threading.local()

@@ -14,27 +14,22 @@ several SNRs.  `frame_errors` then detects and demaps the drawn chunk
 under one config's detector and counts each frame's bit errors.  Each
 frame of a chunk equals `run_trial` on its own seed and SNR.
 
-A point's frames come in ranges: FIRST_CHUNK_FRAMES frames, then twice
-the last range, up to CHUNK_ENTRIES entries of H (at least one frame).
-One scheduler, `_run_schedule`, runs a list of points in rounds: each
-round takes the next range of every point still running and packs them,
-in point order, into shared draws of at most that cap, so a serial sweep
-pays the fixed cost of a draw and of a detector call a few times in all
-rather than a few times per point.  Each config adds up its per-frame
-errors and stops at the first frame where the serial stop rule holds, so
-frames, bits, errors and flags depend neither on the ranges nor on the
-packing, and the seeding contract is unchanged.
+One scheduler, `_run_schedule`, runs a list of points in rounds of
+shared draws; its docstring states the schedule.  Each config adds up its
+per-frame errors and stops at the first frame where the serial stop rule
+holds, so frames, bits, errors and flags depend neither on the ranges nor
+on the packing, and the seeding contract is unchanged.
 
 Trial seeds do not depend on the detector, so configs that differ only in
 detector and k_iterations see the same frames.  `run_sweeps` takes such a
 set of configs and draws each frame once for all of them: every config
 still running at one of a draw's points decides the draw, and the rounds
 go on until the last config stops at every point.  Its results equal
-separate sweeps exactly.  Serially it schedules all its points at once;
-a pool worker and `run_ber_point` schedule one point.  If a packed serial
-run raises, its points run again one at a time, so the error names only
-the SNRs that fail.  `run_sweep` is `run_sweeps` of one config, so there
-is one chunk loop.
+separate sweeps exactly.  Every route of `run_sweeps` runs one task,
+`_run_points`: a serial sweep's task holds all its points, a pool task
+one point, and if the schedule raises, the task runs its points again
+one at a time, so a failure names only its own SNR.  `run_sweep` is
+`run_sweeps` of one config, so there is one chunk loop.
 
 SNR convention: sigma2 = M / 10^(snr_db / 10), i.e. per-receive-antenna
 SNR at unit average symbol energy.  Detector comparisons are SNR gaps
@@ -125,11 +120,9 @@ class SimConfig:
             raise ConfigError("snr_db_list must be strictly increasing")
         for snr in snrs:
             try:
-                sigma2 = snr_to_sigma2(snr, self.m)
-            except ArithmeticError:  # 10**(snr/10) overflows, or underflows to a zero divisor
-                sigma2 = math.nan
-            if not (math.isfinite(sigma2) and sigma2 > 0):
-                raise ConfigError(f"snr_db_list entry {snr} dB gives no finite noise variance sigma2 > 0")
+                snr_to_sigma2(snr, self.m)
+            except ValueError:
+                raise ConfigError(f"snr_db_list entry {snr} dB gives no finite noise variance sigma2 > 0") from None
         object.__setattr__(self, "snr_db_list", snrs)
         if self.target_bit_errors < 100:
             raise ConfigError(f"target_bit_errors must be >= 100, got {self.target_bit_errors}")
@@ -156,9 +149,21 @@ class SweepResult:
 
 
 def snr_to_sigma2(snr_db: float, m: int) -> float:
+    """The noise variance of an SNR (see SNR_CONVENTION); ValueError unless it is finite and > 0."""
     if m < 1:
         raise ValueError(f"require M >= 1, got {m}")
-    return m / 10.0 ** (snr_db / 10.0)
+    try:
+        sigma2 = m / 10.0 ** (snr_db / 10.0)
+    except ArithmeticError:  # 10**(snr/10) overflows, or underflows to a zero divisor
+        sigma2 = math.nan
+    if not (math.isfinite(sigma2) and sigma2 > 0):
+        raise ValueError(f"snr_db {snr_db} dB gives no finite noise variance sigma2 > 0")
+    return sigma2
+
+
+def _check_config(config, name: str = "config") -> None:
+    if not isinstance(config, SimConfig):
+        raise ConfigError(f"{name} must be a SimConfig, got {config!r}")
 
 
 def draw_frames(config: SimConfig, sigma2, trial_seeds) -> tuple[np.ndarray, MmseProblem]:
@@ -201,6 +206,7 @@ def frame_errors(config: SimConfig, bits: np.ndarray, prob: MmseProblem) -> np.n
 
 def run_trial(config: SimConfig, snr_db: float, trial_seed: int) -> tuple[int, int]:
     """One frame; returns (bit_errors, bits_sent).  Deterministic in trial_seed."""
+    _check_config(config)
     errors = frame_errors(config, *draw_frames(config, snr_to_sigma2(snr_db, config.m), [trial_seed]))
     return int(errors[0]), config.m * qam_spec(config.qam_order).bits_per_symbol
 
@@ -209,32 +215,26 @@ def run_ber_point(config: SimConfig, snr_db: float) -> BerPoint:
     """Accumulate trials at one SNR until target_bit_errors or max_bits.
 
     At least MIN_FRAMES_PER_POINT frames are always run.  Points that stop
-    short of the error target carry the below-resolution flag.  Frames run
-    in chunks of FIRST_CHUNK_FRAMES, then twice the previous chunk, never
-    more than CHUNK_ENTRIES // (N*M) frames (at least one) nor past the
-    bit budget's last frame; the point ends at the first frame that meets
-    the stop rule, whatever the schedule.  snr_db must be in the config's
-    snr_db_list, whose index for it seeds the frames.
+    short of the error target carry the below-resolution flag.  The point
+    runs alone on the schedule of _run_schedule and ends at the first frame
+    that meets the stop rule.  snr_db must be in the config's snr_db_list,
+    whose index for it seeds the frames; a detector's exception propagates.
     """
+    _check_config(config)
+    snr_db = finite_real("snr_db", snr_db)
     try:
-        snr_index = config.snr_db_list.index(float(snr_db))
+        snr_index = config.snr_db_list.index(snr_db)
     except ValueError:
         raise ValueError(f"snr_db {snr_db} is not in the configured sweep list") from None
-    return _run_points((config,), snr_db, snr_index)[0]
-
-
-def _run_points(configs, snr_db: float, snr_index: int) -> list[BerPoint]:
-    """One BerPoint per config at one SNR: the schedule of that point alone."""
-    return _run_schedule(configs, [(snr_index, snr_db)])[0]
+    return _run_schedule((config,), [(snr_index, config.snr_db_list[snr_index])])[0][0]
 
 
 class _Point:
-    """A point of a schedule: its next frame, its next range's size, and each config's errors and last frame."""
+    """A point of a schedule: its SNR, and each config's errors and last frame."""
 
-    def __init__(self, snr_index: int, snr_db: float, m: int, size: int, configs: int):
+    def __init__(self, snr_index: int, snr_db: float, m: int, configs: int):
         self.snr_index, self.snr_db = snr_index, float(snr_db)
         self.sigma2 = snr_to_sigma2(snr_db, m)  # a Python float, repeated exactly for each of its frames
-        self.frames, self.size = 0, size
         self.errors = [0] * configs
         self.ends = [0] * configs  # a config's last frame, 0 while it runs
 
@@ -242,63 +242,52 @@ class _Point:
 def _run_schedule(configs, points) -> list[list[BerPoint]]:
     """For each (snr_index, snr_db) point, one BerPoint per config: the chunk loop.
 
-    The configs differ only in detector and k_iterations.  Each round
-    takes the next frame range of every point where a config still runs:
-    a point's ranges are FIRST_CHUNK_FRAMES frames, then twice the last,
-    never more than CHUNK_ENTRIES // (N*M) frames (at least one) nor past
-    the bit budget's last frame.  The round packs the ranges, in point
-    order, into shared draws of at most that cap, and decides each draw
-    under every config that runs at one of its points.  Each config stops
-    at each point at its own frame under the serial rule, so neither the
-    ranges nor the packing change a result.
+    The configs differ only in detector and k_iterations.  Every running
+    point is at the same frame; one range per round.  The ranges are
+    FIRST_CHUNK_FRAMES frames, then twice the last, never more than the cap
+    of CHUNK_ENTRIES // (N*M) frames (at least one) nor past the bit
+    budget's last frame.  A round draws its range of every point where a
+    config still runs, as many points to a draw as the cap holds, in point
+    order, and decides each draw under every config that runs at one of
+    its points.  Each config stops at each point at its own frame under the
+    serial rule, so neither the ranges nor the packing change a result.
     """
     config = configs[0]
     n_bits = config.m * qam_spec(config.qam_order).bits_per_symbol
     # the bit budget ends a point at this frame, whatever its error count
     last_frame = max(MIN_FRAMES_PER_POINT, -(-config.max_bits // n_bits))
     cap = max(1, CHUNK_ENTRIES // (config.n * config.m))
-    state = [_Point(i, snr_db, config.m, min(FIRST_CHUNK_FRAMES, cap), len(configs)) for i, snr_db in points]
-    while True:
-        draws, width = [], cap  # a full width, so the first range opens a draw
-        for point in state:
-            if all(point.ends):
-                continue
-            stop = min(point.frames + point.size, last_frame)
-            if width + stop - point.frames > cap:
-                draws.append([])
-                width = 0
-            draws[-1].append((point, point.frames, stop))
-            width += stop - point.frames
-            point.frames, point.size = stop, min(2 * point.size, cap)
-        if not draws:
-            break
-        for ranges in draws:
-            _draw_and_decide(configs, ranges, last_frame)
+    state = [_Point(i, snr_db, config.m, len(configs)) for i, snr_db in points]
+    start, size = 0, min(FIRST_CHUNK_FRAMES, cap)
+    while running := [point for point in state if not all(point.ends)]:
+        stop = min(start + size, last_frame)
+        per_draw = cap // (stop - start)
+        for first in range(0, len(running), per_draw):
+            _draw_and_decide(configs, running[first:first + per_draw], start, stop, last_frame)
+        start, size = stop, min(2 * size, cap)
     return [
         [_ber_point(cfg, point.snr_db, errs, end, n_bits) for cfg, errs, end in zip(configs, point.errors, point.ends)]
         for point in state
     ]
 
 
-def _draw_and_decide(configs, ranges, last_frame: int) -> None:
-    """Draw the (point, start, stop) frame ranges together and apply each config's stop rule at each point.
+def _draw_and_decide(configs, points, start: int, stop: int, last_frame: int) -> None:
+    """Draw frames [start, stop) of the points together and apply each config's stop rule at each point.
 
     A config that runs at any point of the draw decides all of its frames.
     """
     config = configs[0]
-    widths = [stop - start for _, start, stop in ranges]
-    seeds = np.concatenate([mix_seed(config.master_seed, p.snr_index, np.arange(a, b)) for p, a, b in ranges])
-    bits, prob = draw_frames(config, np.repeat([p.sigma2 for p, _, _ in ranges], widths), seeds)
-    offsets = np.cumsum([0, *widths])
+    indices = np.array([point.snr_index for point in points])
+    seeds = mix_seed(config.master_seed, indices[:, None], np.arange(start, stop)).ravel()
+    bits, prob = draw_frames(config, np.repeat([point.sigma2 for point in points], stop - start), seeds)
+    counts = np.arange(start + 1, stop + 1)
     for i, cfg in enumerate(configs):
-        if all(p.ends[i] for p, _, _ in ranges):
+        if all(point.ends[i] for point in points):
             continue
-        errors = frame_errors(cfg, bits, prob)
-        for (point, start, stop), lo, hi in zip(ranges, offsets, offsets[1:]):
+        for point, errors in zip(points, frame_errors(cfg, bits, prob).reshape(len(points), -1)):
             if point.ends[i]:
                 continue
-            counts = np.arange(start + 1, stop + 1)
-            totals = point.errors[i] + np.cumsum(errors[lo:hi])
+            totals = point.errors[i] + np.cumsum(errors)
             stops = ((counts >= MIN_FRAMES_PER_POINT) & (totals >= cfg.target_bit_errors)) | (counts == last_frame)
             end = int(np.argmax(stops)) if stops.any() else len(counts) - 1
             point.errors[i] = int(totals[end])
@@ -318,13 +307,27 @@ def _ber_point(cfg: SimConfig, snr_db: float, errors: int, frames: int, n_bits: 
     )
 
 
-def _point_task(args):
-    """(the configs' points, None), or (None, the failure text) if the point raises."""
-    configs, snr_db, snr_index = args
+def _run_points(configs, points):
+    """(each point's BerPoints, one per config; the failure texts): the task of every run_sweeps route.
+
+    The points run on one schedule.  If it raises, each point runs again
+    alone, so a failure names only its own SNR, and its BerPoints are None.
+    """
     try:
-        return _run_points(configs, snr_db, snr_index), None
+        return _run_schedule(configs, points), []
     except Exception as exc:  # noqa: BLE001 - run_sweeps aggregates and re-raises
-        return None, f"snr_db={snr_db}: {exc}"
+        if len(points) == 1:
+            return [None], [f"snr_db={points[0][1]}: {exc}"]
+    return _each_alone(map, configs, points)
+
+
+def _each_alone(mapper, configs, points):
+    """_run_points of each point alone through `mapper` (map, or a pool's map), merged in point order."""
+    results, failures = [], []
+    for found, texts in mapper(_run_points, [configs] * len(points), [[point] for point in points]):
+        results += found
+        failures += texts
+    return results, failures
 
 
 def _init_pool_worker(workers: int) -> None:
@@ -348,15 +351,13 @@ def run_sweeps(configs, workers: int | None = None) -> tuple[SweepResult, ...]:
     offending config's index, before any point runs.  Each frame is drawn
     once and decided for every config still running at its point, and
     each config's points equal those of run_sweep on it alone.  workers is
-    None or an integer >= 1.  Serially, one schedule runs every point:
-    each round packs the next frame range of every running point into
-    shared draws (see _run_schedule).  If workers > 1, points run in
-    parallel across SNRs, one schedule per point, and each pool worker
-    runs BLAS on one thread (see _init_pool_worker).  Seed derivation is
+    None or an integer >= 1.  A pool of min(workers, points) processes,
+    if that is more than one, runs one point per task, each worker with
+    BLAS on one thread (see _init_pool_worker); else one task runs every
+    point in this process (see _run_schedule).  Seed derivation is
     index-based, so every route gives bit-identical results.  Per-point
     failures are collected and raised together after every point has been
-    attempted; if a packed serial run raises, the points are run again one
-    at a time, so that the error names only the SNRs that fail.
+    attempted (see _run_points).
     """
     if workers is not None:
         if isinstance(workers, (bool, np.bool_)) or not isinstance(workers, (int, np.integer)) or workers < 1:
@@ -367,27 +368,21 @@ def run_sweeps(configs, workers: int | None = None) -> tuple[SweepResult, ...]:
         raise ConfigError("run_sweeps needs at least one config")
     first = configs[0]
     for i, cfg in enumerate(configs):
-        if not isinstance(cfg, SimConfig):
-            raise ConfigError(f"config {i} must be a SimConfig, got {cfg!r}")
+        _check_config(cfg, f"config {i}")
         if replace(cfg, detector=first.detector, k_iterations=first.k_iterations) != first:
             raise ConfigError(f"config {i} differs from config 0 in more than detector and k_iterations")
-    tasks = [(configs, snr_db, i) for i, snr_db in enumerate(first.snr_db_list)]
-    if workers is not None and workers > 1:
+    points = list(enumerate(first.snr_db_list))
+    workers = min(workers or 1, len(points))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # 10-15 ms of import that only a pool needs
 
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_pool_worker, initargs=(workers,)) as pool:
-            outcomes = list(pool.map(_point_task, tasks))
+            results, failures = _each_alone(pool.map, configs, points)
     else:
-        try:
-            outcomes = [(points, None) for points in _run_schedule(configs, list(enumerate(first.snr_db_list)))]
-        except Exception:  # noqa: BLE001 - a packed draw mixes points, so run them alone to name the failing ones
-            outcomes = [_point_task(task) for task in tasks]
-    failures = [failure for _, failure in outcomes if failure is not None]
+        results, failures = _run_points(configs, points)
     if failures:
         raise RuntimeError(f"{len(failures)} sweep point(s) failed: " + "; ".join(failures))
-    return tuple(
-        SweepResult(config=cfg, points=tuple(points[i] for points, _ in outcomes)) for i, cfg in enumerate(configs)
-    )
+    return tuple(SweepResult(config=cfg, points=tuple(found[i] for found in results)) for i, cfg in enumerate(configs))
 
 
 def run_sweep(config: SimConfig, workers: int | None = None) -> SweepResult:

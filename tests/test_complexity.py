@@ -61,6 +61,22 @@ class TestAnalyticCost:
         mults = {a: analytic_cost(a, 60, 3).complex_mults for a in ("minres", "gmres", "cr")}
         assert mults["cr"] < mults["minres"] < mults["gmres"]
 
+    @pytest.mark.parametrize("bad", [0, -2, 8.5, 8.0, True, "8"])
+    def test_non_integer_or_small_counts_rejected(self, bad):
+        # M and k of every closed form must be integers >= 1, named in the error
+        for cost in (analytic_cost, as_implemented_cost):
+            with pytest.raises(ValueError, match=r"require integer M >= 1, got M="):
+                cost("cr", bad, 2)
+            with pytest.raises(ValueError, match=r"require integer k >= 1, got k="):
+                cost("cr", 8, bad)
+        for cost in (cholesky_cost, cholesky_solve_cost):
+            with pytest.raises(ValueError, match=r"require integer M >= 1, got M="):
+                cost(bad)
+
+    def test_numpy_integer_counts_accepted(self):
+        assert analytic_cost("gmres", np.int64(8), np.int32(3)) == analytic_cost("gmres", 8, 3)
+        assert cholesky_cost(np.uint8(8)) == cholesky_cost(8)
+
 
 class TestBaselines:
     def test_solve_cost_m1(self):

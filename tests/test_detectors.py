@@ -627,7 +627,15 @@ class TestBatch:
 
 
 @pytest.mark.parametrize("name", ITERATIVE_DETECTORS)
-@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("k", [0, -1, True, 2.5, "3"])
 def test_iteration_count_below_one_rejected(name, k):
-    with pytest.raises(ValueError, match="iteration count must be >= 1"):
-        ITERATIVE_DETECTORS[name](make_problem(3, 553), k)
+    # M = 2 as well: gmres must not let min(k, M) turn 2.5 into 2
+    for m in (3, 2):
+        with pytest.raises(ValueError, match="iteration count must be >= 1"):
+            ITERATIVE_DETECTORS[name](make_problem(m, 553), k)
+
+
+@pytest.mark.parametrize("name", ITERATIVE_DETECTORS)
+def test_numpy_integer_iteration_count_accepted(name):
+    prob = make_problem(3, 553)
+    assert np.array_equal(ITERATIVE_DETECTORS[name](prob, np.int64(2)).s_hat, ITERATIVE_DETECTORS[name](prob, 2).s_hat)

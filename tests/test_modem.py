@@ -112,6 +112,14 @@ def test_bit_count_validation():
         qam_modulate(np.array([0, 1, 0]), qam_spec(16))
 
 
+@pytest.mark.parametrize("bad", [np.nan + 0j, complex(0.0, np.inf), complex(-np.inf, 1.0)], ids=["nan", "inf", "-inf"])
+def test_non_finite_symbols_rejected(bad):
+    # a named error, not a cast warning and an out-of-range index
+    for symbols in (np.array([bad, 1 + 1j]), np.array([[0j, 0j], [0j, bad]])):
+        with pytest.raises(ValueError, match="symbols must be finite"):
+            qam_demodulate_hard(symbols, qam_spec(4))
+
+
 class TestAwgn:
     def test_zero_variance_exact(self):
         x = np.array([1.0 + 2j, -3.5j, 0.25])

@@ -63,6 +63,17 @@ def test_non_integer_array_rejected():
         mix_seed(np.array([1.5]))
 
 
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, np.bool_(True), "1", None])
+def test_non_integer_component_rejected(seed):
+    # neither truncated nor taken as 1
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        mix_seed(seed)
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        mix_seed(5, seed)
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        seed_array([2, seed])
+
+
 @given(st.lists(st.integers(min_value=-(2**80), max_value=2**80), min_size=1, max_size=8),
        st.integers(min_value=-(2**70), max_value=2**70))
 def test_array_matches_scalar(components, master):
@@ -73,8 +84,8 @@ def test_array_matches_scalar(components, master):
 SEEDS = [0, 1, 2**63 - 1, 2**63, 2**64 - 1, mix_seed(5, 7)]
 
 
-@pytest.mark.parametrize("seed", [[5, 7], np.array([5, 7], dtype=np.uint64), 5.0, True, np.bool_(True)],
-                         ids=["list", "uint64-array", "float", "bool", "numpy-bool"])
+@pytest.mark.parametrize("seed", [[5, 7], np.array([5, 7], dtype=np.uint64), 5.0, 1.5, True, np.bool_(True)],
+                         ids=["list", "uint64-array", "float", "fraction", "bool", "numpy-bool"])
 def test_stream_takes_one_integer_seed(seed):
     with pytest.raises(TypeError, match="seed must be an integer"):
         uniform_stream(seed)

@@ -2,6 +2,7 @@
 
 import math
 import multiprocessing
+import os
 import re
 import sys
 import threading
@@ -61,6 +62,11 @@ class TestSnrConversion:
         values = [snr_to_sigma2(s, 4) for s in range(-10, 60, 5)]
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-4
+
+    @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf, 1e5, -1e5, 4000.0])
+    def test_no_finite_variance_rejected(self, snr_db):
+        with pytest.raises(ValueError, match=f"snr_db {snr_db} dB gives no finite noise variance sigma2 > 0"):
+            snr_to_sigma2(snr_db, 4)
 
 
 class TestConfigValidation:
@@ -281,6 +287,21 @@ class TestRunTrial:
         cfg = small_config()
         assert run_trial(cfg, 4.0, 999) == run_trial(cfg, 4.0, 999)
 
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_non_integer_seed_rejected(self, seed):
+        # neither is taken as trial seed 1
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            run_trial(small_config(), 0.0, seed)
+
+    @pytest.mark.parametrize("snr_db", [1e5, -1e5, math.nan])
+    def test_snr_without_finite_variance_rejected(self, snr_db):
+        with pytest.raises(ValueError, match=f"snr_db {snr_db} dB gives no finite noise variance"):
+            run_trial(small_config(), snr_db, 1)
+
+    def test_non_config_rejected(self):
+        with pytest.raises(ConfigError, match=re.escape("config must be a SimConfig, got {'m': 4}")):
+            run_trial({"m": 4}, 0.0, 1)
+
     @pytest.mark.parametrize("detector", ["cholesky", "minres", "gmres", "cr"])
     def test_chunk_matches_single_frames(self, detector):
         cfg = small_config(detector=detector, k_iterations=2)
@@ -316,6 +337,22 @@ class TestBerPoint:
     def test_target_reached_flag(self):
         pt = run_ber_point(small_config(), 0.0)
         assert pt.flag == FLAG_OK and pt.bit_errors >= 100
+
+    def test_non_config_rejected(self):
+        with pytest.raises(ConfigError, match=re.escape("config must be a SimConfig, got {'snr_db_list': ")):
+            run_ber_point({"snr_db_list": (0.0,)}, 0.0)
+
+    @pytest.mark.parametrize("snr_db", ["0", None, True, math.nan])
+    def test_snr_must_be_a_finite_number(self, snr_db):
+        with pytest.raises(ConfigError, match="snr_db must be"):
+            run_ber_point(small_config(), snr_db)
+
+    def test_runs_the_configured_entry(self):
+        # an int or a negative zero finds the 0 dB entry, and the point carries that entry
+        cfg = small_config(snr_db_list=(0.0, 4.0))
+        point = run_ber_point(cfg, 0.0)
+        assert run_ber_point(cfg, 0) == point
+        assert math.copysign(1.0, run_ber_point(cfg, -0.0).snr_db) == 1.0
 
     def test_points_pinned(self):
         # (bits_sent, bit_errors, frames, flag) recorded from the seeding
@@ -438,13 +475,14 @@ class TestSweep:
         # a pool of two workers on `cpus` usable CPUs: the helper thread stays
         # off in each worker unless there are more CPUs than workers; the
         # parent process keeps it
-        serial, real = run_sweep(small_config()), sim._run_points
+        serial, real = run_sweep(small_config()), sim._run_schedule
 
-        def recording(configs, snr_db, snr_index):
-            (tmp_path / f"{snr_db} {rngstream._helper_runs(rngstream.TRIG_THREAD_ENTRIES)}").touch()
-            return real(configs, snr_db, snr_index)
+        def recording(configs, points):
+            for _, snr_db in points:
+                (tmp_path / f"{snr_db} {rngstream._helper_runs(rngstream.TRIG_THREAD_ENTRIES)}").touch()
+            return real(configs, points)
 
-        monkeypatch.setattr(sim, "_run_points", recording)
+        monkeypatch.setattr(sim, "_run_schedule", recording)
         monkeypatch.setattr(rngstream, "_usable_cpus", lambda: cpus)
         assert run_sweep(small_config(), workers=2) == serial
         assert sorted(p.name for p in tmp_path.iterdir()) == [f"{snr} {cpus > 2}" for snr in (0.0, 4.0, 8.0)]
@@ -453,16 +491,30 @@ class TestSweep:
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches workers only through fork")
     @pytest.mark.skipif(blas_threads() is None, reason="no OpenBLAS thread count to read")
     def test_pool_workers_run_blas_on_one_thread(self, monkeypatch, tmp_path):
-        parent, real = blas_threads(), sim._run_points
+        parent, real = blas_threads(), sim._run_schedule
 
-        def recording(configs, snr_db, snr_index):
-            (tmp_path / f"{snr_db} {blas_threads()}").touch()
-            return real(configs, snr_db, snr_index)
+        def recording(configs, points):
+            for _, snr_db in points:
+                (tmp_path / f"{snr_db} {blas_threads()}").touch()
+            return real(configs, points)
 
-        monkeypatch.setattr(sim, "_run_points", recording)
+        monkeypatch.setattr(sim, "_run_schedule", recording)
         run_sweep(small_config(), workers=2)
         assert sorted(p.name for p in tmp_path.iterdir()) == [f"{snr} 1" for snr in (0.0, 4.0, 8.0)]
         assert blas_threads() == parent
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches workers only through fork")
+    def test_pool_starts_no_more_workers_than_points(self, monkeypatch, tmp_path):
+        # 8 workers asked for 3 points: 3 start, and each shares the CPUs among 3
+        serial, real = run_sweep(small_config()), sim._init_pool_worker
+
+        def recording(workers):
+            real(workers)
+            (tmp_path / f"{os.getpid()} {rngstream._drawing_processes}").touch()
+
+        monkeypatch.setattr(sim, "_init_pool_worker", recording)
+        assert run_sweep(small_config(), workers=8) == serial
+        assert [p.name.split()[1] for p in tmp_path.iterdir()] == ["3"] * 3
 
 
 class TestRunSweeps:
@@ -531,7 +583,7 @@ class TestRunSweeps:
     def test_non_config_rejected(self, monkeypatch, index):
         configs = [small_config(), small_config(detector="gmres")]
         configs[index] = "sweep.json"
-        monkeypatch.setattr(sim, "_point_task", lambda task: pytest.fail("a point ran"))
+        monkeypatch.setattr(sim, "_run_points", lambda configs, points: pytest.fail("a point ran"))
         with pytest.raises(ConfigError, match=f"config {index} must be a SimConfig, got 'sweep.json'"):
             run_sweeps(configs)
 
