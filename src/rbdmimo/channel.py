@@ -30,11 +30,19 @@ class ConfigError(ValueError):
     """Invalid simulation configuration or config file."""
 
 
-def finite_real(name: str, value) -> float:
-    """value as a float; bools, strings and non-finite numbers raise ConfigError naming `name`."""
+def real_number(name: str, value):
+    """value itself if it is an int or a float, numpy's included.
+
+    Anything else, a bool or a string included, raises ConfigError naming `name`.
+    """
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
-    if not np.isfinite(value):
+    return value
+
+
+def finite_real(name: str, value) -> float:
+    """value as a float; bools, strings and non-finite numbers raise ConfigError naming `name`."""
+    if not np.isfinite(real_number(name, value)):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     return float(value)
 
@@ -68,6 +76,11 @@ class ChannelScenario:
             raise ConfigError("user_correlated scenario requires zeta_r = 0")
         if self.kind == BS_CORRELATED and self.zeta_t != 0.0:
             raise ConfigError("bs_correlated scenario requires zeta_t = 0")
+
+    @property
+    def correlated(self) -> bool:
+        """Whether a correlation factor applies, so that H is not W itself."""
+        return self.zeta_r != 0.0 or self.zeta_t != 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,13 +139,29 @@ def correlate_channel(w: np.ndarray, scenario: ChannelScenario) -> np.ndarray:
     * fully_correlated: H = R_r^(1/2) W R_t^(1/2)
 
     Identity factors are skipped outright so that a zero correlation
-    factor reproduces the uncorrelated draw bit for bit.
+    factor reproduces the uncorrelated draw bit for bit: with no factor
+    the result is w itself, else each product is a fresh array and w is
+    left as it is.  sim's chunk draw runs the same products into its
+    chunk buffer instead (_correlate).
+    """
+    return _correlate(w, scenario)
+
+
+def _correlate(w: np.ndarray, scenario: ChannelScenario, outs=(None, None)) -> np.ndarray:
+    """correlate_channel's products, each written by np.matmul into the next of outs (None: a fresh array).
+
+    A scenario's unused correlation factors are zero (ChannelScenario), so
+    a factor applies exactly when its zeta is nonzero.  The first product
+    reads w and the second reads the first, so outs may be a spare array
+    and then w itself, once w is dead: the products ping-pong between the
+    two and allocate nothing.
     """
     n, m = w.shape[-2:]
-    if scenario.kind in (BS_CORRELATED, FULLY_CORRELATED) and scenario.zeta_r != 0.0:
-        w = _correlation_sqrt(n, scenario.zeta_r, scenario.theta) @ w
-    if scenario.kind in (USER_CORRELATED, FULLY_CORRELATED) and scenario.zeta_t != 0.0:
-        w = w @ _correlation_sqrt(m, scenario.zeta_t, scenario.theta)
+    outs = iter(outs)
+    if scenario.zeta_r != 0.0:
+        w = np.matmul(_correlation_sqrt(n, scenario.zeta_r, scenario.theta), w, out=next(outs))
+    if scenario.zeta_t != 0.0:
+        w = np.matmul(w, _correlation_sqrt(m, scenario.zeta_t, scenario.theta), out=next(outs))
     return w
 
 

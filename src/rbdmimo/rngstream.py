@@ -54,12 +54,18 @@ its chunk's uniforms into it (`_chunk_normals`), Box-Muller forms the
 radii in place over them and writes the complex normals over the dead
 uniforms, so a steady run of chunks does not allocate them afresh (glibc
 hands an array of a chunk's size back to the kernel when it is freed, and
-the next chunk page-faults it in again).  Cos and sin go to one fresh
-array per session, and the public draws return fresh arrays.  A chunk of
-B frames of N x M holds B N (M + 1) normals, 16 bytes each, and
-`sim.CHUNK_ENTRIES` caps B N M, so a simulating thread's buffer stays
-within 16 (1 + 1/M) CHUNK_ENTRIES bytes: 1.125 MiB at 128x8 and 2 MiB at
-most, unless a single frame exceeds the cap and runs alone.
+the next chunk page-faults it in again).  A correlated scenario's chunk
+also asks for a spare region of B N M complex entries past its normals,
+and `channel._correlate` writes the first product into it and a second
+back over the dead W, so its H is never allocated afresh either (fresh
+products page-faulted about 500-1,100 times a 2 MiB chunk).  Cos and sin
+go to one fresh array per session, and the public draws return fresh
+arrays.  A chunk of B frames of N x M holds B N (M + 1) normals, 16
+bytes each, and `sim.CHUNK_ENTRIES` caps B N M, so a simulating thread's
+buffer stays within 16 (1 + 1/M) CHUNK_ENTRIES bytes, 2.25 MiB at 128x8
+and 4 MiB at most, and the correlated products' region adds at most
+16 CHUNK_ENTRIES bytes (2 MiB), unless a single frame exceeds the cap
+and runs alone.
 
 Threads and fork: the generator and the chunk buffer are
 `threading.local`, so concurrent callers reset their own generator and
@@ -162,16 +168,18 @@ def _thread_philox():
     """This thread's (Generator, key, state): one Philox per thread, reset row by row.
 
     Writing `state` into the generator, with a seed in key[0], is
-    bit-identical to building Philox(key=seed), and much cheaper.
+    bit-identical to building Philox(key=seed), and much cheaper.  The
+    state holds Python ints: the setter converts it entry by entry, which
+    takes about 0.5 us a reset from lists and 2 us from uint64 arrays.
     """
     try:
         return _thread.philox
     except AttributeError:
-        key = np.zeros(2, dtype=np.uint64)
+        key = [0, 0]
         state = {
             "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "state": {"counter": [0] * 4, "key": key},
+            "buffer": [0] * 4,
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
@@ -317,24 +325,28 @@ def complex_normal(gen: np.random.Generator, n: int, variance: float = 1.0) -> n
     return _box_muller([gen.random(2 * n).reshape(1, 2, n)], [variance])[0][0]
 
 
-def _chunk_normals(groups) -> list[np.ndarray]:
+def _chunk_normals(groups, spare: int = 0) -> list[np.ndarray]:
     """One (len(seeds), n) array per (seeds, n, variance) group, one Box-Muller session in this thread's chunk buffer.
 
     A group's variance is one float or one per seed, and row b of the
     group is complex_normal(uniform_stream(seeds[b]), n, variance of row
-    b).  The arrays are views of the chunk buffer, so they hold their
-    values only until this thread's next chunk; a caller must not return
-    them.  A negative or non-finite variance, or a variance array that is
-    not one per seed, raises ValueError before any draw.
+    b).  With spare > 0 one more array follows the groups: `spare` complex
+    entries of the buffer past the normals, holding no values, for a
+    caller's work on the chunk (sim's channel products).  The arrays are
+    views of the chunk buffer, so they hold their values only until this
+    thread's next chunk; a caller must not return them.  A negative or
+    non-finite variance, or a variance array that is not one per seed,
+    raises ValueError before any draw.
     """
     for seeds, _, variance in groups:
         _check_variance(variance, len(seeds))
     shapes = [(len(seeds), 2, n) for seeds, n, _ in groups]
     floats = sum(map(math.prod, shapes))
     buf = getattr(_thread, "chunk", None)
-    if buf is None or buf.size < floats:  # so it grows to the largest chunk and then stays
-        buf = _thread.chunk = np.empty(floats)
+    if buf is None or buf.size < floats + 2 * spare:  # so it grows to the largest chunk and then stays
+        buf = _thread.chunk = np.empty(floats + 2 * spare)
     uniforms = _carve(buf[:floats], shapes)
     for (seeds, _, _), u in zip(groups, uniforms):
         _fill_rows(seeds, u)
-    return _box_muller(uniforms, [variance for _, _, variance in groups])
+    normals = _box_muller(uniforms, [variance for _, _, variance in groups])
+    return normals + [buf[floats:floats + 2 * spare].view(np.complex128)] if spare else normals

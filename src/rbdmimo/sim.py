@@ -45,7 +45,8 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .channel import ChannelScenario, ConfigError, correlate_channel, finite_real
+from .channel import ChannelScenario, ConfigError, _correlate, finite_real, real_number
+from .complexity import _count
 from .detectors import DETECTOR_NAMES, ITERATIVE_DETECTORS, MmseProblem, exact_detect, preprocess
 from .modem import SUPPORTED_ORDERS, qam_demodulate_hard, qam_modulate, qam_spec
 from .rngstream import _chunk_normals, _share_cpus, mix_seed, seed_array, uniform_bits_rows
@@ -57,9 +58,11 @@ FLAG_BELOW_RESOLUTION = "below_resolution"
 
 MIN_FRAMES_PER_POINT = 10
 FIRST_CHUNK_FRAMES = 16
-# most entries of H in one chunk (1 MiB of complex128); it also bounds each
-# drawing thread's rngstream chunk buffer, at 1.125 MiB for 128x8 chunks
-CHUNK_ENTRIES = 2**16
+# most entries of H in one chunk (2 MiB of complex128): 128 frames at 128x8,
+# so each round of a 4-12 dB 128x8 sweep is one draw.  It also bounds each
+# drawing thread's rngstream chunk buffer: 2.25 MiB for 128x8 chunks, and
+# 2 MiB more for a correlated scenario's products
+CHUNK_ENTRIES = 2**17
 _SUB_STREAMS = np.arange(3)  # bits, channel, noise
 
 # results CSV config column -> config_as_dict key, scenario keys dotted under "scenario."
@@ -149,9 +152,13 @@ class SweepResult:
 
 
 def snr_to_sigma2(snr_db: float, m: int) -> float:
-    """The noise variance of an SNR (see SNR_CONVENTION); ValueError unless it is finite and > 0."""
-    if m < 1:
-        raise ValueError(f"require M >= 1, got {m}")
+    """The noise variance of an SNR (see SNR_CONVENTION); ValueError unless it is finite and > 0.
+
+    snr_db must be a real number and M an int or numpy integer >= 1; a
+    bool, a string or a non-integral M raises ValueError naming it.
+    """
+    m = _count("M", m)
+    snr_db = real_number("snr_db", snr_db)
     try:
         sigma2 = m / 10.0 ** (snr_db / 10.0)
     except ArithmeticError:  # 10**(snr/10) overflows, or underflows to a zero divisor
@@ -177,7 +184,9 @@ def draw_frames(config: SimConfig, sigma2, trial_seeds) -> tuple[np.ndarray, Mms
     Sub-streams: mix_seed(trial_seed, 0) for bits, (..., 1) for the
     channel, (..., 2) for the noise, derived for the whole chunk at once.
     The chunk's channel entries and noise come from one Box-Muller session
-    in this thread's rngstream chunk buffer; each frame equals
+    in this thread's rngstream chunk buffer, and a correlated scenario's
+    products are written into a spare region of the same buffer and back
+    over W (see channel._correlate), so H is a view of it; each frame equals
     generate_channel and awgn_add, each called alone on that frame's seed
     and variance, and preprocess checks that every h and y is finite.  The
     bits and the problem are fresh arrays, which later draws leave alone.
@@ -187,8 +196,12 @@ def draw_frames(config: SimConfig, sigma2, trial_seeds) -> tuple[np.ndarray, Mms
     sub_seeds = mix_seed(seed_array(trial_seeds)[:, None], _SUB_STREAMS).T
     bits = uniform_bits_rows(sub_seeds[0], n_bits)
     symbols = qam_modulate(bits, spec)
-    w, noise = _chunk_normals([(sub_seeds[1], config.n * config.m, 1.0), (sub_seeds[2], config.n, sigma2)])
-    h = correlate_channel(w.reshape(-1, config.n, config.m), config.scenario)
+    entries = config.n * config.m
+    groups = [(sub_seeds[1], entries, 1.0), (sub_seeds[2], config.n, sigma2)]
+    # a correlated W's products ping-pong: into a spare region of W's size, then back over the dead W
+    w, noise, *spare = _chunk_normals(groups, len(sub_seeds[1]) * entries if config.scenario.correlated else 0)
+    w = w.reshape(-1, config.n, config.m)
+    h = _correlate(w, config.scenario, (spare[0].reshape(w.shape), w) if spare else ())
     y = np.matvec(h, symbols)
     y += noise
     return bits, preprocess(h, y, sigma2)

@@ -153,7 +153,11 @@ class TestSelftest:
         import rbdmimo.sim as sim_mod
 
         draw = sim_mod._chunk_normals
-        monkeypatch.setattr(sim_mod, "_chunk_normals", lambda groups: draw([(s[::-1], n, v) for s, n, v in groups]))
+
+        def reversed_draw(groups, *spare):
+            return draw([(s[::-1], n, v) for s, n, v in groups], *spare)
+
+        monkeypatch.setattr(sim_mod, "_chunk_normals", reversed_draw)
         failures = run_selftest(seed=7)
         lines = capsys.readouterr().out.splitlines()
         assert [f.split(":")[0] for f in failures] == ["trial determinism"]

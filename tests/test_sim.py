@@ -68,6 +68,18 @@ class TestSnrConversion:
         with pytest.raises(ValueError, match=f"snr_db {snr_db} dB gives no finite noise variance sigma2 > 0"):
             snr_to_sigma2(snr_db, 4)
 
+    @pytest.mark.parametrize("m", [2.5, 4.0, True, np.bool_(True), "4", 0])
+    def test_m_must_be_a_positive_integer(self, m):
+        # 2.5 gave sigma2 = 2.5 and True gave 1.0
+        with pytest.raises(ValueError, match=re.escape(f"require integer M >= 1, got M={m!r}")):
+            snr_to_sigma2(0.0, m)
+
+    @pytest.mark.parametrize("snr_db", [True, "0", None])
+    def test_snr_must_be_a_number(self, snr_db):
+        # True was read as 1 dB, and "0" failed inside the division with a TypeError
+        with pytest.raises(ConfigError, match=re.escape(f"snr_db must be a real number, got {snr_db!r}")):
+            snr_to_sigma2(snr_db, 4)
+
 
 class TestConfigValidation:
     def test_rejects_bad_geometry(self):
@@ -165,17 +177,25 @@ class TestConfigValidation:
             apply_overrides(small_config(), {"qam": 64})
 
 
+SCENARIOS = {
+    "uncorrelated": ChannelScenario(),
+    "fully_correlated": ChannelScenario("fully_correlated", zeta_t=0.2, zeta_r=0.3, theta=0.4),
+    "bs_correlated": ChannelScenario("bs_correlated", zeta_r=0.7, theta=0.4),
+    "user_correlated": ChannelScenario("user_correlated", zeta_t=0.5, theta=-0.3),
+}
+
+
 class TestDrawFrames:
-    @pytest.mark.parametrize("scenario", [
-        ChannelScenario(), ChannelScenario("fully_correlated", zeta_t=0.2, zeta_r=0.3, theta=0.4),
-    ], ids=["uncorrelated", "fully_correlated"])
-    @pytest.mark.parametrize("frames", [1, 14, 15, 16, 64])
+    @pytest.mark.parametrize("scenario", SCENARIOS.values(), ids=SCENARIOS.keys())
+    @pytest.mark.parametrize("frames", [1, 14, 15, 16, 64, 128])
     def test_joint_draw_equals_separate_draws(self, monkeypatch, scenario, frames):
         # a 128x8 chunk's channels and noise share one Box-Muller session, with the
         # helper thread forced on (one start per chunk), forced off, or by its own
         # rule (a frame is 1,152 entries, so 14 frames fall below TRIG_THREAD_ENTRIES
         # and 15 reach it); every frame is what the public per-frame draws give,
-        # each called alone on that frame's seed
+        # each called alone on that frame's seed.  A correlated scenario's products
+        # run in the chunk buffer (one-sided for bs_ and user_correlated), the public
+        # draw's in fresh arrays.  128 frames is the cap at 128x8
         cfg = small_config(n=128, m=8, qam_order=64, scenario=scenario)
         seeds = mix_seed(5, 2, np.arange(frames))
         sigma2 = snr_to_sigma2(6.0, 8)
@@ -220,6 +240,73 @@ class TestDrawFrames:
         for array, copy in zip((bits, prob.A, prob.y_mf), kept):
             assert np.array_equal(array, copy)
             assert not np.shares_memory(array, rngstream._thread.chunk)
+
+    @staticmethod
+    def drawn_channels(monkeypatch):
+        """(H, a copy of it) for each chunk draw_frames preprocesses from here on."""
+        seen = []
+
+        def recording(h, y, sigma2):
+            seen.append((h, h.copy()))
+            return preprocess(h, y, sigma2)
+
+        monkeypatch.setattr(sim, "preprocess", recording)
+        return seen
+
+    @pytest.mark.parametrize("scenario", [SCENARIOS["fully_correlated"], SCENARIOS["bs_correlated"]],
+                             ids=["fully_correlated", "bs_correlated"])
+    def test_correlated_chunk_stays_in_the_chunk_buffer(self, monkeypatch, scenario):
+        # the products go into a spare region of the thread's chunk buffer and back
+        # over W, so H is a view of the buffer, and a second chunk of the same size
+        # draws into the same buffer again
+        seen = self.drawn_channels(monkeypatch)
+        cfg = small_config(n=128, m=8, qam_order=64, scenario=scenario)
+        draw_frames(cfg, snr_to_sigma2(3.0, 8), mix_seed(7, 1, np.arange(128)))
+        buffer = rngstream._thread.chunk
+        draw_frames(cfg, snr_to_sigma2(3.0, 8), mix_seed(7, 2, np.arange(128)))
+        assert rngstream._thread.chunk is buffer
+        assert len(seen) == 2 and all(np.shares_memory(h, buffer) for h, _ in seen)
+        assert not np.array_equal(seen[0][1], seen[1][1])
+
+    def test_only_a_correlated_chunk_grows_the_buffer_for_its_products(self):
+        # in a thread of its own, so it starts without a chunk buffer: an i.i.d.
+        # chunk holds its normals alone, a correlated one as many entries again
+        sizes = []
+
+        def draw():
+            for scenario in (SCENARIOS["uncorrelated"], SCENARIOS["user_correlated"]):
+                cfg = small_config(n=128, m=8, qam_order=64, scenario=scenario)
+                draw_frames(cfg, snr_to_sigma2(3.0, 8), mix_seed(7, 3, np.arange(128)))
+                sizes.append(rngstream._thread.chunk.nbytes)
+
+        thread = threading.Thread(target=draw)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        # 128 frames of 1,024 channel and 128 noise entries, then 1,024 spare entries, 16 bytes each
+        assert sizes == [128 * 1152 * 16, 128 * 2176 * 16]
+
+    @pytest.mark.parametrize("scenario", [SCENARIOS["uncorrelated"], SCENARIOS["fully_correlated"]],
+                             ids=["uncorrelated", "fully_correlated"])
+    def test_sweep_buffer_within_the_stated_bound(self, scenario):
+        # the rngstream docstring's bound on a simulating thread's chunk buffer:
+        # 16 (1 + 1/M) CHUNK_ENTRIES bytes, and 16 CHUNK_ENTRIES more for a
+        # correlated scenario's products; a serial sweep in a thread of its own
+        cfg = small_config(n=128, m=8, qam_order=64, scenario=scenario, snr_db_list=(4.0, 10.0, 12.0),
+                           max_bits=100 * 48, master_seed=20_260_809)
+        sizes = []
+
+        def sweep():
+            run_sweep(cfg)
+            sizes.append(rngstream._thread.chunk.nbytes)
+
+        thread = threading.Thread(target=sweep)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        bound = 16 * (1 + 1 / 8 + scenario.correlated) * sim.CHUNK_ENTRIES
+        assert sizes and sizes[0] <= bound
+        assert bound == (4.25 if scenario.correlated else 2.25) * 2**20
 
     def test_workspace_stops_growing_after_warm_up(self):
         # in a thread of its own, so it starts without a chunk buffer: the warm-up
@@ -301,6 +388,12 @@ class TestRunTrial:
     def test_non_config_rejected(self):
         with pytest.raises(ConfigError, match=re.escape("config must be a SimConfig, got {'m': 4}")):
             run_trial({"m": 4}, 0.0, 1)
+
+    @pytest.mark.parametrize("snr_db", [True, "0"])
+    def test_snr_must_be_a_number(self, snr_db):
+        # True ran a 1 dB frame; "0" failed inside snr_to_sigma2 with a TypeError
+        with pytest.raises(ConfigError, match=re.escape(f"snr_db must be a real number, got {snr_db!r}")):
+            run_trial(small_config(), snr_db, 1)
 
     @pytest.mark.parametrize("detector", ["cholesky", "minres", "gmres", "cr"])
     def test_chunk_matches_single_frames(self, detector):
@@ -606,7 +699,7 @@ class TestChunkSchedule:
         return run_ber_point(cfg, snr_db), sizes
 
     def test_budget_point_doubles_to_the_last_frame(self, monkeypatch):
-        # 128x8 caps a chunk at 2**16 // 1024 = 64 frames; 100 frames of budget
+        # 128x8 caps a chunk at 2**17 // 1024 = 128 frames; 100 frames of budget
         cfg = small_config(n=128, m=8, qam_order=64, snr_db_list=(40.0,), max_bits=100 * 48)
         point, sizes = self.requested(monkeypatch, cfg, 40.0)
         assert (point.frames, point.flag) == (100, FLAG_BELOW_RESOLUTION)
@@ -616,10 +709,11 @@ class TestChunkSchedule:
         cfg = small_config(n=128, m=16, qam_order=64, snr_db_list=(40.0,), max_bits=200 * 96)
         point, sizes = self.requested(monkeypatch, cfg, 40.0)
         assert point.frames == 200
-        assert sizes[:3] == [16, 32, 32] and max(sizes) == 32 and sum(sizes) == 200
+        # 128x16 caps a chunk at 2**17 // 2048 = 64 frames
+        assert sizes == [16, 32, 64, 64, 24] and max(sizes) == sim.CHUNK_ENTRIES // (128 * 16)
 
     def test_oversized_frame_runs_alone(self, monkeypatch):
-        cfg = small_config(n=1040, m=64, qam_order=4, k_iterations=1, snr_db_list=(60.0,), max_bits=1)
+        cfg = small_config(n=2080, m=64, qam_order=4, k_iterations=1, snr_db_list=(60.0,), max_bits=1)
         assert cfg.n * cfg.m > sim.CHUNK_ENTRIES
         point, sizes = self.requested(monkeypatch, cfg, 60.0)
         assert point.frames == sim.MIN_FRAMES_PER_POINT
@@ -629,8 +723,8 @@ class TestChunkSchedule:
     def test_benchmark_sweep_packs_its_points(self, monkeypatch, detector):
         # 128x8, 64-QAM, 100 errors or 100 frames: 4 dB reaches the error target
         # within its first two ranges (16 + 32 frames), 10 and 12 dB run to the
-        # budget (16 + 32 + 52).  The rounds pack 16 + 16 + 16, then 32 + 32 | 32,
-        # then 52 | 52 frames, never past the 64-frame cap
+        # budget (16 + 32 + 52).  The rounds pack 16 + 16 + 16, then 32 + 32 + 32,
+        # then 52 + 52 frames, one draw each, never past the 128-frame cap
         cfg = small_config(n=128, m=8, qam_order=64, detector=detector, k_iterations=4,
                            snr_db_list=(4.0, 10.0, 12.0), max_bits=100 * 48, master_seed=20_260_809)
         sizes = []
@@ -641,7 +735,7 @@ class TestChunkSchedule:
 
         monkeypatch.setattr(sim, "draw_frames", recording)
         points = run_sweep(cfg).points
-        assert sizes == [48, 64, 32, 52, 52] and max(sizes) <= sim.CHUNK_ENTRIES // (128 * 8)
+        assert sizes == [48, 96, 104] and max(sizes) <= sim.CHUNK_ENTRIES // (128 * 8)
         assert 16 < points[0].frames <= 48 and points[0].flag == FLAG_OK
         assert [p.frames for p in points[1:]] == [100, 100]
 
