@@ -47,6 +47,13 @@ def finite_real(name: str, value) -> float:
     return float(value)
 
 
+def _count(name: str, value) -> int:
+    """A count (M, N, k, dim) as an int: anything but an int or numpy integer >= 1, a bool included, raises ValueError naming it."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"require integer {name} >= 1, got {name}={value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ChannelScenario:
     """Correlation configuration driving channel generation.
@@ -98,6 +105,7 @@ def correlation_matrix(dim: int, zeta: float, theta: float = 0.0) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
+    dim = _count("dim", dim)
     if not (0.0 <= zeta < 1.0):
         raise ValueError(f"zeta must lie in [0, 1), got {zeta}")
     base = zeta * np.exp(1j * theta)
@@ -174,5 +182,6 @@ def generate_channel(n: int, m: int, scenario: ChannelScenario, rng_seed: int) -
     """
     if m < 1 or n < m:
         raise ValueError(f"require N >= M >= 1, got N={n}, M={m}")
+    m, n = _count("M", m), _count("N", n)
     w = complex_normal(uniform_stream(rng_seed), n * m).reshape(n, m)
     return ChannelRealization(H=correlate_channel(w, scenario))

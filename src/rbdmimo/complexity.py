@@ -71,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelScenario, generate_channel
+from .channel import ChannelScenario, _count, generate_channel
 from .detectors import ITERATIVE_DETECTORS, MmseProblem, preprocess
 from .rngstream import complex_normal, mix_seed, uniform_stream
 
@@ -132,13 +132,6 @@ class OpCounter:
 
     def cost(self) -> Cost:
         return Cost(complex_adds=self.adds, complex_mults=self.mults)
-
-
-def _count(name: str, value) -> int:
-    """An M or k as an int: anything but an int or numpy integer >= 1, a bool included, raises ValueError naming it."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"require integer {name} >= 1, got {name}={value!r}")
-    return int(value)
 
 
 def analytic_cost(algorithm: str, m: int, k: int) -> Cost:

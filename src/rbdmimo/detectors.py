@@ -206,6 +206,8 @@ def preprocess(h, y, sigma2: float | np.ndarray) -> MmseProblem:
     """
     h = np.asarray(h, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
+    if np.asarray(sigma2).dtype == bool:
+        raise ValueError(f"sigma2 must be a number, not a bool, got {sigma2!r}")
     sigma2 = np.asarray(sigma2, dtype=float)
     if h.ndim not in (2, 3):
         raise ValueError(f"expected an N x M channel or a stack of them, got ndim={h.ndim}")

@@ -108,6 +108,8 @@ def awgn_add(x, sigma2: float, rng_seed: int) -> np.ndarray:
     x is 1-D and the noise is complex_normal(uniform_stream(rng_seed),
     x.size, sigma2); rng_seed is one integer (see uniform_stream).
     """
+    if isinstance(sigma2, (bool, np.bool_)) or np.ndim(sigma2):
+        raise ValueError(f"sigma2 must be one real number, got {sigma2!r}")
     if not np.isfinite(sigma2):
         raise ValueError("sigma2 contains non-finite values")
     if sigma2 < 0:

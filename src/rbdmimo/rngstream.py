@@ -256,7 +256,9 @@ def _cos_all(angles, outs) -> None:
 
 
 def _check_variance(variance, rows: int = 1) -> None:
-    """A variance is one finite float >= 0, or a 1-D array of one per row."""
+    """A variance is one finite float >= 0, or a 1-D array of one per row; a bool is none."""
+    if np.asarray(variance).dtype == bool:
+        raise ValueError(f"variance must be finite and >= 0, not a bool, got {variance!r}")
     v = np.asarray(variance, dtype=float)
     if v.ndim and v.shape != (rows,):
         raise ValueError(f"expected one variance or one per row ({rows}), got shape {v.shape}")
@@ -319,7 +321,7 @@ def complex_normal(gen: np.random.Generator, n: int, variance: float = 1.0) -> n
 
     Each entry uses one Box-Muller pair, variance/2 per real dimension; the
     first n uniforms of the stream feed the radii, the next n the angles.
-    A negative or non-finite variance raises ValueError before any draw.
+    A negative, non-finite or bool variance raises ValueError before any draw.
     """
     _check_variance(variance)
     return _box_muller([gen.random(2 * n).reshape(1, 2, n)], [variance])[0][0]

@@ -45,8 +45,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .channel import ChannelScenario, ConfigError, _correlate, finite_real, real_number
-from .complexity import _count
+from .channel import ChannelScenario, ConfigError, _correlate, _count, finite_real, real_number
 from .detectors import DETECTOR_NAMES, ITERATIVE_DETECTORS, MmseProblem, exact_detect, preprocess
 from .modem import SUPPORTED_ORDERS, qam_demodulate_hard, qam_modulate, qam_spec
 from .rngstream import _chunk_normals, _share_cpus, mix_seed, seed_array, uniform_bits_rows
@@ -376,6 +375,8 @@ def run_sweeps(configs, workers: int | None = None) -> tuple[SweepResult, ...]:
         if isinstance(workers, (bool, np.bool_)) or not isinstance(workers, (int, np.integer)) or workers < 1:
             raise ConfigError(f"workers must be None or an integer >= 1, got {workers!r}")
         workers = int(workers)
+    if isinstance(configs, SimConfig):
+        raise ConfigError("run_sweeps expects a sequence of SimConfigs, got one SimConfig (run_sweep takes one)")
     configs = tuple(configs)
     if not configs:
         raise ConfigError("run_sweeps needs at least one config")

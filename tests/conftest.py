@@ -10,10 +10,10 @@ import pytest
 
 import rbdmimo.detectors as detectors
 import rbdmimo.blas as blas
-from rbdmimo.channel import ChannelScenario, generate_channel
-from rbdmimo.detectors import MmseProblem, preprocess
+from rbdmimo.complexity import random_problem
+from rbdmimo.detectors import MmseProblem
 from rbdmimo.linalg import norm2
-from rbdmimo.rngstream import complex_normal, mix_seed, uniform_stream
+from rbdmimo.rngstream import mix_seed, uniform_stream
 
 # Property tests draw the same examples on every run (derandomize, no example
 # database), never time out on a slow host, and stay bounded in number.  Without
@@ -28,11 +28,8 @@ else:
 
 
 def make_problem(m, seed, n=None, sigma2=0.5) -> MmseProblem:
-    """Random SPD detection problem from a random channel draw."""
-    n = 4 * m if n is None else n
-    h = generate_channel(n, m, ChannelScenario(), mix_seed(seed, 0)).H
-    y = complex_normal(uniform_stream(mix_seed(seed, 1)), n)
-    return preprocess(h, y, sigma2)
+    """random_problem, with N = 4M unless given and sigma2 = 0.5."""
+    return random_problem(m, seed, n=4 * m if n is None else n, sigma2=sigma2)
 
 
 def problem_batch(count, seed, m_range=(2, 16), n_factor_range=(2, 16), sigma2_range=(0.01, 1.0)):

@@ -8,9 +8,9 @@ chosen so every interpolated curve brackets its target BER level.
 
 import time
 
-import numpy as np
 from conftest import problem_batch
 
+from rbdmimo import selftest
 from rbdmimo.channel import ChannelScenario
 from rbdmimo.complexity import (
     analytic_cost,
@@ -18,14 +18,6 @@ from rbdmimo.complexity import (
     leading_coefficient,
     measured_cost,
     random_problem,
-)
-from rbdmimo.detectors import (
-    cr_detect,
-    exact_detect,
-    gmres_detect,
-    minres_detect,
-    residual_bound_gmres,
-    residual_bound_minres,
 )
 from rbdmimo.sim import (
     FLAG_OK,
@@ -68,55 +60,25 @@ def crossing_points(result, ber_level):
 
 def test_criterion_1_oracle_equivalence():
     start = time.time()
-    checked = 0
-    for prob in problem_batch(1000, MASTER_SEED, m_range=(2, 16), n_factor_range=(2, 16)):
-        want = exact_detect(prob).s_hat
-        scale = np.linalg.norm(want)
-        for detect in (cr_detect, gmres_detect):
-            got = detect(prob, prob.M).s_hat
-            assert np.linalg.norm(got - want) <= 1e-8 * scale
-        checked += 1
+    problems = list(problem_batch(1000, MASTER_SEED, m_range=(2, 16), n_factor_range=(2, 16)))
+    selftest.check_oracle_equivalence(problems)
     elapsed = time.time() - start
-    assert checked == 1000
+    assert len(problems) == 1000
     assert elapsed < 30.0
     print(f"PASS criterion 1: oracle equivalence on 1000 instances in {elapsed:.1f}s")
 
 
 def test_criterion_2_residual_monotonicity():
-    violations = 0
-    for prob in problem_batch(1000, MASTER_SEED, m_range=(2, 16), n_factor_range=(2, 16)):
-        beta2 = float(np.linalg.norm(prob.y_mf)) ** 2
-        factor = residual_bound_minres(prob.A).minres_step_factor
-        r = minres_detect(prob, 8).trace.residual_norms
-        for k in range(len(r) - 1):
-            if r[k + 1] > r[k] * (1 + 1e-12):
-                violations += 1
-            if r[k + 1] ** 2 > factor * r[k] ** 2 + 1e-12 * beta2:
-                violations += 1
-        r = gmres_detect(prob, prob.M).trace.residual_norms
-        for k in range(len(r)):
-            if r[k] > residual_bound_gmres(prob.A, k) * r[0] + 1e-12 * r[0]:
-                violations += 1
-        trace = cr_detect(prob, prob.M).trace
-        r, s = trace.residual_norms, trace.iterate_norms
-        for k in range(len(r) - 1):
-            if not r[k + 1] < r[k]:
-                violations += 1
-            if s[k + 1] < s[k] * (1 - 1e-12):
-                violations += 1
-    assert violations == 0
+    problems = list(problem_batch(1000, MASTER_SEED, m_range=(2, 16), n_factor_range=(2, 16)))
+    selftest.check_minres_monotonicity(problems, depth=8)
+    selftest.check_gmres_bound(problems)
+    selftest.check_cr_monotonicity(problems)
     print("PASS criterion 2: residual monotonicity and bounds, zero violations on 1000 instances")
 
 
 def test_criterion_3_gmres_cr_equivalence():
-    worst = 0.0
-    for prob in problem_batch(500, MASTER_SEED + 1, m_range=(2, 16), n_factor_range=(2, 16)):
-        k = min(prob.M, 8)
-        res_g = gmres_detect(prob, k).trace.residual_norms
-        res_c = cr_detect(prob, k).trace.residual_norms
-        for i in range(min(len(res_g), len(res_c))):
-            worst = max(worst, abs(res_g[i] - res_c[i]) / res_g[0])
-    assert worst <= 1e-6
+    problems = problem_batch(500, MASTER_SEED + 1, m_range=(2, 16), n_factor_range=(2, 16))
+    worst = selftest.check_gmres_cr_agreement(problems, depth=8)
     print(f"PASS criterion 3: gmres/cr residual histories agree (worst {worst:.2e} relative)")
 
 
@@ -209,19 +171,16 @@ def test_criterion_7_table_exactness():
             got = analytic_cost("cr", m, k)
             assert got.complex_adds == (4 * k + 1) * m
             assert got.complex_mults == (k + 3) * m**2 + 8 * k * m
-    assert analytic_cost("minres", 8, 3).complex_mults == 816
-    assert analytic_cost("gmres", 8, 3).complex_mults == 1648
-    assert analytic_cost("cr", 8, 3).complex_mults == 576
+    selftest.check_complexity_tables()  # the spot values
     print("PASS criterion 7: closed-form counts exact on the full grid, spot values 816/1648/576")
 
 
 def test_criterion_8_complexity_reduction():
     baseline = cholesky_cost(60).complex_mults
     mults = {a: analytic_cost(a, 60, 3).complex_mults for a in ("cr", "minres", "gmres")}
-    assert mults["cr"] <= 0.20 * baseline
+    selftest.check_complexity_tables()  # cr within 20% of the baseline, and the ordering
     assert mults["minres"] <= 0.30 * baseline
     assert mults["gmres"] <= 0.60 * baseline
-    assert mults["cr"] < mults["minres"] < mults["gmres"]
     k = 3
     m_values = [8, 16, 32, 64]
     counts = [measured_cost("cr", random_problem(m, MASTER_SEED), k).complex_mults for m in m_values]

@@ -51,6 +51,11 @@ class TestCorrelationMatrix:
         with pytest.raises(ValueError):
             correlation_matrix(3, 1.0)
 
+    @pytest.mark.parametrize("dim", [2.5, True])
+    def test_dim_must_be_an_integer(self, dim):
+        with pytest.raises(ValueError, match=f"require integer dim >= 1, got dim={dim!r}"):
+            correlation_matrix(dim, 0.5)
+
     def test_hermitian_unit_diagonal_positive(self):
         for dim in (2, 8, 64):
             for zeta in np.arange(0.0, 1.0, 0.1):
@@ -135,6 +140,11 @@ class TestGenerateChannel:
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
             generate_channel(2, 4, ChannelScenario(), 0)
+
+    @pytest.mark.parametrize("n, m, got", [(8.0, 2, "N=8.0"), (8, 2.0, "M=2.0"), (8, True, "M=True")])
+    def test_dims_must_be_integers(self, n, m, got):
+        with pytest.raises(ValueError, match=f"require integer {got[0]} >= 1, got {got}"):
+            generate_channel(n, m, ChannelScenario(), 1)
 
     def test_entry_moments(self):
         # 1e5 draws of a 4x2 matrix: entries should be zero-mean unit-variance

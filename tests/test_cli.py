@@ -5,9 +5,40 @@ import json
 import pytest
 from conftest import sign_flipped_minres
 
+import rbdmimo.selftest as selftest_mod
 from rbdmimo.cli import main
-from rbdmimo.complexity import BASELINE_CONVENTION, COUNTING_CONVENTION
-from rbdmimo.selftest import run_selftest
+from rbdmimo.complexity import BASELINE_CONVENTION, COUNTING_CONVENTION, Cost, measured_counter
+from rbdmimo.detectors import cr_detect, gmres_detect
+
+
+def corrupted(function, corrupt):
+    """function with corrupt applied in place to each result it returns."""
+    def faulty(*args, **kwargs):
+        result = function(*args, **kwargs)
+        corrupt(result)
+        return result
+    return faulty
+
+
+def residuals_from(step, value):
+    """A corrupt that sets each residual from `step` on to value(residuals, that residual)."""
+    def corrupt(result):
+        res = result.trace.residual_norms
+        res[step:] = [value(res, r) for r in res[step:]]
+    return corrupt
+
+
+# A check failure's name: the selftest name replaced and its faulty stand-in, which only that check can
+# catch (a residual fault the agreement check must not see starts past its depth, 6; the oracle reads no trace)
+SELFTEST_FAULTS = {
+    "oracle equivalence": ("gmres_detect", corrupted(gmres_detect, lambda r: setattr(r, "s_hat", 1.000001 * r.s_hat))),
+    "gmres residual bound": ("gmres_detect", corrupted(gmres_detect, residuals_from(7, lambda res, r: res[0]))),
+    "cr residual decrease": ("cr_detect", corrupted(cr_detect, residuals_from(7, lambda res, r: res[6]))),
+    "cr iterate growth": ("cr_detect", corrupted(cr_detect, lambda r: r.trace.iterate_norms.reverse())),
+    "gmres cr residual agreement": ("gmres_detect", corrupted(gmres_detect, residuals_from(1, lambda res, r: 0.9 * r))),
+    "complexity table spot values": ("analytic_cost", lambda algorithm, m, k: Cost(0, 0)),
+    "matvec budget": ("measured_counter", corrupted(measured_counter, lambda counter: counter.count(8, matvec=1))),
+}
 
 
 @pytest.fixture()
@@ -139,13 +170,20 @@ class TestSelftest:
 
     def test_injected_sign_error_named(self, monkeypatch, capsys):
         # a corrupted step direction must be caught by the monotonicity check
-        import rbdmimo.selftest as selftest_mod
-
         monkeypatch.setattr(selftest_mod, "minres_detect", sign_flipped_minres)
-        failures = run_selftest(seed=7)
+        failures = selftest_mod.run_selftest(seed=7)
         lines = capsys.readouterr().out.splitlines()
         assert any(f.startswith("minres residual monotonicity") for f in failures)
         assert any(line.startswith("FAIL minres residual monotonicity") for line in lines)
+
+    @pytest.mark.parametrize("name", SELFTEST_FAULTS)
+    def test_injected_fault_named_by_its_check_alone(self, name, monkeypatch, capsys):
+        # criteria 1-3 and the unit tests run these checks: each must fail on a fault
+        monkeypatch.setattr(selftest_mod, *SELFTEST_FAULTS[name])
+        failures = selftest_mod.run_selftest(seed=7)
+        fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert [f.split(":")[0] for f in failures] == [name]
+        assert len(fails) == 1 and fails[0].startswith(f"FAIL {name}: ")
 
     def test_batch_order_fault_named(self, monkeypatch, capsys):
         # a chunk's channels and noise drawn in reversed seed order: each frame alone
@@ -158,7 +196,7 @@ class TestSelftest:
             return draw([(s[::-1], n, v) for s, n, v in groups], *spare)
 
         monkeypatch.setattr(sim_mod, "_chunk_normals", reversed_draw)
-        failures = run_selftest(seed=7)
+        failures = selftest_mod.run_selftest(seed=7)
         lines = capsys.readouterr().out.splitlines()
         assert [f.split(":")[0] for f in failures] == ["trial determinism"]
         assert "FAIL trial determinism: chunk errors" in "\n".join(lines)

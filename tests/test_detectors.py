@@ -23,6 +23,7 @@ from rbdmimo.detectors import (
     residual_bound_gmres,
     residual_bound_minres,
 )
+from rbdmimo import selftest
 from rbdmimo.channel import ChannelScenario
 from rbdmimo.linalg import hermitian_defect, hermitian_eigen_extrema, norm2
 from rbdmimo.rngstream import uniform_stream
@@ -114,6 +115,9 @@ class TestPreprocess:
         with pytest.raises(ValueError, match="sigma2 must be >= 0"):
             preprocess(h, y, -0.1)
 
+    def test_rejects_bool_noise_variance(self):
+        with pytest.raises(ValueError, match="sigma2 must be a number, not a bool, got True"):
+            preprocess(np.ones((4, 2), dtype=complex), np.ones(4, dtype=complex), True)
 
     def test_per_frame_noise_variances(self):
         # a stack may carry one sigma2 per frame: each frame is preprocess of it alone
@@ -189,10 +193,7 @@ class TestMinres:
         assert np.abs(res.s_hat - np.array([0.6, 0.6])).max() < 1e-15
 
     def test_residuals_non_increasing(self):
-        for prob in problem_batch(100, 507, m_range=(2, 12)):
-            res = minres_detect(prob, 6)
-            r = res.trace.residual_norms
-            assert all(r[k + 1] <= r[k] * (1 + 1e-12) for k in range(len(r) - 1))
+        selftest.check_minres_monotonicity(problem_batch(100, 507, m_range=(2, 12)), depth=6)
 
     def test_trace_shape_and_start(self):
         prob = make_problem(5, 508)
@@ -224,17 +225,10 @@ class TestCr:
         assert np.abs(one_step.s_hat - np.array([0.6, 0.6])).max() < 1e-15
 
     def test_finite_termination_matches_cholesky(self):
-        for prob in problem_batch(100, 510, m_range=(2, 16)):
-            want = exact_detect(prob).s_hat
-            got = cr_detect(prob, prob.M).s_hat
-            assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+        selftest.check_oracle_equivalence(problem_batch(100, 510, m_range=(2, 16)))
 
     def test_residuals_strictly_decrease_iterates_grow(self):
-        for prob in problem_batch(100, 511, m_range=(2, 12)):
-            trace = cr_detect(prob, prob.M).trace
-            r, s = trace.residual_norms, trace.iterate_norms
-            assert all(r[k + 1] < r[k] for k in range(len(r) - 1))
-            assert all(s[k + 1] >= s[k] * (1 - 1e-12) for k in range(len(s) - 1))
+        selftest.check_cr_monotonicity(problem_batch(100, 511, m_range=(2, 12)))
 
     def test_error_a_norm_strictly_decreases(self):
         for prob in problem_batch(30, 512, m_range=(3, 10)):
@@ -248,11 +242,7 @@ class TestCr:
             assert all(errs[k + 1] < errs[k] for k in range(len(errs) - 1))
 
     def test_one_product_per_iteration_after_init(self):
-        prob = make_problem(8, 513)
-        for k in (1, 3, 5):
-            counter = OpCounter()
-            cr_detect(prob, k, counter=counter)
-            assert counter.matvecs == k + 3
+        selftest.check_matvec_budget([make_problem(8, 513)], depths=(1, 3, 5))
 
 
 def steps_until_breakdown(prob, v):
@@ -385,10 +375,7 @@ class TestGmres:
         assert np.abs(res.s_hat - prob.y_mf).max() < 1e-14
 
     def test_full_space_matches_cholesky(self):
-        for prob in problem_batch(100, 517, m_range=(2, 16)):
-            want = exact_detect(prob).s_hat
-            got = gmres_detect(prob, prob.M).s_hat
-            assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+        selftest.check_oracle_equivalence(problem_batch(100, 517, m_range=(2, 16)))
 
     def test_residuals_non_increasing(self):
         for prob in problem_batch(50, 518, m_range=(2, 12)):
@@ -396,13 +383,7 @@ class TestGmres:
             assert all(r[k + 1] <= r[k] * (1 + 1e-12) for k in range(len(r) - 1))
 
     def test_residual_history_matches_cr(self):
-        for prob in problem_batch(50, 519, m_range=(3, 12)):
-            k = min(prob.M, 3)
-            res_g = gmres_detect(prob, k).trace.residual_norms
-            res_c = cr_detect(prob, k).trace.residual_norms
-            n = min(len(res_g), len(res_c))
-            for i in range(n):
-                assert abs(res_g[i] - res_c[i]) <= 1e-6 * res_g[0]
+        selftest.check_gmres_cr_agreement(problem_batch(50, 519, m_range=(3, 12)), depth=3)
 
     @pytest.mark.parametrize("m", [8, 16, 32])
     def test_ill_conditioned_square_channels(self, m):
@@ -462,17 +443,10 @@ class TestBounds:
             residual_bound_minres(np.diag([-1.0, 1.0]).astype(complex))
 
     def test_minres_trace_obeys_contraction(self):
-        for prob in problem_batch(50, 522, m_range=(2, 10)):
-            factor = residual_bound_minres(prob.A).minres_step_factor
-            r = minres_detect(prob, 5).trace.residual_norms
-            for k in range(len(r) - 1):
-                assert r[k + 1] ** 2 <= factor * r[k] ** 2 + 1e-12 * r[0] ** 2
+        selftest.check_minres_monotonicity(problem_batch(50, 522, m_range=(2, 10)), depth=5)
 
     def test_gmres_trace_obeys_bound(self):
-        for prob in problem_batch(50, 523, m_range=(2, 10)):
-            r = gmres_detect(prob, prob.M).trace.residual_norms
-            for k in range(len(r)):
-                assert r[k] <= residual_bound_gmres(prob.A, k) * r[0] + 1e-12 * r[0]
+        selftest.check_gmres_bound(problem_batch(50, 523, m_range=(2, 10)))
 
 
 class TestScalingEquivariance:

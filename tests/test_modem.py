@@ -140,6 +140,11 @@ class TestAwgn:
             with pytest.raises(ValueError, match="x contains non-finite"):
                 awgn_add(y, 1.0, 0)
 
+    @pytest.mark.parametrize("sigma2", [True, np.array([0.1, 0.2])], ids=["bool", "array"])
+    def test_sigma2_is_one_real_number(self, sigma2):
+        with pytest.raises(ValueError, match="sigma2 must be one real number, got "):
+            awgn_add(np.zeros(4, dtype=complex), sigma2, 1)
+
     def test_one_frame(self):
         with pytest.raises(ValueError, match="expected one frame, got ndim=2"):
             awgn_add(np.zeros((3, 4), dtype=complex), 0.5, 5)

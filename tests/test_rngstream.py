@@ -200,7 +200,7 @@ def test_threads_draw_their_own_rows():
     assert done == {0: rounds, 1: rounds} and bad == {0: 0, 1: 0}
 
 
-@pytest.mark.parametrize("variance", [-1.0, float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("variance", [-1.0, float("nan"), float("inf"), -float("inf"), True])
 def test_bad_variance_rejected_before_any_draw(variance):
     gen = uniform_stream(3)
     with pytest.raises(ValueError, match="variance must be finite and >= 0"):

@@ -684,6 +684,11 @@ class TestRunSweeps:
         with pytest.raises(ConfigError, match="at least one config"):
             run_sweeps([])
 
+    def test_bare_config_rejected(self, monkeypatch):
+        monkeypatch.setattr(sim, "_run_points", lambda configs, points: pytest.fail("a point ran"))
+        with pytest.raises(ConfigError, match="run_sweeps expects a sequence of SimConfigs, got one SimConfig"):
+            run_sweeps(small_config())
+
 
 class TestChunkSchedule:
     @staticmethod
