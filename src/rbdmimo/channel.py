@@ -47,9 +47,16 @@ def finite_real(name: str, value) -> float:
     return float(value)
 
 
+def _integer(name: str, value) -> int:
+    """value as an int: anything but an int or numpy integer, a bool included, raises ValueError naming `name`."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"require integer {name} >= 1, got {name}={value!r}")
+    return int(value)
+
+
 def _count(name: str, value) -> int:
-    """A count (M, N, k, dim) as an int: anything but an int or numpy integer >= 1, a bool included, raises ValueError naming it."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) or value < 1:
+    """A count (M, N, k, dim) as an int: anything but an int or numpy integer >= 1 raises ValueError naming it."""
+    if _integer(name, value) < 1:
         raise ValueError(f"require integer {name} >= 1, got {name}={value!r}")
     return int(value)
 
@@ -103,9 +110,9 @@ def correlation_matrix(dim: int, zeta: float, theta: float = 0.0) -> np.ndarray:
     Hermitian with unit diagonal; requires 0 <= zeta < 1 (zeta = 1 risks a
     singular, non-PSD matrix).
     """
+    dim = _integer("dim", dim)
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    dim = _count("dim", dim)
     if not (0.0 <= zeta < 1.0):
         raise ValueError(f"zeta must lie in [0, 1), got {zeta}")
     base = zeta * np.exp(1j * theta)
@@ -180,8 +187,8 @@ def generate_channel(n: int, m: int, scenario: ChannelScenario, rng_seed: int) -
     per-entry variance 1, and H = correlate_channel(W, scenario).  rng_seed
     is one integer (see uniform_stream).
     """
+    m, n = _integer("M", m), _integer("N", n)
     if m < 1 or n < m:
         raise ValueError(f"require N >= M >= 1, got N={n}, M={m}")
-    m, n = _count("M", m), _count("N", n)
     w = complex_normal(uniform_stream(rng_seed), n * m).reshape(n, m)
     return ChannelRealization(H=correlate_channel(w, scenario))

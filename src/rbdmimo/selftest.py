@@ -1,6 +1,7 @@
 """Named invariant checks, runnable from the CLI.
 
 Each check raises CheckFailure with a diagnostic on its first violation.
+Each condition is written as the pass condition negated, so a NaN fails it.
 They are the one definition of each invariant: `rbdmimo selftest` runs
 them on 20 problems (M <= 8) in well under a second, and acceptance
 criteria 1-3 and the unit tests run them on their own problem families.
@@ -38,7 +39,7 @@ def check_oracle_equivalence(problems):
         for name, detect in (("cr", cr_detect), ("gmres", gmres_detect)):
             got = detect(prob, prob.M).s_hat
             rel = np.linalg.norm(got - exact) / scale
-            if rel > 1e-8:
+            if not rel <= 1e-8:
                 raise CheckFailure("oracle equivalence", f"{name} off by {rel:.3g} at M={prob.M}")
 
 
@@ -48,12 +49,12 @@ def check_minres_monotonicity(problems, depth: int | None = None):
         factor = residual_bound_minres(prob.A).minres_step_factor
         res = minres_detect(prob, prob.M if depth is None else depth).trace.residual_norms
         for k in range(len(res) - 1):
-            if res[k + 1] > res[k] * (1 + 1e-12):
+            if not res[k + 1] <= res[k] * (1 + 1e-12):
                 raise CheckFailure(
                     "minres residual monotonicity",
                     f"residual grew {res[k]:.6g} -> {res[k + 1]:.6g} at step {k}, M={prob.M}",
                 )
-            if res[k + 1] ** 2 > factor * res[k] ** 2 + 1e-12 * res[0] ** 2:
+            if not res[k + 1] ** 2 <= factor * res[k] ** 2 + 1e-12 * res[0] ** 2:
                 raise CheckFailure(
                     "minres residual monotonicity",
                     f"contraction bound {factor:.6g} violated at step {k}, M={prob.M}",
@@ -67,7 +68,7 @@ def check_gmres_bound(problems):
         res = gmres_detect(prob, prob.M).trace.residual_norms
         for k in range(len(res)):
             limit = bound.gmres_factor(k) * res[0] + 1e-12 * res[0]
-            if res[k] > limit:
+            if not res[k] <= limit:
                 raise CheckFailure(
                     "gmres residual bound",
                     f"residual {res[k]:.6g} above bound {limit:.6g} at step {k}, M={prob.M}",
@@ -85,7 +86,7 @@ def check_cr_monotonicity(problems):
                     "cr residual decrease",
                     f"residual {res[k]:.6g} -> {res[k + 1]:.6g} at step {k}, M={prob.M}",
                 )
-            if its[k + 1] < its[k] * (1 - 1e-12):
+            if not its[k + 1] >= its[k] * (1 - 1e-12):
                 raise CheckFailure(
                     "cr iterate growth",
                     f"iterate norm shrank {its[k]:.6g} -> {its[k + 1]:.6g} at step {k}, M={prob.M}",
@@ -102,7 +103,7 @@ def check_gmres_cr_agreement(problems, depth: int) -> float:
         scale = max(res_g[0], 1e-30)
         for i, (g, c) in enumerate(zip(res_g, res_c)):
             gap = abs(g - c) / scale
-            if gap > 1e-6:
+            if not gap <= 1e-6:
                 raise CheckFailure(
                     "gmres cr residual agreement",
                     f"step {i}: gmres {g:.6g} vs cr {c:.6g}, M={prob.M}",
@@ -111,8 +112,22 @@ def check_gmres_cr_agreement(problems, depth: int) -> float:
     return worst
 
 
-def check_complexity_tables():
-    """Closed-form counts hit the spot values and order cr < minres < gmres."""
+def check_complexity_tables(m_values=(8, 16, 32, 64, 128), k_values=(2, 3, 4)):
+    """Closed-form counts equal their polynomials, evaluated in floats, on the M x k grid,
+    hit the spot values, and order cr < minres < gmres."""
+    for m in m_values:
+        for k in k_values:
+            forms = {
+                "minres": (2 * k * m, 4 * k * m**2 + 2 * k * m),
+                "gmres": ((k**2 / 2 + 3 * k / 2 + 1) * m, (5 * k**2 / 2 + k / 2 + 1) * m**2 + (k**2 / 2 + k / 2) * m),
+                "cr": ((4 * k + 1) * m, (k + 3) * m**2 + 8 * k * m),
+            }
+            for algorithm, (adds, mults) in forms.items():
+                got = analytic_cost(algorithm, m, k)
+                if not (got.complex_adds == adds == int(adds) and got.complex_mults == mults == int(mults)):
+                    raise CheckFailure(
+                        "complexity table spot values", f"{algorithm}(M={m},k={k}) = {got}, want {adds}, {mults}"
+                    )
     spots = {"minres": 816, "gmres": 1648, "cr": 576}
     for algorithm, want in spots.items():
         got = analytic_cost(algorithm, 8, 3).complex_mults
@@ -122,7 +137,7 @@ def check_complexity_tables():
     if not (mults["cr"] < mults["minres"] < mults["gmres"]):
         raise CheckFailure("complexity table spot values", f"ordering violated: {mults}")
     baseline = cholesky_cost(60).complex_mults
-    if mults["cr"] > 0.2 * baseline:
+    if not mults["cr"] <= 0.2 * baseline:
         raise CheckFailure(
             "complexity table spot values",
             f"cr at M=60,k=3 is {mults['cr'] / baseline:.1%} of baseline, want <= 20%",

@@ -32,6 +32,21 @@ def make_problem(m, seed, n=None, sigma2=0.5) -> MmseProblem:
     return random_problem(m, seed, n=4 * m if n is None else n, sigma2=sigma2)
 
 
+def random_complex(gen, *shape):
+    return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+
+
+def stack_problems(problems) -> MmseProblem:
+    return MmseProblem(A=np.stack([p.A for p in problems]), y_mf=np.stack([p.y_mf for p in problems]))
+
+
+def assert_same_result(got, want):
+    assert np.array_equal(got.s_hat, want.s_hat)
+    assert got.iterations == want.iterations
+    assert got.trace.residual_norms == want.trace.residual_norms
+    assert got.trace.iterate_norms == want.trace.iterate_norms
+
+
 def problem_batch(count, seed, m_range=(2, 16), n_factor_range=(2, 16), sigma2_range=(0.01, 1.0)):
     """Iterate `count` problems with randomized shape and noise level."""
     gen = uniform_stream(seed)

@@ -160,18 +160,7 @@ def test_criterion_6_correlation_robustness():
 
 
 def test_criterion_7_table_exactness():
-    for m in (8, 16, 32, 64, 128):
-        for k in (2, 3, 4):
-            got = analytic_cost("minres", m, k)
-            assert got.complex_adds == 2 * k * m
-            assert got.complex_mults == 4 * k * m**2 + 2 * k * m
-            got = analytic_cost("gmres", m, k)
-            assert got.complex_adds == (k**2 / 2 + 3 * k / 2 + 1) * m
-            assert got.complex_mults == (5 * k**2 / 2 + k / 2 + 1) * m**2 + (k**2 / 2 + k / 2) * m
-            got = analytic_cost("cr", m, k)
-            assert got.complex_adds == (4 * k + 1) * m
-            assert got.complex_mults == (k + 3) * m**2 + 8 * k * m
-    selftest.check_complexity_tables()  # the spot values
+    selftest.check_complexity_tables(m_values=(8, 16, 32, 64, 128), k_values=(2, 3, 4))
     print("PASS criterion 7: closed-form counts exact on the full grid, spot values 816/1648/576")
 
 

@@ -51,7 +51,7 @@ class TestCorrelationMatrix:
         with pytest.raises(ValueError):
             correlation_matrix(3, 1.0)
 
-    @pytest.mark.parametrize("dim", [2.5, True])
+    @pytest.mark.parametrize("dim", [2.5, True, "3"])
     def test_dim_must_be_an_integer(self, dim):
         with pytest.raises(ValueError, match=f"require integer dim >= 1, got dim={dim!r}"):
             correlation_matrix(dim, 0.5)
@@ -141,7 +141,7 @@ class TestGenerateChannel:
         with pytest.raises(ValueError):
             generate_channel(2, 4, ChannelScenario(), 0)
 
-    @pytest.mark.parametrize("n, m, got", [(8.0, 2, "N=8.0"), (8, 2.0, "M=2.0"), (8, True, "M=True")])
+    @pytest.mark.parametrize("n, m, got", [(8.0, 2, "N=8.0"), (8, 2.0, "M=2.0"), (8, True, "M=True"), ("8", 2, "N='8'")])
     def test_dims_must_be_integers(self, n, m, got):
         with pytest.raises(ValueError, match=f"require integer {got[0]} >= 1, got {got}"):
             generate_channel(n, m, ChannelScenario(), 1)

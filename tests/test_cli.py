@@ -2,13 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 from conftest import sign_flipped_minres
 
 import rbdmimo.selftest as selftest_mod
 from rbdmimo.cli import main
 from rbdmimo.complexity import BASELINE_CONVENTION, COUNTING_CONVENTION, Cost, measured_counter
-from rbdmimo.detectors import cr_detect, gmres_detect
+from rbdmimo.detectors import cr_detect, gmres_detect, minres_detect
 
 
 def corrupted(function, corrupt):
@@ -28,17 +29,25 @@ def residuals_from(step, value):
     return corrupt
 
 
-# A check failure's name: the selftest name replaced and its faulty stand-in, which only that check can
-# catch (a residual fault the agreement check must not see starts past its depth, 6; the oracle reads no trace)
-SELFTEST_FAULTS = {
-    "oracle equivalence": ("gmres_detect", corrupted(gmres_detect, lambda r: setattr(r, "s_hat", 1.000001 * r.s_hat))),
-    "gmres residual bound": ("gmres_detect", corrupted(gmres_detect, residuals_from(7, lambda res, r: res[0]))),
-    "cr residual decrease": ("cr_detect", corrupted(cr_detect, residuals_from(7, lambda res, r: res[6]))),
-    "cr iterate growth": ("cr_detect", corrupted(cr_detect, lambda r: r.trace.iterate_norms.reverse())),
-    "gmres cr residual agreement": ("gmres_detect", corrupted(gmres_detect, residuals_from(1, lambda res, r: 0.9 * r))),
-    "complexity table spot values": ("analytic_cost", lambda algorithm, m, k: Cost(0, 0)),
-    "matvec budget": ("measured_counter", corrupted(measured_counter, lambda counter: counter.count(8, matvec=1))),
-}
+# A check failure's name, the selftest name replaced and its faulty stand-in, which only that check can catch,
+# a NaN included, since a NaN makes any comparison false.  A residual fault the agreement check must not see
+# starts past its depth, 6, or hits only runs shorter than M, which no other check makes; the oracle reads no trace.
+SELFTEST_FAULTS = [
+    ("oracle equivalence", "gmres_detect", corrupted(gmres_detect, lambda r: setattr(r, "s_hat", 1.000001 * r.s_hat))),
+    ("oracle equivalence", "gmres_detect", corrupted(gmres_detect, lambda r: setattr(r, "s_hat", np.nan * r.s_hat))),
+    ("minres residual monotonicity", "minres_detect", corrupted(minres_detect, residuals_from(1, lambda res, r: np.nan))),
+    ("gmres residual bound", "gmres_detect", corrupted(gmres_detect, residuals_from(7, lambda res, r: res[0]))),
+    ("gmres residual bound", "gmres_detect", corrupted(gmres_detect, residuals_from(7, lambda res, r: np.nan))),
+    ("cr residual decrease", "cr_detect", corrupted(cr_detect, residuals_from(7, lambda res, r: res[6]))),
+    ("cr residual decrease", "cr_detect", corrupted(cr_detect, residuals_from(7, lambda res, r: np.nan))),
+    ("cr iterate growth", "cr_detect", corrupted(cr_detect, lambda r: r.trace.iterate_norms.reverse())),
+    ("cr iterate growth", "cr_detect", corrupted(cr_detect, lambda r: r.trace.iterate_norms.__setitem__(-1, np.nan))),
+    ("gmres cr residual agreement", "gmres_detect", corrupted(gmres_detect, residuals_from(1, lambda res, r: 0.9 * r))),
+    ("gmres cr residual agreement", "gmres_detect",
+     lambda prob, k: corrupted(gmres_detect, residuals_from(1 if k < prob.M else k + 1, lambda res, r: np.nan))(prob, k)),
+    ("complexity table spot values", "analytic_cost", lambda algorithm, m, k: Cost(0, 0)),
+    ("matvec budget", "measured_counter", corrupted(measured_counter, lambda counter: counter.count(8, matvec=1))),
+]
 
 
 @pytest.fixture()
@@ -176,10 +185,10 @@ class TestSelftest:
         assert any(f.startswith("minres residual monotonicity") for f in failures)
         assert any(line.startswith("FAIL minres residual monotonicity") for line in lines)
 
-    @pytest.mark.parametrize("name", SELFTEST_FAULTS)
-    def test_injected_fault_named_by_its_check_alone(self, name, monkeypatch, capsys):
+    @pytest.mark.parametrize("name, replaced, fault", SELFTEST_FAULTS, ids=lambda v: v if isinstance(v, str) else "fault")
+    def test_injected_fault_named_by_its_check_alone(self, name, replaced, fault, monkeypatch, capsys):
         # criteria 1-3 and the unit tests run these checks: each must fail on a fault
-        monkeypatch.setattr(selftest_mod, *SELFTEST_FAULTS[name])
+        monkeypatch.setattr(selftest_mod, replaced, fault)
         failures = selftest_mod.run_selftest(seed=7)
         fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
         assert [f.split(":")[0] for f in failures] == [name]

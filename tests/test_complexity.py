@@ -38,19 +38,7 @@ class TestAnalyticCost:
     def test_closed_forms_on_grid(self):
         # float evaluation of the polynomial forms must agree exactly with
         # the integer arithmetic over the whole M <= 1024, k <= 16 grid
-        for m in range(1, 1025):
-            for k in range(1, 17):
-                got = analytic_cost("minres", m, k)
-                assert got.complex_adds == 2 * k * m
-                assert got.complex_mults == 4 * k * m**2 + 2 * k * m
-                got = analytic_cost("gmres", m, k)
-                adds = (k**2 / 2 + 3 * k / 2 + 1) * m
-                mults = (5 * k**2 / 2 + k / 2 + 1) * m**2 + (k**2 / 2 + k / 2) * m
-                assert got.complex_adds == int(adds) and adds == int(adds)
-                assert got.complex_mults == int(mults) and mults == int(mults)
-                got = analytic_cost("cr", m, k)
-                assert got.complex_adds == (4 * k + 1) * m
-                assert got.complex_mults == (k + 3) * m**2 + 8 * k * m
+        check_complexity_tables(m_values=range(1, 1025), k_values=range(1, 17))
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):

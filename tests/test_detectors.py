@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from conftest import gmres_buffers, make_problem, problem_batch, sign_flipped_minres
+from conftest import (assert_same_result, gmres_buffers, make_problem, problem_batch, random_complex,
+                      sign_flipped_minres, stack_problems)
 
 import rbdmimo.detectors as detectors
 from rbdmimo.complexity import OpCounter
@@ -28,10 +29,6 @@ from rbdmimo.channel import ChannelScenario
 from rbdmimo.linalg import hermitian_defect, hermitian_eigen_extrema, norm2
 from rbdmimo.rngstream import uniform_stream
 from rbdmimo.sim import SimConfig, draw_frames, snr_to_sigma2
-
-
-def random_complex(gen, *shape):
-    return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
 
 
 def conditioned_problem(gen, m, cond, sigma2=1e-14):
@@ -473,17 +470,6 @@ class TestProblemValidation:
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             MmseProblem(A=np.eye(3, dtype=complex), y_mf=np.zeros(2, dtype=complex))
-
-
-def stack_problems(problems) -> MmseProblem:
-    return MmseProblem(A=np.stack([p.A for p in problems]), y_mf=np.stack([p.y_mf for p in problems]))
-
-
-def assert_same_result(got, want):
-    assert np.array_equal(got.s_hat, want.s_hat)
-    assert got.iterations == want.iterations
-    assert got.trace.residual_norms == want.trace.residual_norms
-    assert got.trace.iterate_norms == want.trace.iterate_norms
 
 
 class TestBatch:

@@ -7,6 +7,7 @@ the convention it relies on, the first argument conjugated.
 
 import numpy as np
 import pytest
+from conftest import random_complex
 
 from rbdmimo.linalg import (
     NotPositiveDefiniteError,
@@ -34,10 +35,6 @@ def recurrence_pivots(a):
 
 
 NAN_MATRIX = [[1.0, np.nan], [np.nan, 1.0]]
-
-
-def random_complex(gen, *shape):
-    return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
 
 
 def random_spd(gen, m, shift=0.1):

@@ -8,7 +8,7 @@ import functools
 
 import numpy as np
 import pytest
-from conftest import make_problem
+from conftest import assert_same_result, make_problem, stack_problems
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -82,16 +82,9 @@ def toy_frame(kind: int, m: int, seed: int) -> MmseProblem:
 def test_batch_frames_equal_single_calls(name, m, kinds, k):
     detect = DETECTORS[name]
     frames = [toy_frame(kind, m, seed) for kind, seed in kinds]
-    batch = detect(
-        MmseProblem(A=np.stack([f.A for f in frames]), y_mf=np.stack([f.y_mf for f in frames])),
-        k,
-    )
+    batch = detect(stack_problems(frames), k)
     for i, frame in enumerate(frames):
-        got, want = batch.frame(i), detect(frame, k)
-        assert np.array_equal(got.s_hat, want.s_hat)
-        assert got.iterations == want.iterations
-        assert got.trace.residual_norms == want.trace.residual_norms
-        assert got.trace.iterate_norms == want.trace.iterate_norms
+        assert_same_result(batch.frame(i), detect(frame, k))
 
 
 @given(st.sampled_from(SUPPORTED_ORDERS), st.integers(1, 3), st.integers(1, 8), st.integers(0, 2**32))
