@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import as_complex_matrix, require_hermitian
-from .rngstream import complex_normal, uniform_stream
+from .rngstream import _is_integer, complex_normal, uniform_stream
 
 UNCORRELATED = "uncorrelated"
 USER_CORRELATED = "user_correlated"
@@ -47,16 +47,9 @@ def finite_real(name: str, value) -> float:
     return float(value)
 
 
-def _integer(name: str, value) -> int:
-    """value as an int: anything but an int or numpy integer, a bool included, raises ValueError naming `name`."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"require integer {name} >= 1, got {name}={value!r}")
-    return int(value)
-
-
 def _count(name: str, value) -> int:
     """A count (M, N, k, dim) as an int: anything but an int or numpy integer >= 1 raises ValueError naming it."""
-    if _integer(name, value) < 1:
+    if not (_is_integer(value) and value >= 1):
         raise ValueError(f"require integer {name} >= 1, got {name}={value!r}")
     return int(value)
 
@@ -110,9 +103,8 @@ def correlation_matrix(dim: int, zeta: float, theta: float = 0.0) -> np.ndarray:
     Hermitian with unit diagonal; requires 0 <= zeta < 1 (zeta = 1 risks a
     singular, non-PSD matrix).
     """
-    dim = _integer("dim", dim)
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    dim = _count("dim", dim)
+    zeta, theta = finite_real("zeta", zeta), finite_real("theta", theta)
     if not (0.0 <= zeta < 1.0):
         raise ValueError(f"zeta must lie in [0, 1), got {zeta}")
     base = zeta * np.exp(1j * theta)
@@ -143,7 +135,7 @@ def _correlation_sqrt(dim: int, zeta: float, theta: float) -> np.ndarray:
     return s
 
 
-def correlate_channel(w: np.ndarray, scenario: ChannelScenario) -> np.ndarray:
+def correlate_channel(w: np.ndarray, scenario: ChannelScenario, outs=()) -> np.ndarray:
     """The scenario's channel R_r^(1/2) W R_t^(1/2) for a (..., N, M) draw W of unit-variance entries.
 
     Scenario assembly:
@@ -153,30 +145,24 @@ def correlate_channel(w: np.ndarray, scenario: ChannelScenario) -> np.ndarray:
     * bs_correlated:    H = R_r^(1/2) W
     * fully_correlated: H = R_r^(1/2) W R_t^(1/2)
 
-    Identity factors are skipped outright so that a zero correlation
-    factor reproduces the uncorrelated draw bit for bit: with no factor
-    the result is w itself, else each product is a fresh array and w is
-    left as it is.  sim's chunk draw runs the same products into its
-    chunk buffer instead (_correlate).
-    """
-    return _correlate(w, scenario)
-
-
-def _correlate(w: np.ndarray, scenario: ChannelScenario, outs=(None, None)) -> np.ndarray:
-    """correlate_channel's products, each written by np.matmul into the next of outs (None: a fresh array).
-
     A scenario's unused correlation factors are zero (ChannelScenario), so
-    a factor applies exactly when its zeta is nonzero.  The first product
-    reads w and the second reads the first, so outs may be a spare array
-    and then w itself, once w is dead: the products ping-pong between the
-    two and allocate nothing.
+    a factor applies exactly when its zeta is nonzero, and identity factors
+    are skipped outright: a zero correlation factor reproduces the
+    uncorrelated draw bit for bit, and with no factor the result is w
+    itself.  Each product is written by np.matmul into the next of outs, a
+    fresh array once outs run out, and w is left as it is unless it is one
+    of them.  The first product reads w and the second reads the first, so
+    sim's chunk draw passes a spare array and then w itself, once w is
+    dead: the products ping-pong between the two and allocate nothing.
     """
+    if not isinstance(scenario, ChannelScenario):
+        raise ConfigError(f"scenario must be a ChannelScenario, got {scenario!r}")
     n, m = w.shape[-2:]
     outs = iter(outs)
     if scenario.zeta_r != 0.0:
-        w = np.matmul(_correlation_sqrt(n, scenario.zeta_r, scenario.theta), w, out=next(outs))
+        w = np.matmul(_correlation_sqrt(n, scenario.zeta_r, scenario.theta), w, out=next(outs, None))
     if scenario.zeta_t != 0.0:
-        w = np.matmul(w, _correlation_sqrt(m, scenario.zeta_t, scenario.theta), out=next(outs))
+        w = np.matmul(w, _correlation_sqrt(m, scenario.zeta_t, scenario.theta), out=next(outs, None))
     return w
 
 
@@ -187,8 +173,8 @@ def generate_channel(n: int, m: int, scenario: ChannelScenario, rng_seed: int) -
     per-entry variance 1, and H = correlate_channel(W, scenario).  rng_seed
     is one integer (see uniform_stream).
     """
-    m, n = _integer("M", m), _integer("N", n)
-    if m < 1 or n < m:
+    m, n = _count("M", m), _count("N", n)
+    if n < m:
         raise ValueError(f"require N >= M >= 1, got N={n}, M={m}")
     w = complex_normal(uniform_stream(rng_seed), n * m).reshape(n, m)
     return ChannelRealization(H=correlate_channel(w, scenario))

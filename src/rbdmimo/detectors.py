@@ -52,6 +52,7 @@ from functools import partial
 
 import numpy as np
 
+from .channel import _count
 from .linalg import (
     cholesky_lower,
     cholesky_solve,
@@ -59,6 +60,7 @@ from .linalg import (
     norm2,
     require_hermitian,
 )
+from .rngstream import _check_variance, _is_integer
 
 EARLY_STOP_REL = 1e-13
 ARNOLDI_BREAKDOWN_REL = 1e-13
@@ -130,12 +132,6 @@ def _batch_view(prob: MmseProblem):
     return (single, prob.A[None], prob.y_mf[None]) if single else (single, prob.A, prob.y_mf)
 
 
-def _check_iterations(k) -> None:
-    """Reject an iteration count that is not an int or numpy integer >= 1 (a bool included)."""
-    if isinstance(k, (bool, np.bool_)) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"iteration count must be >= 1 and an integer, got {k!r}")
-
-
 class _Run:
     """The scaffold of one detector call.
 
@@ -148,7 +144,7 @@ class _Run:
     """
 
     def __init__(self, prob: MmseProblem, k: int, counter=None):
-        _check_iterations(k)
+        k = _count("k", k)
         self.single, self.a, self.y = _batch_view(prob)
         if counter is not None and not self.single:
             raise ValueError("operation counts are per problem: count one problem, not a batch")
@@ -206,9 +202,6 @@ def preprocess(h, y, sigma2: float | np.ndarray) -> MmseProblem:
     """
     h = np.asarray(h, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
-    if np.asarray(sigma2).dtype == bool:
-        raise ValueError(f"sigma2 must be a number, not a bool, got {sigma2!r}")
-    sigma2 = np.asarray(sigma2, dtype=float)
     if h.ndim not in (2, 3):
         raise ValueError(f"expected an N x M channel or a stack of them, got ndim={h.ndim}")
     n, m = h.shape[-2:]
@@ -216,13 +209,13 @@ def preprocess(h, y, sigma2: float | np.ndarray) -> MmseProblem:
         raise ValueError(f"require N >= M, got N={n}, M={m}")
     if y.shape != h.shape[:-1]:
         raise ValueError(f"dimension mismatch: H is {h.shape}, y is {y.shape}")
-    if sigma2.ndim and sigma2.shape != h.shape[:-2]:
-        raise ValueError(f"dimension mismatch: H is {h.shape}, sigma2 is {sigma2.shape}")
-    for name, value in (("H", h), ("y", y), ("sigma2", sigma2)):
+    if np.ndim(sigma2) and np.shape(sigma2) != h.shape[:-2]:
+        raise ValueError(f"dimension mismatch: H is {h.shape}, sigma2 is {np.shape(sigma2)}")
+    for name, value in (("H", h), ("y", y)):
         if not np.isfinite(value).all():
             raise ValueError(f"{name} contains non-finite values")
-    if not all(s >= 0 for s in sigma2.flat):
-        raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
+    _check_variance(sigma2, len(h), "sigma2")
+    sigma2 = np.asarray(sigma2, dtype=float)
     h_herm = h.conj().swapaxes(-1, -2)
     gram = h_herm @ h
     lower = np.tril(gram, -1)
@@ -398,8 +391,7 @@ def gmres_detect(prob: MmseProblem, v_iters: int, counter=None) -> DetectionResu
     come from the same triangular solve, since R[:j, :j] and g[:j] are final
     after step j.
     """
-    _check_iterations(v_iters)  # before min(), which would turn 2.5 into M = 2
-    v_max = min(v_iters, prob.M)
+    v_max = min(_count("k", v_iters), prob.M)  # checked before min(), which would turn 2.5 into M = 2
     run = _Run(prob, v_max, counter)
     a, y = run.a, run.y
     frames, size = len(y), prob.M
@@ -498,8 +490,8 @@ class ConvergenceBound:
 
     def gmres_factor(self, k: int) -> float:
         """Residual-norm bound factor ((tau2^2 - 1) / tau2^2)^(k/2) after k gmres steps."""
-        if k < 0:
-            raise ValueError(f"iteration count must be >= 0, got {k}")
+        if not (_is_integer(k) and k >= 0):
+            raise ValueError(f"require integer k >= 0, got k={k!r}")
         tau_sq = self.tau2 ** 2
         return float(((tau_sq - 1.0) / tau_sq) ** (k / 2.0))
 

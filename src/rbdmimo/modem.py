@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rngstream import complex_normal, uniform_stream
+from .rngstream import _check_variance, complex_normal, uniform_stream
 
 SUPPORTED_ORDERS = (4, 16, 64)
 
@@ -57,8 +57,15 @@ def _axis_tables(order: int):
 
 
 def qam_modulate(bits, spec: QamSpec) -> np.ndarray:
-    """Map {0,1} bits, one block per row, onto unit-energy QAM symbols."""
-    bits = np.asarray(bits, dtype=np.int64)
+    """Map {0,1} bits, one block per row, onto unit-energy QAM symbols.
+
+    Bits of a float or any other non-integer type must be exactly 0 or 1:
+    a fraction is not truncated.
+    """
+    bits = np.asarray(bits)
+    if bits.dtype.kind not in "biu" and not np.isin(bits, (0, 1)).all():
+        raise ValueError(f"bits must be 0 or 1, got {bits!r}")
+    bits = bits.astype(np.int64, copy=False)
     if bits.ndim not in (1, 2):
         raise ValueError(f"expected one bit block or a batch of blocks, got ndim={bits.ndim}")
     if bits.shape[-1] % spec.bits_per_symbol != 0:
@@ -110,10 +117,7 @@ def awgn_add(x, sigma2: float, rng_seed: int) -> np.ndarray:
     """
     if isinstance(sigma2, (bool, np.bool_)) or np.ndim(sigma2):
         raise ValueError(f"sigma2 must be one real number, got {sigma2!r}")
-    if not np.isfinite(sigma2):
-        raise ValueError("sigma2 contains non-finite values")
-    if sigma2 < 0:
-        raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
+    _check_variance(sigma2, name="sigma2")
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 1:
         raise ValueError(f"expected one frame, got ndim={x.ndim}")

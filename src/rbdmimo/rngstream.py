@@ -56,11 +56,11 @@ uniforms, so a steady run of chunks does not allocate them afresh (glibc
 hands an array of a chunk's size back to the kernel when it is freed, and
 the next chunk page-faults it in again).  A correlated scenario's chunk
 also asks for a spare region of B N M complex entries past its normals,
-and `channel._correlate` writes the first product into it and a second
-back over the dead W, so its H is never allocated afresh either (fresh
-products page-faulted about 500-1,100 times a 2 MiB chunk).  Cos and sin
-go to one fresh array per session, and the public draws return fresh
-arrays.  A chunk of B frames of N x M holds B N (M + 1) normals, 16
+and `channel.correlate_channel` writes the first product into it and a
+second back over the dead W, so its H is never allocated afresh either
+(fresh products page-faulted about 500-1,100 times a 2 MiB chunk).  Cos
+and sin go to one fresh array per session, and the public draws return
+fresh arrays.  A chunk of B frames of N x M holds B N (M + 1) normals, 16
 bytes each, and `sim.CHUNK_ENTRIES` caps B N M, so a simulating thread's
 buffer stays within 16 (1 + 1/M) CHUNK_ENTRIES bytes, 2.25 MiB at 128x8
 and 4 MiB at most, and the correlated products' region adds at most
@@ -110,9 +110,14 @@ def splitmix64(x):
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an int or a numpy integer; a bool is not (the package's one integer test)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
+
+
 def _seed_int(seed) -> int:
     """An int or numpy integer seed modulo 2**64; anything else, a bool included, raises TypeError."""
-    if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, (int, np.integer)):
+    if not _is_integer(seed):
         raise TypeError(f"seed must be an integer, got {seed!r}")
     return int(seed) & _MASK64
 
@@ -255,15 +260,15 @@ def _cos_all(angles, outs) -> None:
         np.cos(angle, out=out)
 
 
-def _check_variance(variance, rows: int = 1) -> None:
-    """A variance is one finite float >= 0, or a 1-D array of one per row; a bool is none."""
+def _check_variance(variance, rows: int = 1, name: str = "variance") -> None:
+    """A variance is one finite float >= 0, or a 1-D array of one per row; a bool is none (ValueError naming it)."""
     if np.asarray(variance).dtype == bool:
-        raise ValueError(f"variance must be finite and >= 0, not a bool, got {variance!r}")
+        raise ValueError(f"{name} must be finite and >= 0, not a bool, got {variance!r}")
     v = np.asarray(variance, dtype=float)
     if v.ndim and v.shape != (rows,):
-        raise ValueError(f"expected one variance or one per row ({rows}), got shape {v.shape}")
+        raise ValueError(f"expected one {name} or one per row ({rows}), got shape {v.shape}")
     if not all(0.0 <= x < math.inf for x in v.flat):  # NaN fails both comparisons
-        raise ValueError(f"variance must be finite and >= 0, got {variance!r}")
+        raise ValueError(f"{name} must be finite and >= 0, got {variance!r}")
 
 
 def _box_muller(uniforms, variances) -> list[np.ndarray]:

@@ -45,10 +45,10 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .channel import ChannelScenario, ConfigError, _correlate, _count, finite_real, real_number
+from .channel import ChannelScenario, ConfigError, _count, correlate_channel, finite_real, real_number
 from .detectors import DETECTOR_NAMES, ITERATIVE_DETECTORS, MmseProblem, exact_detect, preprocess
 from .modem import SUPPORTED_ORDERS, qam_demodulate_hard, qam_modulate, qam_spec
-from .rngstream import _chunk_normals, _share_cpus, mix_seed, seed_array, uniform_bits_rows
+from .rngstream import _chunk_normals, _is_integer, _share_cpus, mix_seed, seed_array, uniform_bits_rows
 
 SNR_CONVENTION = "sigma2 = M / 10^(snr_db/10) (per-receive-antenna SNR, unit symbol energy)"
 
@@ -100,7 +100,7 @@ class SimConfig:
             value = getattr(self, name)
             if isinstance(value, (float, np.floating)) and float(value).is_integer():
                 value = int(value)
-            if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if not isinstance(self.scenario, ChannelScenario):
@@ -184,8 +184,8 @@ def draw_frames(config: SimConfig, sigma2, trial_seeds) -> tuple[np.ndarray, Mms
     channel, (..., 2) for the noise, derived for the whole chunk at once.
     The chunk's channel entries and noise come from one Box-Muller session
     in this thread's rngstream chunk buffer, and a correlated scenario's
-    products are written into a spare region of the same buffer and back
-    over W (see channel._correlate), so H is a view of it; each frame equals
+    products are written by correlate_channel into a spare region of the
+    same buffer and back over W, so H is a view of it; each frame equals
     generate_channel and awgn_add, each called alone on that frame's seed
     and variance, and preprocess checks that every h and y is finite.  The
     bits and the problem are fresh arrays, which later draws leave alone.
@@ -200,7 +200,7 @@ def draw_frames(config: SimConfig, sigma2, trial_seeds) -> tuple[np.ndarray, Mms
     # a correlated W's products ping-pong: into a spare region of W's size, then back over the dead W
     w, noise, *spare = _chunk_normals(groups, len(sub_seeds[1]) * entries if config.scenario.correlated else 0)
     w = w.reshape(-1, config.n, config.m)
-    h = _correlate(w, config.scenario, (spare[0].reshape(w.shape), w) if spare else ())
+    h = correlate_channel(w, config.scenario, (spare[0].reshape(w.shape), w) if spare else ())
     y = np.matvec(h, symbols)
     y += noise
     return bits, preprocess(h, y, sigma2)
@@ -372,7 +372,7 @@ def run_sweeps(configs, workers: int | None = None) -> tuple[SweepResult, ...]:
     attempted (see _run_points).
     """
     if workers is not None:
-        if isinstance(workers, (bool, np.bool_)) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        if not (_is_integer(workers) and workers >= 1):
             raise ConfigError(f"workers must be None or an integer >= 1, got {workers!r}")
         workers = int(workers)
     if isinstance(configs, SimConfig):

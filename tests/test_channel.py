@@ -1,18 +1,25 @@
 """Tests for correlation matrices and seeded channel generation."""
 
+import re
+
 import numpy as np
 import pytest
 
 from rbdmimo.channel import (
     ChannelScenario,
+    ConfigError,
     correlate_channel,
     correlation_matrix,
     generate_channel,
     matrix_sqrt_psd,
 )
+from rbdmimo.complexity import (analytic_cost, as_implemented_cost, cholesky_cost, cholesky_solve_cost,
+                                random_problem)
+from rbdmimo.detectors import ITERATIVE_DETECTORS
 from rbdmimo.linalg import hermitian_defect, hermitian_eigen_extrema
 import rbdmimo.rngstream as rngstream
 from rbdmimo.rngstream import complex_normal, mix_seed, uniform_stream
+from rbdmimo.sim import snr_to_sigma2
 
 BLOCK = 8192  # seeds per chunk draw of the moment tests
 
@@ -55,6 +62,17 @@ class TestCorrelationMatrix:
     def test_dim_must_be_an_integer(self, dim):
         with pytest.raises(ValueError, match=f"require integer dim >= 1, got dim={dim!r}"):
             correlation_matrix(dim, 0.5)
+
+    @pytest.mark.parametrize("zeta, theta, message", [
+        (0.5, float("nan"), "theta must be finite, got nan"),
+        (0.5, float("inf"), "theta must be finite, got inf"),
+        ("0.5", 0.0, "zeta must be a real number, got '0.5'"),
+        (0.5, "x", "theta must be a real number, got 'x'"),
+    ], ids=["nan", "inf", "str-zeta", "str-theta"])
+    def test_factor_and_phase_are_finite_reals(self, zeta, theta, message):
+        # NaN and inf gave a NaN matrix, a string a bare TypeError
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            correlation_matrix(3, zeta, theta)
 
     def test_hermitian_unit_diagonal_positive(self):
         for dim in (2, 8, 64):
@@ -137,6 +155,13 @@ class TestGenerateChannel:
         with pytest.raises(TypeError, match="seed must be an integer"):
             generate_channel(8, 2, ChannelScenario(), seed)
 
+    def test_scenario_must_be_a_channel_scenario(self):
+        # a kind's name was read as a scenario, and failed on its missing zeta_r
+        with pytest.raises(ConfigError, match="scenario must be a ChannelScenario, got 'uncorrelated'"):
+            generate_channel(8, 2, "uncorrelated", 1)
+        with pytest.raises(ConfigError, match="scenario must be a ChannelScenario, got 'bs_correlated'"):
+            correlate_channel(np.ones((8, 2), dtype=complex), "bs_correlated")
+
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
             generate_channel(2, 4, ChannelScenario(), 0)
@@ -163,3 +188,29 @@ class TestGenerateChannel:
         rr = correlation_matrix(2, 0.3, 0.0)
         want = np.kron(rt.T, rr)
         assert np.abs(cov - want).max() < 0.03
+
+
+COUNT_ARGUMENTS = {
+    "correlation_matrix-dim": ("dim", lambda v: correlation_matrix(v, 0.5)),
+    "generate_channel-N": ("N", lambda v: generate_channel(v, 2, ChannelScenario(), 1)),
+    "generate_channel-M": ("M", lambda v: generate_channel(8, v, ChannelScenario(), 1)),
+    "snr_to_sigma2-M": ("M", lambda v: snr_to_sigma2(0.0, v)),
+    "analytic_cost-M": ("M", lambda v: analytic_cost("cr", v, 2)),
+    "analytic_cost-k": ("k", lambda v: analytic_cost("cr", 8, v)),
+    "as_implemented_cost-M": ("M", lambda v: as_implemented_cost("cr", v, 2)),
+    "as_implemented_cost-k": ("k", lambda v: as_implemented_cost("cr", 8, v)),
+    "cholesky_cost-M": ("M", cholesky_cost),
+    "cholesky_solve_cost-M": ("M", cholesky_solve_cost),
+    "random_problem-M": ("M", lambda v: random_problem(v, 1)),
+    **{f"{name}_detect-k": ("k", lambda v, detect=detect: detect(random_problem(2, 1), v))
+       for name, detect in ITERATIVE_DETECTORS.items()},
+}
+
+
+@pytest.mark.parametrize("name, call", COUNT_ARGUMENTS.values(), ids=COUNT_ARGUMENTS)
+def test_count_rule(name, call):
+    # every count is an int or numpy integer >= 1, never a bool, and says so in one
+    # message; the detectors run at M = 2, where gmres's min(k, M) would take 2.5 as 2
+    for bad in (0, -2, 2.5, 8.0, True, np.bool_(True), "3"):
+        with pytest.raises(ValueError, match=re.escape(f"require integer {name} >= 1, got {name}={bad!r}")):
+            call(bad)

@@ -107,13 +107,13 @@ class TestPreprocess:
             preprocess(bad_h, y, 0.1)
         with pytest.raises(ValueError, match="y contains non-finite"):
             preprocess(h, bad_y, 0.1)
-        with pytest.raises(ValueError, match="sigma2 contains non-finite"):
+        with pytest.raises(ValueError, match="sigma2 must be finite and >= 0"):
             preprocess(h, y, float("nan"))
-        with pytest.raises(ValueError, match="sigma2 must be >= 0"):
+        with pytest.raises(ValueError, match="sigma2 must be finite and >= 0"):
             preprocess(h, y, -0.1)
 
     def test_rejects_bool_noise_variance(self):
-        with pytest.raises(ValueError, match="sigma2 must be a number, not a bool, got True"):
+        with pytest.raises(ValueError, match="sigma2 must be finite and >= 0, not a bool, got True"):
             preprocess(np.ones((4, 2), dtype=complex), np.ones(4, dtype=complex), True)
 
     def test_per_frame_noise_variances(self):
@@ -125,8 +125,8 @@ class TestPreprocess:
         for b in range(3):
             one = preprocess(h[b], y[b], float(sigma2[b]))
             assert np.array_equal(prob.A[b], one.A) and np.array_equal(prob.y_mf[b], one.y_mf)
-        for bad, message in ((np.array([0.1, np.nan, 0.2]), "sigma2 contains non-finite"),
-                             (np.array([0.1, -0.1, 0.2]), "sigma2 must be >= 0"),
+        for bad, message in ((np.array([0.1, np.nan, 0.2]), "sigma2 must be finite and >= 0"),
+                             (np.array([0.1, -0.1, 0.2]), "sigma2 must be finite and >= 0"),
                              (np.array([0.1, 0.2]), "dimension mismatch"),
                              (np.array([0.1]), "dimension mismatch")):
             with pytest.raises(ValueError, match=message):
@@ -237,9 +237,6 @@ class TestCr:
                 diff = exact - s_k
                 errs.append(np.sqrt(np.real(np.vdot(diff, prob.A @ diff))))
             assert all(errs[k + 1] < errs[k] for k in range(len(errs) - 1))
-
-    def test_one_product_per_iteration_after_init(self):
-        selftest.check_matvec_budget([make_problem(8, 513)], depths=(1, 3, 5))
 
 
 def steps_until_breakdown(prob, v):
@@ -439,6 +436,14 @@ class TestBounds:
         with pytest.raises(ValueError):
             residual_bound_minres(np.diag([-1.0, 1.0]).astype(complex))
 
+    @pytest.mark.parametrize("k", [2.5, True, -1])
+    def test_gmres_factor_takes_an_integer_k(self, k):
+        # 2.5 gave a factor and True was taken as k = 1; k = 0 is the identity
+        bound = residual_bound_minres(np.diag([1.0, 4.0]).astype(complex))
+        assert bound.gmres_factor(0) == 1.0
+        with pytest.raises(ValueError, match=f"require integer k >= 0, got k={k!r}"):
+            bound.gmres_factor(k)
+
     def test_minres_trace_obeys_contraction(self):
         selftest.check_minres_monotonicity(problem_batch(50, 522, m_range=(2, 10)), depth=5)
 
@@ -591,7 +596,7 @@ class TestBatch:
 def test_iteration_count_below_one_rejected(name, k):
     # M = 2 as well: gmres must not let min(k, M) turn 2.5 into 2
     for m in (3, 2):
-        with pytest.raises(ValueError, match="iteration count must be >= 1"):
+        with pytest.raises(ValueError, match="require integer k >= 1"):
             ITERATIVE_DETECTORS[name](make_problem(m, 553), k)
 
 

@@ -112,6 +112,14 @@ def test_bit_count_validation():
         qam_modulate(np.array([0, 1, 0]), qam_spec(16))
 
 
+def test_fractional_bits_rejected():
+    # 0.9 was truncated to 0; float bits that are exactly 0 or 1 map as ints do
+    spec = qam_spec(16)
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        qam_modulate(np.array([0.9, 1, 0, 1]), spec)
+    assert np.array_equal(qam_modulate(np.array([1.0, 1, 0, 1]), spec), qam_modulate([1, 1, 0, 1], spec))
+
+
 @pytest.mark.parametrize("bad", [np.nan + 0j, complex(0.0, np.inf), complex(-np.inf, 1.0)], ids=["nan", "inf", "-inf"])
 def test_non_finite_symbols_rejected(bad):
     # a named error, not a cast warning and an out-of-range index
@@ -132,7 +140,7 @@ class TestAwgn:
     def test_rejects_non_finite(self):
         x = np.zeros(4, dtype=complex)
         for sigma2 in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="sigma2 contains non-finite"):
+            with pytest.raises(ValueError, match="sigma2 must be finite and >= 0"):
                 awgn_add(x, sigma2, 0)
         for bad in (np.inf, np.nan, complex(0, np.inf)):
             y = x.copy()
