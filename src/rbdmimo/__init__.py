@@ -22,12 +22,10 @@ from .channel import (
 )
 from .complexity import (
     Cost,
-    CostReport,
     OpCounter,
     analytic_cost,
     cholesky_cost,
     cholesky_solve_cost,
-    cost_report,
     measured_cost,
 )
 from .detectors import (
@@ -38,11 +36,8 @@ from .detectors import (
     cr_detect,
     exact_detect,
     gmres_detect,
-    kernel_coeff,
-    kernel_mac,
     minres_detect,
     preprocess,
-    residual_bound_gmres,
     residual_bound_minres,
 )
 from .linalg import (
@@ -58,7 +53,6 @@ from .sim import (
     SimConfig,
     SweepResult,
     interpolate_snr_at_ber,
-    plot_data,
     read_results,
     run_ber_point,
     run_sweep,

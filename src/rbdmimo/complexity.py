@@ -226,38 +226,12 @@ def measured_counter(algorithm: str, prob: MmseProblem, k: int) -> OpCounter:
     return counter
 
 
-@dataclass(frozen=True)
-class CostReport:
-    algorithm: str
-    M: int
-    k: int
-    analytic: Cost
-    measured: Cost
-    baseline: Cost
-
-    @property
-    def reduction_vs_baseline(self) -> float:
-        return 1.0 - self.measured.complex_mults / self.baseline.complex_mults
-
-
 def random_problem(m: int, seed: int, n: int | None = None, sigma2: float = 1.0) -> MmseProblem:
     """Deterministic random SPD detection problem for counted runs."""
     n = 2 * m if n is None else n
     h = generate_channel(n, m, ChannelScenario(), mix_seed(seed, 0)).H
     y = complex_normal(uniform_stream(mix_seed(seed, 1)), n)
     return preprocess(h, y, sigma2)
-
-
-def cost_report(algorithm: str, m: int, k: int, seed: int = 0) -> CostReport:
-    prob = random_problem(m, seed)
-    return CostReport(
-        algorithm=algorithm,
-        M=m,
-        k=k,
-        analytic=analytic_cost(algorithm, m, k),
-        measured=measured_cost(algorithm, prob, k),
-        baseline=cholesky_cost(m),
-    )
 
 
 REPORT_COLUMNS = (
@@ -267,16 +241,22 @@ REPORT_COLUMNS = (
 
 
 def report_rows(m_values, k: int, seed: int = 0) -> list[str]:
-    """CSV rows (without header) for every algorithm across an M grid."""
+    """CSV rows (without header) for every algorithm across an M grid.
+
+    A row's measured totals are counted on random_problem(M, seed), and its
+    reduction is 1 - measured mults / the Cholesky inversion baseline's.
+    """
     rows = []
     for algorithm in COUNTED_ALGORITHMS:
         for m in m_values:
-            rep = cost_report(algorithm, m, k, seed)
+            prob = random_problem(m, seed)
+            analytic = analytic_cost(algorithm, m, k)
+            measured = measured_cost(algorithm, prob, k)
+            baseline = cholesky_cost(m).complex_mults
             rows.append(
-                f"{rep.algorithm},{rep.M},{rep.k},"
-                f"{rep.analytic.complex_adds},{rep.analytic.complex_mults},"
-                f"{rep.measured.complex_adds},{rep.measured.complex_mults},"
-                f"{rep.baseline.complex_mults},{rep.reduction_vs_baseline:.6f}"
+                f"{algorithm},{m},{k},{analytic.complex_adds},{analytic.complex_mults},"
+                f"{measured.complex_adds},{measured.complex_mults},"
+                f"{baseline},{1.0 - measured.complex_mults / baseline:.6f}"
             )
     return rows
 

@@ -430,10 +430,10 @@ def gmres_detect(prob: MmseProblem, v_iters: int, counter=None) -> DetectionResu
         r = np.where(short[:, None, :], np.eye(v), r)
         g = np.where(short, 0.0, g)
     partial = _partial_solutions(r, g)
-    # running sums over the columns, which padding zeros cannot reorder, keep
-    # s and the iterate norms of a frame the same in any batch; s is copied
-    # out so that a result does not hold on to every partial sum
-    s = np.cumsum(basis[:v] * partial[..., -1].T[..., None], axis=0)[-1].copy()
+    # s and the iterate norms sum the columns in column order (a reduce over
+    # the leading axis adds one column at a time), which padding zeros cannot
+    # reorder, so a frame's values are the same in any batch
+    s = np.add.reduce(basis[:v] * partial[..., -1].T[..., None], 0)
     run.count(size=v, trisolve=1, inner=size)  # s = Q p is M inner products of length v
     explicit = norm2(y - np.matvec(a, s))
     # a stopped frame's later rotations are identities, so its row of the
@@ -502,8 +502,3 @@ def residual_bound_minres(a) -> ConvergenceBound:
     if lo <= 0:
         raise ValueError(f"matrix is not positive definite: lambda_min = {lo:.3g}")
     return ConvergenceBound(lambda_min=lo, lambda_max=hi)
-
-
-def residual_bound_gmres(a, k: int) -> float:
-    """Residual-norm bound factor ((tau2^2 - 1) / tau2^2)^(k/2) for Hermitian PD A."""
-    return residual_bound_minres(a).gmres_factor(k)

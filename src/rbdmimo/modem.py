@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rngstream import _check_variance, complex_normal, uniform_stream
+from .rngstream import _check_variance, _unchecked_complex_normal, uniform_stream
 
 SUPPORTED_ORDERS = (4, 16, 64)
 
@@ -123,4 +123,4 @@ def awgn_add(x, sigma2: float, rng_seed: int) -> np.ndarray:
         raise ValueError(f"expected one frame, got ndim={x.ndim}")
     if not np.isfinite(x).all():
         raise ValueError("x contains non-finite values")
-    return x + complex_normal(uniform_stream(rng_seed), x.size, sigma2)
+    return x + _unchecked_complex_normal(uniform_stream(rng_seed), x.size, sigma2)

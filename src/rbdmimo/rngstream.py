@@ -329,6 +329,11 @@ def complex_normal(gen: np.random.Generator, n: int, variance: float = 1.0) -> n
     A negative, non-finite or bool variance raises ValueError before any draw.
     """
     _check_variance(variance)
+    return _unchecked_complex_normal(gen, n, variance)
+
+
+def _unchecked_complex_normal(gen: np.random.Generator, n: int, variance) -> np.ndarray:
+    """complex_normal's draw, for a caller that has already checked the variance."""
     return _box_muller([gen.random(2 * n).reshape(1, 2, n)], [variance])[0][0]
 
 

@@ -504,17 +504,12 @@ def read_results(path) -> SweepResult:
     return SweepResult(config=config, points=points)
 
 
-def plot_data(result: SweepResult) -> list[tuple[float, float]]:
-    """(snr_db, ber) pairs of a sweep, ready for external plotting."""
-    return [(p.snr_db, p.ber) for p in result.points]
-
-
 def write_plot_data(result: SweepResult, path) -> None:
     """Write bare `snr_db,ber` lines for external plotting tools."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write("snr_db,ber\n")
-        for snr_db, ber in plot_data(result):
-            fh.write(f"{snr_db:.17g},{ber:.17g}\n")
+        for p in result.points:
+            fh.write(f"{p.snr_db:.17g},{p.ber:.17g}\n")
 
 
 def interpolate_snr_at_ber(points, ber_level: float) -> float:

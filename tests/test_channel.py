@@ -211,6 +211,6 @@ COUNT_ARGUMENTS = {
 def test_count_rule(name, call):
     # every count is an int or numpy integer >= 1, never a bool, and says so in one
     # message; the detectors run at M = 2, where gmres's min(k, M) would take 2.5 as 2
-    for bad in (0, -2, 2.5, 8.0, True, np.bool_(True), "3"):
+    for bad in (0, -2, 2.5, 8.5, 2.0, 8.0, True, np.bool_(True), "3", "8"):
         with pytest.raises(ValueError, match=re.escape(f"require integer {name} >= 1, got {name}={bad!r}")):
             call(bad)

@@ -21,7 +21,6 @@ from rbdmimo.detectors import (
     kernel_mac,
     minres_detect,
     preprocess,
-    residual_bound_gmres,
     residual_bound_minres,
 )
 from rbdmimo import selftest
@@ -432,8 +431,8 @@ class TestBounds:
         assert bound.tau2 == pytest.approx(4.0)
 
     def test_gmres_bound_values(self):
-        assert residual_bound_gmres(2.0 * np.eye(3, dtype=complex), 1) == pytest.approx(0.0)
-        assert residual_bound_gmres(np.diag([1.0, 4.0]).astype(complex), 2) == pytest.approx(0.9375)
+        assert residual_bound_minres(2.0 * np.eye(3, dtype=complex)).gmres_factor(1) == pytest.approx(0.0)
+        assert residual_bound_minres(np.diag([1.0, 4.0]).astype(complex)).gmres_factor(2) == pytest.approx(0.9375)
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):

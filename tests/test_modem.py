@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import rbdmimo.modem as modem
+import rbdmimo.rngstream as rngstream
 from rbdmimo.modem import awgn_add, qam_demodulate_hard, qam_modulate, qam_spec
 from rbdmimo.rngstream import uniform_stream
 
@@ -152,6 +154,19 @@ class TestAwgn:
     def test_sigma2_is_one_real_number(self, sigma2):
         with pytest.raises(ValueError, match="sigma2 must be one real number, got "):
             awgn_add(np.zeros(4, dtype=complex), sigma2, 1)
+
+    def test_variance_checked_once(self, monkeypatch):
+        # awgn_add checks sigma2 itself, so its draw must not check it again
+        check, calls = rngstream._check_variance, []
+
+        def counted(*args, **kw):
+            calls.append(args)
+            check(*args, **kw)
+
+        monkeypatch.setattr(modem, "_check_variance", counted)
+        monkeypatch.setattr(rngstream, "_check_variance", counted)
+        awgn_add(np.zeros(4, dtype=complex), 0.5, 3)
+        assert len(calls) == 1
 
     def test_one_frame(self):
         with pytest.raises(ValueError, match="expected one frame, got ndim=2"):
