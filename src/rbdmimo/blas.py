@@ -4,8 +4,9 @@ numpy has no call that sets it, so the loaded library is found among the
 files this process maps (/proc/self/maps, Linux only) and its exported
 setter is called through ctypes.  Where no OpenBLAS exporting one of the
 names below is mapped (another BLAS, or another platform), nothing
-changes.  Only pool workers import this module (`sim._init_pool_worker`),
-so importing the package does not load it.
+changes.  Only a sweep that starts a process pool imports this module
+(`sim.run_sweeps` passes `single_thread` as the pool's initializer), so
+importing the package does not load it.
 """
 
 from __future__ import annotations

@@ -16,14 +16,14 @@ generator, about 15 us, and also reads the OS entropy pool for a seed it
 then discards).  The reset and the read of a row happen inside one call
 (`_fill_rows`), so no caller holds the shared generator between rows.
 
-One Box-Muller session per chunk: `_chunk_normals` fills the uniforms of
-several row groups (a chunk's channel entries and its noise) and
-transforms them together, each group scaled by its own variance, one for
-the group or one per row (a packed chunk's frames of several SNRs).
-Box-Muller on the counter-based Philox (Box & Muller 1958; Salmon et al.,
-SC'11) makes every row a pure function of its seed, so neither the
-grouping nor the shared generator changes a value: row b of a group
-equals `complex_normal(uniform_stream(seeds[b]), n, variance)`.
+One Box-Muller transform per group: `_chunk_normals` fills the uniforms
+of each row group (a chunk's channel entries, then its noise) and
+transforms them, each group scaled by its own variance, one for the group
+or one per row (a packed chunk's frames of several SNRs).  Box-Muller on
+the counter-based Philox (Box & Muller 1958; Salmon et al., SC'11) makes
+every row a pure function of its seed, so neither the grouping nor the
+shared generator changes a value: row b of a group equals
+`complex_normal(uniform_stream(seeds[b]), n, variance)`.
 
 Bits contract: a row of n bits is `uniform_stream(seed).integers(0, 2, n)`.
 numpy draws that range from successive 32-bit halves of the raw 64-bit
@@ -31,22 +31,6 @@ Philox words, low half first, and keeps the top bit of each (Lemire's
 method never rejects for a range of two).  `uniform_bits_rows` therefore
 reads bit 31 and then bit 63 of each of the first ceil(n / 2) raw words,
 which gives the same bits without the per-bit sampling loop.
-
-Helper thread: Box-Muller's cos and sin are most of the cost of a normal,
-and numpy releases the GIL inside them.  From TRIG_THREAD_ENTRIES entries
-of the whole session up (a 128x8 chunk of channels and noise qualifies
-from 15 frames), and only if the process may run on more CPUs
-(`os.sched_getaffinity`) than there are processes drawing on them, every
-group's cos runs on a helper thread while the calling thread forms every
-group's radii and sines.  A process draws alone unless a sweep's pool
-worker records its pool's size (`_share_cpus`), so a serial run needs two
-CPUs and a pool of w workers more than w.  Both threads apply the same
-ufuncs to the same inputs, so the values do not depend on whether the
-helper runs.  Starting and joining a thread costs about 35-45 us on a
-2-vCPU VM (Python 3.11, numpy 2.4), so up to about 2**13 entries the
-split does not pay (1.03 of the serial time); at 2**14 entries
-Box-Muller takes 0.79 of its serial time and at 2**15-2**16 entries
-0.66-0.67 (medians of interleaved in-process pairs).
 
 Memory: each drawing thread has one chunk buffer (`_thread.chunk`), which
 grows to the largest chunk and is then reused.  `sim.draw_frames` draws
@@ -59,7 +43,7 @@ also asks for a spare region of B N M complex entries past its normals,
 and `channel.correlate_channel` writes the first product into it and a
 second back over the dead W, so its H is never allocated afresh either
 (fresh products page-faulted about 500-1,100 times a 2 MiB chunk).  Cos
-and sin go to one fresh array per session, and the public draws return
+and sin go to one fresh array per group, and the public draws return
 fresh arrays.  A chunk of B frames of N x M holds B N (M + 1) normals, 16
 bytes each, and `sim.CHUNK_ENTRIES` caps B N M, so a simulating thread's
 buffer stays within 16 (1 + 1/M) CHUNK_ENTRIES bytes, 2.25 MiB at 128x8
@@ -67,11 +51,9 @@ and 4 MiB at most, and the correlated products' region adds at most
 16 CHUNK_ENTRIES bytes (2 MiB), unless a single frame exceeds the cap
 and runs alone.
 
-Threads and fork: the generator and the chunk buffer are
-`threading.local`, so concurrent callers reset their own generator and
-draw into their own buffer.  The helper draws nothing and owns no buffer:
-it writes only the calling thread's cos array, which that thread does not
-touch before the join, and no thread outlives the call.  A forked worker
+Threads and fork: every draw runs on its calling thread.  The generator
+and the chunk buffer are `threading.local`, so concurrent callers reset
+their own generator and draw into their own buffer.  A forked worker
 therefore inherits a consistent copy of its parent's generator, which
 every row resets before it reads, and of its chunk buffer, which every
 chunk writes before it reads.
@@ -80,17 +62,12 @@ chunk writes before it reads.
 from __future__ import annotations
 
 import math
-import os
 import threading
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _BIT_SHIFTS = np.array([31, 63], dtype=np.uint64)  # the top bits of a raw word's two 32-bit halves
-
-# Box-Muller runs cos on a helper thread from this many entries up, if the
-# process has a CPU to spare (see the module docstring)
-TRIG_THREAD_ENTRIES = 2**14
 
 # splitmix64 constants (Steele/Lea/Flood generator, public domain)
 _GAMMA = 0x9E3779B97F4A7C15
@@ -234,36 +211,19 @@ def uniform_bits_rows(seeds, n: int) -> np.ndarray:
     return bits.reshape(len(seeds), 2 * words.shape[1])[:, :n].astype(np.int64)
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return cpus or 1
-
-
-# processes drawing on this process's CPUs: 1, or a sweep pool's worker count
-_drawing_processes = 1
-
-
-def _share_cpus(processes: int) -> None:
-    """Record that `processes` processes, this one among them, draw on this process's CPUs."""
-    global _drawing_processes
-    _drawing_processes = processes
-
-
-def _helper_runs(size: int) -> bool:
-    """Whether Box-Muller over `size` entries runs cos on a helper thread (see the module docstring)."""
-    return size >= TRIG_THREAD_ENTRIES and _usable_cpus() > _drawing_processes
-
-
-def _cos_all(angles, outs) -> None:
-    for angle, out in zip(angles, outs):
-        np.cos(angle, out=out)
+# what a variance of a dtype kind other than "iuf" is, for _check_variance's message
+_NOT_REAL = {"b": "a bool", "c": "a complex number", "S": "a string", "U": "a string"}
 
 
 def _check_variance(variance, rows: int = 1, name: str = "variance") -> None:
-    """A variance is one finite float >= 0, or a 1-D array of one per row; a bool is none (ValueError naming it)."""
-    if np.asarray(variance).dtype == bool:
-        raise ValueError(f"{name} must be finite and >= 0, not a bool, got {variance!r}")
+    """A variance is one finite real >= 0, or a 1-D array of one per row (ValueError naming it).
+
+    Only integer and float values count: a bool, a string or bytes (which
+    numpy would parse), a complex number or an object is none.
+    """
+    kind = np.asarray(variance).dtype.kind
+    if kind not in "iuf":
+        raise ValueError(f"{name} must be finite and >= 0, not {_NOT_REAL.get(kind, 'an object')}, got {variance!r}")
     v = np.asarray(variance, dtype=float)
     if v.ndim and v.shape != (rows,):
         raise ValueError(f"expected one {name} or one per row ({rows}), got shape {v.shape}")
@@ -271,54 +231,33 @@ def _check_variance(variance, rows: int = 1, name: str = "variance") -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {variance!r}")
 
 
-def _box_muller(uniforms, variances) -> list[np.ndarray]:
-    """sqrt(variance / 2) * (z0 + 1j z1) for the Box-Muller pairs (z0, z1) of each group.
+def _box_muller(u, variance) -> np.ndarray:
+    """sqrt(variance / 2) * (z0 + 1j z1) for the Box-Muller pairs (z0, z1) of one group of uniforms.
 
-    Group g is a C-contiguous (B, 2, n) array of uniforms in [0, 1): u[:, 0]
-    feeds the radii, u[:, 1] the angles; its result is the same memory read
-    as (B, n) complex, scaled by variances[g], one float or one per row.
-    The radii are formed in place in u[:, 0] (mapped into (0, 1] so the
-    logarithm stays finite), cos and sin go into the two halves of one
-    fresh array, and the output is written over the uniforms once the
-    radii and angles are dead.  If _helper_runs for the whole session,
-    every group's cos runs on a helper thread, started and joined here,
-    while this thread forms every group's radii and sines.
+    u is a C-contiguous (B, 2, n) array of uniforms in [0, 1): u[:, 0] feeds
+    the radii, u[:, 1] the angles; the result is the same memory read as
+    (B, n) complex, scaled by variance, one float or one per row.  The
+    radii are formed in place in u[:, 0] (mapped into (0, 1] so the
+    logarithm stays finite), cos and sin go into one fresh (2, B, n) array,
+    and the output is written over the uniforms once the radii and angles
+    are dead.
     """
-    shapes = [(u.shape[0], u.shape[2]) for u in uniforms]
-    size = sum(map(math.prod, shapes))
-    trig = np.empty(2 * size)
-    z0s, z1s = _carve(trig[:size], shapes), _carve(trig[size:], shapes)
-    angles = [np.multiply(u[:, 1], 2.0 * np.pi, out=u[:, 1]) for u in uniforms]
-    helper = None
-    if _helper_runs(size):
-        helper = threading.Thread(target=_cos_all, args=(angles, z0s))
-        helper.start()
-    try:
-        radii = []
-        for u in uniforms:
-            radius = np.subtract(1.0, u[:, 0], out=u[:, 0])
-            np.log(radius, out=radius)
-            np.multiply(radius, -2.0, out=radius)
-            radii.append(np.sqrt(radius, out=radius))
-        if helper is None:
-            _cos_all(angles, z0s)
-        for angle, z1 in zip(angles, z1s):
-            np.sin(angle, out=z1)
-    finally:
-        if helper is not None:
-            helper.join()
-    outs = []
-    for u, z0, z1, radius, variance in zip(uniforms, z0s, z1s, radii, variances):
-        z0 *= radius
-        z1 *= radius
-        out = u.reshape(u.shape[0], 2 * u.shape[2]).view(np.complex128)  # the uniforms are dead from here
-        scale = np.sqrt(np.divide(variance, 2.0))
-        if np.ndim(scale):  # one variance per row
-            scale = scale[:, None]
-        np.multiply(z0, scale, out=out.real)
-        np.multiply(z1, scale, out=out.imag)
-        outs.append(out)
-    return outs
+    angle = np.multiply(u[:, 1], 2.0 * np.pi, out=u[:, 1])
+    radius = np.subtract(1.0, u[:, 0], out=u[:, 0])
+    np.log(radius, out=radius)
+    np.multiply(radius, -2.0, out=radius)
+    np.sqrt(radius, out=radius)
+    z = np.empty((2, *angle.shape))
+    np.cos(angle, out=z[0])
+    np.sin(angle, out=z[1])
+    z *= radius
+    out = u.reshape(u.shape[0], 2 * u.shape[2]).view(np.complex128)  # the uniforms are dead from here
+    scale = np.sqrt(np.divide(variance, 2.0))
+    if np.ndim(scale):  # one variance per row
+        scale = scale[:, None]
+    np.multiply(z[0], scale, out=out.real)
+    np.multiply(z[1], scale, out=out.imag)
+    return out
 
 
 def complex_normal(gen: np.random.Generator, n: int, variance: float = 1.0) -> np.ndarray:
@@ -334,11 +273,11 @@ def complex_normal(gen: np.random.Generator, n: int, variance: float = 1.0) -> n
 
 def _unchecked_complex_normal(gen: np.random.Generator, n: int, variance) -> np.ndarray:
     """complex_normal's draw, for a caller that has already checked the variance."""
-    return _box_muller([gen.random(2 * n).reshape(1, 2, n)], [variance])[0][0]
+    return _box_muller(gen.random(2 * n).reshape(1, 2, n), variance)[0]
 
 
 def _chunk_normals(groups, spare: int = 0) -> list[np.ndarray]:
-    """One (len(seeds), n) array per (seeds, n, variance) group, one Box-Muller session in this thread's chunk buffer.
+    """One (len(seeds), n) array per (seeds, n, variance) group, drawn in this thread's chunk buffer.
 
     A group's variance is one float or one per seed, and row b of the
     group is complex_normal(uniform_stream(seeds[b]), n, variance of row
@@ -357,8 +296,8 @@ def _chunk_normals(groups, spare: int = 0) -> list[np.ndarray]:
     buf = getattr(_thread, "chunk", None)
     if buf is None or buf.size < floats + 2 * spare:  # so it grows to the largest chunk and then stays
         buf = _thread.chunk = np.empty(floats + 2 * spare)
-    uniforms = _carve(buf[:floats], shapes)
-    for (seeds, _, _), u in zip(groups, uniforms):
+    normals = []
+    for (seeds, _, variance), u in zip(groups, _carve(buf[:floats], shapes)):
         _fill_rows(seeds, u)
-    normals = _box_muller(uniforms, [variance for _, _, variance in groups])
+        normals.append(_box_muller(u, variance))
     return normals + [buf[floats:floats + 2 * spare].view(np.complex128)] if spare else normals

@@ -14,7 +14,7 @@ import numpy as np
 from .complexity import analytic_cost, cholesky_cost, measured_counter, random_problem
 from .detectors import cr_detect, exact_detect, gmres_detect, minres_detect, residual_bound_minres
 from .rngstream import mix_seed
-from .sim import (FLAG_BELOW_RESOLUTION, FLAG_OK, MIN_FRAMES_PER_POINT, BerPoint, SimConfig,
+from .sim import (FLAG_BELOW_RESOLUTION, FLAG_OK, MIN_FRAMES_PER_POINT, BerPoint, SimConfig, _check_seed,
                   draw_frames, frame_errors, run_ber_point, run_trial, snr_to_sigma2)
 
 
@@ -196,7 +196,12 @@ def check_determinism(seed):
 
 
 def run_selftest(seed: int = 2024) -> list[str]:
-    """Run every named check; returns the list of failure messages."""
+    """Run every named check; returns the list of failure messages.
+
+    A seed outside SimConfig's master seed rule raises ConfigError before
+    any check runs.
+    """
+    _check_seed(seed, "seed")
     problems = list(_problems(seed))
     checks = (
         ("oracle equivalence", lambda: check_oracle_equivalence(problems)),

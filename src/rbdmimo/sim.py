@@ -48,7 +48,7 @@ import numpy as np
 from .channel import ChannelScenario, ConfigError, _count, correlate_channel, finite_real, real_number
 from .detectors import DETECTOR_NAMES, ITERATIVE_DETECTORS, MmseProblem, exact_detect, preprocess
 from .modem import SUPPORTED_ORDERS, qam_demodulate_hard, qam_modulate, qam_spec
-from .rngstream import _chunk_normals, _is_integer, _share_cpus, mix_seed, seed_array, uniform_bits_rows
+from .rngstream import _chunk_normals, _is_integer, mix_seed, seed_array, uniform_bits_rows
 
 SNR_CONVENTION = "sigma2 = M / 10^(snr_db/10) (per-receive-antenna SNR, unit symbol energy)"
 
@@ -73,6 +73,14 @@ _CONFIG_COLUMNS = {
 RESULT_COLUMNS = [*_CONFIG_COLUMNS, "snr_db", "bits", "errors", "ber", "flag"]
 
 _INTEGER_FIELDS = ("n", "m", "qam_order", "k_iterations", "target_bit_errors", "max_bits", "master_seed")
+
+
+def _check_seed(seed, name: str = "master_seed") -> None:
+    """The master seed rule: an integer in [0, 2**64); anything else raises ConfigError naming `name`."""
+    if not _is_integer(seed):
+        raise ConfigError(f"{name} must be an integer, got {seed!r}")
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"{name} must lie in [0, 2**64), got {seed}")
 
 
 @dataclass(frozen=True)
@@ -130,8 +138,7 @@ class SimConfig:
             raise ConfigError(f"target_bit_errors must be >= 100, got {self.target_bit_errors}")
         if self.max_bits < 1:
             raise ConfigError(f"max_bits must be >= 1, got {self.max_bits}")
-        if not 0 <= self.master_seed < 1 << 64:
-            raise ConfigError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
+        _check_seed(self.master_seed)
 
 
 @dataclass(frozen=True)
@@ -182,10 +189,10 @@ def draw_frames(config: SimConfig, sigma2, trial_seeds) -> tuple[np.ndarray, Mms
     or a sequence of ints, each taken modulo 2**64 (see seed_array).
     Sub-streams: mix_seed(trial_seed, 0) for bits, (..., 1) for the
     channel, (..., 2) for the noise, derived for the whole chunk at once.
-    The chunk's channel entries and noise come from one Box-Muller session
-    in this thread's rngstream chunk buffer, and a correlated scenario's
-    products are written by correlate_channel into a spare region of the
-    same buffer and back over W, so H is a view of it; each frame equals
+    The chunk's channel entries and noise are drawn, on this thread, in its
+    rngstream chunk buffer, and a correlated scenario's products are
+    written by correlate_channel into a spare region of the same buffer
+    and back over W, so H is a view of it; each frame equals
     generate_channel and awgn_add, each called alone on that frame's seed
     and variance, and preprocess checks that every h and y is finite.  The
     bits and the problem are fresh arrays, which later draws leave alone.
@@ -342,19 +349,6 @@ def _each_alone(mapper, configs, points):
     return results, failures
 
 
-def _init_pool_worker(workers: int) -> None:
-    """Set up a worker of a pool of `workers`: OpenBLAS on one thread, and the CPUs shared with the pool.
-
-    The workers already run points in parallel, so BLAS threads of their
-    own, or Box-Muller helper threads on CPUs the pool occupies, only
-    contend with one another.  The parent process keeps both.
-    """
-    from .blas import single_thread
-
-    single_thread()
-    _share_cpus(workers)
-
-
 def run_sweeps(configs, workers: int | None = None) -> tuple[SweepResult, ...]:
     """One SweepResult per config, drawing each frame once for all of them.
 
@@ -365,11 +359,14 @@ def run_sweeps(configs, workers: int | None = None) -> tuple[SweepResult, ...]:
     each config's points equal those of run_sweep on it alone.  workers is
     None or an integer >= 1.  A pool of min(workers, points) processes,
     if that is more than one, runs one point per task, each worker with
-    BLAS on one thread (see _init_pool_worker); else one task runs every
-    point in this process (see _run_schedule).  Seed derivation is
-    index-based, so every route gives bit-identical results.  Per-point
-    failures are collected and raised together after every point has been
-    attempted (see _run_points).
+    BLAS on one thread (`blas.single_thread` is the pool's initializer:
+    the workers already run points in parallel, so BLAS threads of their
+    own would only contend with one another; this process keeps its BLAS
+    threads); else one task runs every point in this process (see
+    _run_schedule).  Every draw runs on its worker's or this process's
+    one thread.  Seed derivation is index-based, so every route gives
+    bit-identical results.  Per-point failures are collected and raised
+    together after every point has been attempted (see _run_points).
     """
     if workers is not None:
         if not (_is_integer(workers) and workers >= 1):
@@ -390,7 +387,9 @@ def run_sweeps(configs, workers: int | None = None) -> tuple[SweepResult, ...]:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # 10-15 ms of import that only a pool needs
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_pool_worker, initargs=(workers,)) as pool:
+        from .blas import single_thread
+
+        with ProcessPoolExecutor(max_workers=workers, initializer=single_thread) as pool:
             results, failures = _each_alone(pool.map, configs, points)
     else:
         results, failures = _run_points(configs, points)

@@ -1,5 +1,5 @@
 """Shared fixtures: deterministic random MMSE problem instances, fault injection,
-a thread-start recorder, the BLAS thread count, and the hypothesis profile every
+failing thread starts, the BLAS thread count, and the hypothesis profile every
 property test runs under."""
 
 import ctypes
@@ -86,14 +86,13 @@ def sign_flipped_minres(prob, k, **kwargs):
         return detectors.minres_detect(prob, k, **kwargs)
 
 
-class RecordingThread(threading.Thread):
-    """A Thread that counts its starts: patched in for threading.Thread to see the Box-Muller helper."""
-
-    started = 0
+def fail_thread_starts(monkeypatch):
+    """Make threading.Thread.start raise until the test ends, so a draw that starts a thread fails."""
 
     def start(self):
-        RecordingThread.started += 1
-        super().start()
+        raise AssertionError(f"a thread was started: {self!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
 
 
 def blas_threads():

@@ -170,6 +170,13 @@ class TestSelftest:
         assert "all checks passed" in out
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("seed", ["-5", str(2**64)])
+    def test_seed_outside_64_bits_exit_2_before_any_check(self, capsys, seed):
+        assert main(["selftest", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert f"seed must lie in [0, 2**64), got {seed}" in captured.err
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+
     def test_output_deterministic(self, capsys):
         main(["selftest", "--seed", "7"])
         first = capsys.readouterr().out

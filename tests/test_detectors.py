@@ -110,6 +110,9 @@ class TestPreprocess:
             preprocess(h, y, float("nan"))
         with pytest.raises(ValueError, match="sigma2 must be finite and >= 0"):
             preprocess(h, y, -0.1)
+        for text in ("0.5", b"0.5"):
+            with pytest.raises(ValueError, match="sigma2 must be finite and >= 0, not a string"):
+                preprocess(h, y, text)
 
     def test_rejects_bool_noise_variance(self):
         with pytest.raises(ValueError, match="sigma2 must be finite and >= 0, not a bool, got True"):

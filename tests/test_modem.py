@@ -141,7 +141,7 @@ class TestAwgn:
 
     def test_rejects_non_finite(self):
         x = np.zeros(4, dtype=complex)
-        for sigma2 in (float("nan"), float("inf")):
+        for sigma2 in (float("nan"), float("inf"), "0.5", b"0.5"):
             with pytest.raises(ValueError, match="sigma2 must be finite and >= 0"):
                 awgn_add(x, sigma2, 0)
         for bad in (np.inf, np.nan, complex(0, np.inf)):

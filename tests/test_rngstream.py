@@ -7,7 +7,7 @@ import threading
 
 import numpy as np
 import pytest
-from conftest import RecordingThread
+from conftest import fail_thread_starts
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -122,54 +122,28 @@ def assert_rows_equal(got, want):
             assert np.array_equal(row, one)
 
 
-@pytest.mark.parametrize("helper", [True, False])
+@pytest.mark.parametrize("threads_fail", [True, False])
 @pytest.mark.parametrize("n", [1, 5, 1024])
-def test_complex_normal_rows_match_single_streams(monkeypatch, helper, n):
-    # the chunk's Box-Muller runs with the helper thread forced on or off,
-    # whatever the array size and CPU count; one row alone never uses it here
+def test_complex_normal_rows_match_single_streams(monkeypatch, threads_fail, n):
+    # each row of a chunk is its own stream's draw, also where no thread can start
     want = public_draws([(SEEDS, n, 0.3)])
-    monkeypatch.setattr(rngstream, "_helper_runs", lambda size: helper)
-    monkeypatch.setattr(rngstream.threading, "Thread", RecordingThread)
-    RecordingThread.started = 0
+    if threads_fail:
+        fail_thread_starts(monkeypatch)
     got = rngstream._chunk_normals([(SEEDS, n, 0.3)])
-    assert RecordingThread.started == int(helper)
     assert_rows_equal(got, want)
 
 
-@pytest.mark.parametrize("cpus, processes", [(1, 1), (2, 1), (2, 2), (64, 2)])
-def test_helper_runs_from_threshold_on_a_spare_cpu(monkeypatch, cpus, processes):
-    # a serial process (one drawing process) needs two CPUs, a pool of two workers three
-    monkeypatch.setattr(rngstream, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(rngstream, "_drawing_processes", 1)  # restored after the test
-    rngstream._share_cpus(processes)
-    assert not rngstream._helper_runs(rngstream.TRIG_THREAD_ENTRIES - 1)
-    assert rngstream._helper_runs(rngstream.TRIG_THREAD_ENTRIES) == (cpus > processes)
-
-
-@pytest.mark.parametrize("helper", [True, False])
-def test_groups_share_one_session(monkeypatch, helper):
-    # each row of each group of a chunk's session is its own stream's draw, at its group's variance
+@pytest.mark.parametrize("threads_fail", [True, False])
+def test_groups_share_one_session(monkeypatch, threads_fail):
+    # each row of each group of a chunk is its own stream's draw, at its group's
+    # variance, also where no thread can start
     groups = [(SEEDS, 24, 1.0), (SEEDS[::-1], 3, 0.25), (SEEDS[:2], 0, 2.0)]
     want = public_draws(groups)
-    monkeypatch.setattr(rngstream, "_helper_runs", lambda size: helper)
-    monkeypatch.setattr(rngstream.threading, "Thread", RecordingThread)
-    RecordingThread.started = 0
+    if threads_fail:
+        fail_thread_starts(monkeypatch)
     got = rngstream._chunk_normals(groups)
-    assert RecordingThread.started == int(helper)
     assert len(got) == len(want)
     assert_rows_equal(got, want)
-
-
-def test_helper_threshold_counts_the_whole_session(monkeypatch):
-    # two groups that each fall short of the threshold reach it together
-    monkeypatch.setattr(rngstream, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(rngstream, "_drawing_processes", 1)
-    monkeypatch.setattr(rngstream.threading, "Thread", RecordingThread)
-    half = rngstream.TRIG_THREAD_ENTRIES // 2
-    for sizes, starts in (((half, half - 1), 0), ((half, half), 1)):
-        RecordingThread.started = 0
-        rngstream._chunk_normals([([1], sizes[0], 1.0), ([2], sizes[1], 0.5)])
-        assert RecordingThread.started == starts
 
 
 def test_threads_draw_their_own_rows():
@@ -200,7 +174,8 @@ def test_threads_draw_their_own_rows():
     assert done == {0: rounds, 1: rounds} and bad == {0: 0, 1: 0}
 
 
-@pytest.mark.parametrize("variance", [-1.0, float("nan"), float("inf"), -float("inf"), True])
+@pytest.mark.parametrize("variance", [-1.0, float("nan"), float("inf"), -float("inf"), True,
+                                      pytest.param("0.5", id="str"), pytest.param(b"0.5", id="bytes")])
 def test_bad_variance_rejected_before_any_draw(variance):
     gen = uniform_stream(3)
     with pytest.raises(ValueError, match="variance must be finite and >= 0"):
@@ -210,12 +185,13 @@ def test_bad_variance_rejected_before_any_draw(variance):
         rngstream._chunk_normals([(SEEDS, 4, 1.0), (SEEDS, 2, variance)])
 
 
-@pytest.mark.parametrize("helper", [True, False])
-def test_per_row_variances_match_single_streams(monkeypatch, helper):
+@pytest.mark.parametrize("threads_fail", [True, False])
+def test_per_row_variances_match_single_streams(monkeypatch, threads_fail):
     # a packed chunk's noise has one variance per row (frames of several SNRs);
-    # each row is what a fresh stream gives alone at that row's variance, with
-    # the helper thread forced on or off
-    monkeypatch.setattr(rngstream, "_helper_runs", lambda size: helper)
+    # each row is what a fresh stream gives alone at that row's variance, also
+    # where no thread can start
+    if threads_fail:
+        fail_thread_starts(monkeypatch)
     variances = [0.3, 2.0, 2.0, 0.0, 1e-3, 0.3]
     w, noise = rngstream._chunk_normals([(SEEDS, 24, 1.0), (SEEDS[::-1], 128, np.array(variances))])
     assert_rows_equal([w], public_draws([(SEEDS, 24, 1.0)]))

@@ -9,8 +9,9 @@ import threading
 
 import numpy as np
 import pytest
-from conftest import RecordingThread, blas_threads
+from conftest import blas_threads, fail_thread_starts
 
+import rbdmimo.blas as blas
 from rbdmimo.channel import ChannelScenario, generate_channel
 from rbdmimo.detectors import exact_detect, preprocess
 from rbdmimo.modem import awgn_add, qam_demodulate_hard, qam_modulate, qam_spec
@@ -187,11 +188,8 @@ SCENARIOS = {
 class TestDrawFrames:
     @pytest.mark.parametrize("scenario", SCENARIOS.values(), ids=SCENARIOS.keys())
     @pytest.mark.parametrize("frames", [1, 14, 15, 16, 64, 128])
-    def test_joint_draw_equals_separate_draws(self, monkeypatch, scenario, frames):
-        # a 128x8 chunk's channels and noise share one Box-Muller session, with the
-        # helper thread forced on (one start per chunk), forced off, or by its own
-        # rule (a frame is 1,152 entries, so 14 frames fall below TRIG_THREAD_ENTRIES
-        # and 15 reach it); every frame is what the public per-frame draws give,
+    def test_joint_draw_equals_separate_draws(self, scenario, frames):
+        # every frame of a 128x8 chunk is what the public per-frame draws give,
         # each called alone on that frame's seed.  A correlated scenario's products
         # run in the chunk buffer (one-sided for bs_ and user_correlated), the public
         # draw's in fresh arrays.  128 frames is the cap at 128x8
@@ -204,17 +202,23 @@ class TestDrawFrames:
             h = generate_channel(128, 8, scenario, mix_seed(seed, 1)).H
             y = awgn_add(np.matvec(h, qam_modulate(bits[-1], qam_spec(64))), sigma2, mix_seed(seed, 2))
             want.append(preprocess(h, y, sigma2))
-        monkeypatch.setattr(rngstream.threading, "Thread", RecordingThread)
-        by_rule = rngstream._helper_runs(frames * 1152)
-        assert by_rule == (frames >= 15 and rngstream._usable_cpus() > rngstream._drawing_processes)
-        for helper in (True, False, by_rule):
-            monkeypatch.setattr(rngstream, "_helper_runs", lambda size: helper)
-            RecordingThread.started = 0
-            got_bits, got = draw_frames(cfg, sigma2, seeds)
-            assert RecordingThread.started == int(helper)
-            assert np.array_equal(got_bits, bits)
-            for b, one in enumerate(want):
-                assert np.array_equal(got.A[b], one.A) and np.array_equal(got.y_mf[b], one.y_mf)
+        got_bits, got = draw_frames(cfg, sigma2, seeds)
+        assert np.array_equal(got_bits, bits)
+        for b, one in enumerate(want):
+            assert np.array_equal(got.A[b], one.A) and np.array_equal(got.y_mf[b], one.y_mf)
+
+    def test_draws_start_no_thread(self, monkeypatch):
+        # a full 128-frame 128x8 chunk and a sweep draw on the calling thread alone:
+        # with every thread start failing they give what they give otherwise
+        cfg = small_config(n=128, m=8, qam_order=64)
+        seeds, sigma2 = mix_seed(5, 4, np.arange(128)), snr_to_sigma2(6.0, 8)
+        bits, prob = draw_frames(cfg, sigma2, seeds)  # fresh arrays, which the next draws leave alone
+        sweep = run_sweep(small_config())
+        fail_thread_starts(monkeypatch)
+        got_bits, got = draw_frames(cfg, sigma2, seeds)
+        assert np.array_equal(got_bits, bits)
+        assert np.array_equal(got.A, prob.A) and np.array_equal(got.y_mf, prob.y_mf)
+        assert run_sweep(small_config()) == sweep
 
     def test_frames_of_several_snrs_in_one_chunk(self):
         # one noise variance per frame: a chunk packing frames of two SNRs equals
@@ -561,25 +565,6 @@ class TestSweep:
         with pytest.raises(ConfigError, match="workers must be None or an integer >= 1"):
             run_sweeps([small_config()], workers=workers)
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patches reach workers only through fork")
-    @pytest.mark.parametrize("cpus", [1, 2, 64])
-    def test_pool_workers_on_every_cpu_run_without_helper(self, monkeypatch, tmp_path, cpus):
-        # a pool of two workers on `cpus` usable CPUs: the helper thread stays
-        # off in each worker unless there are more CPUs than workers; the
-        # parent process keeps it
-        serial, real = run_sweep(small_config()), sim._run_schedule
-
-        def recording(configs, points):
-            for _, snr_db in points:
-                (tmp_path / f"{snr_db} {rngstream._helper_runs(rngstream.TRIG_THREAD_ENTRIES)}").touch()
-            return real(configs, points)
-
-        monkeypatch.setattr(sim, "_run_schedule", recording)
-        monkeypatch.setattr(rngstream, "_usable_cpus", lambda: cpus)
-        assert run_sweep(small_config(), workers=2) == serial
-        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{snr} {cpus > 2}" for snr in (0.0, 4.0, 8.0)]
-        assert rngstream._drawing_processes == 1
-
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches workers only through fork")
     @pytest.mark.skipif(blas_threads() is None, reason="no OpenBLAS thread count to read")
     def test_pool_workers_run_blas_on_one_thread(self, monkeypatch, tmp_path):
@@ -597,16 +582,17 @@ class TestSweep:
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches workers only through fork")
     def test_pool_starts_no_more_workers_than_points(self, monkeypatch, tmp_path):
-        # 8 workers asked for 3 points: 3 start, and each shares the CPUs among 3
-        serial, real = run_sweep(small_config()), sim._init_pool_worker
+        # 8 workers asked for 3 points: 3 distinct worker processes start
+        serial, real = run_sweep(small_config()), blas.single_thread
 
-        def recording(workers):
-            real(workers)
-            (tmp_path / f"{os.getpid()} {rngstream._drawing_processes}").touch()
+        def recording():
+            real()
+            (tmp_path / str(os.getpid())).touch()
 
-        monkeypatch.setattr(sim, "_init_pool_worker", recording)
+        monkeypatch.setattr(blas, "single_thread", recording)
         assert run_sweep(small_config(), workers=8) == serial
-        assert [p.name.split()[1] for p in tmp_path.iterdir()] == ["3"] * 3
+        pids = {int(p.name) for p in tmp_path.iterdir()}
+        assert len(pids) == 3 and os.getpid() not in pids
 
 
 class TestRunSweeps:
