@@ -6,7 +6,10 @@ setter is called through ctypes.  Where no OpenBLAS exporting one of the
 names below is mapped (another BLAS, or another platform), nothing
 changes.  Only a sweep that starts a process pool imports this module
 (`sim.run_sweeps` passes `single_thread` as the pool's initializer), so
-importing the package does not load it.
+importing the package does not load it.  A pool's workers run points in
+parallel, so their own BLAS threads only contend: on 2 vCPUs a 5-worker
+fully correlated 256x8 sweep took 1.3-1.6 s with one each, 8.4-11.1 s
+without; a serial sweep keeps the default threads (1.4-1.8 s; 1.5-1.7 s on one).
 """
 
 from __future__ import annotations

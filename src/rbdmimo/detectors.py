@@ -13,10 +13,10 @@ exact_detect is the Cholesky ground truth.  minres and cr are written
 with two shared kernels, a multiply-accumulate update (kernel_mac) and a
 ratio of Hermitian inner products (kernel_coeff).
 
-gmres, the bulk of the Krylov work, keeps its state in three arrays it
-allocates itself: the Arnoldi basis, the Hessenberg columns and the real
-product of the Givens rotations.  One fused step per column (arnoldi_step)
-updates them in place, and R is formed once after the loop
+gmres, the bulk of the Krylov work, keeps its state in three arrays that
+gmres_start allocates: the Arnoldi basis, the Hessenberg columns and the
+real product of the Givens rotations.  One fused step per column
+(arnoldi_step) updates them in place, and R is formed once after the loop
 (givens_triangle).  An in-place step takes the operands of the plain
 expression in the same order, so it rounds exactly as the allocating form
 does; cr and minres make one numpy call per arithmetic step and keep the
@@ -380,6 +380,19 @@ def _partial_solutions(r: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.cumsum(np.linalg.inv(r) * g[..., None, :], axis=-1)
 
 
+def gmres_start(r0, beta, v_max: int, live=None):
+    """gmres's start state for (B, M) residuals r0 of norms beta: (basis, columns, product).
+
+    The (V+1, B, M) basis holds r0 / beta, or zeros (r0 / inf, which break
+    down at once) in a frame live marks done; the (V, V+1, B) Hessenberg
+    columns are zero and the real (B, V+1, V+1) rotation product is I.
+    """
+    basis = np.zeros((v_max + 1, *r0.shape), dtype=np.complex128)
+    np.divide(r0, (beta if live is None else np.where(live, beta, np.inf))[:, None], basis[0])
+    columns = np.zeros((v_max, v_max + 1, len(r0)), dtype=np.complex128)
+    return basis, columns, np.tile(np.eye(v_max + 1), (len(r0), 1, 1))
+
+
 def gmres_detect(prob: MmseProblem, v_iters: int, counter=None) -> DetectionResult:
     """GMRES detection with incremental Givens residual tracking.
 
@@ -401,14 +414,8 @@ def gmres_detect(prob: MmseProblem, v_iters: int, counter=None) -> DetectionResu
     beta = norm2(r0)
     if run.step(0, beta):
         return run.result(s, [np.zeros(frames)])
-    # the basis, the Hessenberg columns (Hbar of frame b is columns[..., b].T) and the
-    # real rotation product (g is beta times its first column); frames done at step 0
-    # run on an all-zero basis (r0 / inf = 0), which breaks down at once
-    basis = np.zeros((v_max + 1, frames, size), dtype=np.complex128)
-    np.divide(r0, (beta if run.live is None else np.where(run.live, beta, np.inf))[:, None], basis[0])
+    basis, columns, product = gmres_start(r0, beta, v_max, run.live)
     run.count(norm=1, scale=1)
-    columns = np.zeros((v_max, v_max + 1, frames), dtype=np.complex128)
-    product = np.tile(np.eye(v_max + 1), (frames, 1, 1))
     tol = ARNOLDI_BREAKDOWN_REL * beta
     for j in range(v_max):
         happy, flat = arnoldi_step(a, basis, columns[j], product, j, tol)

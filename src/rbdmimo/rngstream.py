@@ -170,16 +170,6 @@ def _thread_philox():
         return _thread.philox
 
 
-def _carve(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive C-contiguous views of `flat`, one of each shape."""
-    views, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[start:start + size].reshape(shape))
-        start += size
-    return views
-
-
 def _fill_rows(seeds, out: np.ndarray, raw: bool = False) -> None:
     """Write row b of out from a fresh uniform_stream(seeds[b]).
 
@@ -291,13 +281,14 @@ def _chunk_normals(groups, spare: int = 0) -> list[np.ndarray]:
     """
     for seeds, _, variance in groups:
         _check_variance(variance, len(seeds))
-    shapes = [(len(seeds), 2, n) for seeds, n, _ in groups]
-    floats = sum(map(math.prod, shapes))
+    floats = sum(2 * n * len(seeds) for seeds, n, _ in groups)
     buf = getattr(_thread, "chunk", None)
     if buf is None or buf.size < floats + 2 * spare:  # so it grows to the largest chunk and then stays
         buf = _thread.chunk = np.empty(floats + 2 * spare)
-    normals = []
-    for (seeds, _, variance), u in zip(groups, _carve(buf[:floats], shapes)):
+    normals, start = [], 0
+    for seeds, n, variance in groups:  # each group's uniforms, (B, 2, n), follow the last one's
+        u = buf[start:start + 2 * n * len(seeds)].reshape(len(seeds), 2, n)
+        start += u.size
         _fill_rows(seeds, u)
         normals.append(_box_muller(u, variance))
     return normals + [buf[floats:floats + 2 * spare].view(np.complex128)] if spare else normals

@@ -3,8 +3,7 @@
 One trial is one block-fading frame: draw bits, modulate, draw a fresh
 channel, add noise, preprocess, detect, hard-demap, count bit errors.
 Every random draw derives from (master_seed, snr_index, trial_index)
-through the documented 64-bit mixer, so any subset of points reproduces
-exactly, in any execution order, serial or parallel.
+through the documented 64-bit mixer; run_sweeps says what that reproduces.
 
 Frames run in chunks, in two stages.  `draw_frames` draws the bits,
 channels and noise of a whole chunk as stacked arrays and preprocesses
@@ -359,13 +358,13 @@ def run_sweeps(configs, workers: int | None = None) -> tuple[SweepResult, ...]:
     each config's points equal those of run_sweep on it alone.  workers is
     None or an integer >= 1.  A pool of min(workers, points) processes,
     if that is more than one, runs one point per task, each worker with
-    BLAS on one thread (`blas.single_thread` is the pool's initializer:
-    the workers already run points in parallel, so BLAS threads of their
-    own would only contend with one another; this process keeps its BLAS
-    threads); else one task runs every point in this process (see
-    _run_schedule).  Every draw runs on its worker's or this process's
-    one thread.  Seed derivation is index-based, so every route gives
-    bit-identical results.  Per-point failures are collected and raised
+    BLAS on one thread (`blas` says why); else one task runs every point in
+    this process, on its BLAS threads (see _run_schedule).  Every draw runs on
+    its worker's or this process's one thread.  Index-based seeds give any
+    subset of points, in any order, the same frames on every route,
+    bit-identical but where one BLAS thread rounds a correlated scenario's
+    products apart from several (OpenBLAS 0.3.31 does at N >= 256; a BerPoint
+    moves only if a bit flips).  Per-point failures are collected and raised
     together after every point has been attempted (see _run_points).
     """
     if workers is not None:

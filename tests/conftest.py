@@ -1,8 +1,10 @@
-"""Shared fixtures: deterministic random MMSE problem instances, fault injection,
-failing thread starts, the BLAS thread count, and the hypothesis profile every
-property test runs under."""
+"""Shared fixtures: deterministic random MMSE problem instances, cr's
+leading-coefficient fit, fault injection, a thread harness, failing thread
+starts, the BLAS thread count, and the hypothesis profile every property test
+runs under."""
 
 import ctypes
+import sys
 import threading
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 
 import rbdmimo.detectors as detectors
 import rbdmimo.blas as blas
-from rbdmimo.complexity import random_problem
+from rbdmimo.complexity import leading_coefficient, measured_cost, random_problem
 from rbdmimo.detectors import MmseProblem
 from rbdmimo.linalg import norm2
 from rbdmimo.rngstream import mix_seed, uniform_stream
@@ -57,21 +59,20 @@ def problem_batch(count, seed, m_range=(2, 16), n_factor_range=(2, 16), sigma2_r
         yield make_problem(m, mix_seed(seed, i), n=n, sigma2=sigma2)
 
 
-def gmres_buffers(r0, v_max):
-    """gmres_detect's buffers for a (B, M) batch of nonzero starting residuals.
+def cr_leading_coefficient(seed, k):
+    """cr's leading coefficient, fit to its counted mults on random_problem(M, seed), M = 8..64; k + 3 within 5%."""
+    m_values = [8, 16, 32, 64]
+    counts = [measured_cost("cr", random_problem(m, seed), k).complex_mults for m in m_values]
+    coeff = leading_coefficient(m_values, counts)
+    assert abs(coeff - (k + 3)) <= 0.05 * (k + 3), (seed, k, coeff)
+    return coeff
 
-    Returns (basis, columns, product, beta): the (V+1, B, M) basis holding
-    r0 / beta, the (V, V+1, B) Hessenberg columns, the identity real
-    (B, V+1, V+1) rotation product and the (B,) residual norms beta.
-    """
+
+def gmres_buffers(r0, v_max):
+    """gmres_start's state for a (B, M) batch of nonzero starting residuals, and their (B,) norms beta."""
     r0 = np.asarray(r0, dtype=np.complex128)
-    frames, size = r0.shape
     beta = norm2(r0)
-    basis = np.zeros((v_max + 1, frames, size), dtype=np.complex128)
-    basis[0] = r0 / beta[:, None]
-    columns = np.zeros((v_max, v_max + 1, frames), dtype=np.complex128)
-    product = np.tile(np.eye(v_max + 1), (frames, 1, 1))
-    return basis, columns, product, beta
+    return (*detectors.gmres_start(r0, beta, v_max), beta)
 
 
 def sign_flipped_minres(prob, k, **kwargs):
@@ -84,6 +85,26 @@ def sign_flipped_minres(prob, k, **kwargs):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(detectors, "kernel_coeff", lambda *args, **kw: -coeff(*args, **kw))
         return detectors.minres_detect(prob, k, **kwargs)
+
+
+def run_in_threads(*targets, switch_interval=None, timeout=120):
+    """Run each target in a thread of its own, all at once, and assert every one has ended.
+
+    With switch_interval given, the interpreter switches threads that often
+    while they run.  Each thread is joined for at most timeout seconds.
+    """
+    threads = [threading.Thread(target=target) for target in targets]
+    interval = sys.getswitchinterval()
+    if switch_interval is not None:
+        sys.setswitchinterval(switch_interval)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
 
 
 def fail_thread_starts(monkeypatch):

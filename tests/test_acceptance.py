@@ -8,17 +8,11 @@ chosen so every interpolated curve brackets its target BER level.
 
 import time
 
-from conftest import problem_batch
+from conftest import cr_leading_coefficient, problem_batch
 
 from rbdmimo import selftest
 from rbdmimo.channel import ChannelScenario
-from rbdmimo.complexity import (
-    analytic_cost,
-    cholesky_cost,
-    leading_coefficient,
-    measured_cost,
-    random_problem,
-)
+from rbdmimo.complexity import analytic_cost, cholesky_cost
 from rbdmimo.sim import (
     FLAG_OK,
     SimConfig,
@@ -170,11 +164,7 @@ def test_criterion_8_complexity_reduction():
     selftest.check_complexity_tables()  # cr within 20% of the baseline, and the ordering
     assert mults["minres"] <= 0.30 * baseline
     assert mults["gmres"] <= 0.60 * baseline
-    k = 3
-    m_values = [8, 16, 32, 64]
-    counts = [measured_cost("cr", random_problem(m, MASTER_SEED), k).complex_mults for m in m_values]
-    coeff = leading_coefficient(m_values, counts)
-    assert abs(coeff - (k + 3)) <= 0.05 * (k + 3)
+    coeff = cr_leading_coefficient(seed=MASTER_SEED, k=3)
     print(
         "PASS criterion 8: reductions vs inversion baseline "
         f"cr {1 - mults['cr'] / baseline:.1%}, minres {1 - mults['minres'] / baseline:.1%}, "

@@ -58,11 +58,6 @@ class TestCorrelationMatrix:
         with pytest.raises(ValueError):
             correlation_matrix(3, 1.0)
 
-    @pytest.mark.parametrize("dim", [2.5, True, "3"])
-    def test_dim_must_be_an_integer(self, dim):
-        with pytest.raises(ValueError, match=f"require integer dim >= 1, got dim={dim!r}"):
-            correlation_matrix(dim, 0.5)
-
     @pytest.mark.parametrize("zeta, theta, message", [
         (0.5, float("nan"), "theta must be finite, got nan"),
         (0.5, float("inf"), "theta must be finite, got inf"),

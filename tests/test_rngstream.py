@@ -2,12 +2,9 @@
 same seeds, a public draw takes one integer seed, and a row of a chunk is
 what a fresh stream gives alone."""
 
-import sys
-import threading
-
 import numpy as np
 import pytest
-from conftest import fail_thread_starts
+from conftest import fail_thread_starts, run_in_threads
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -160,17 +157,7 @@ def test_threads_draw_their_own_rows():
             bad[t] += sum(not np.array_equal(row, one) for row, one in zip(rows, want[t]))
             done[t] += 1
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=draw, args=(t,)) for t in seeds]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
+    run_in_threads(lambda: draw(0), lambda: draw(1), switch_interval=1e-6)
     assert done == {0: rounds, 1: rounds} and bad == {0: 0, 1: 0}
 
 
@@ -239,10 +226,7 @@ def test_public_draws_are_fresh_arrays():
         complex_normal(uniform_stream(4), 100)
         per_thread.append([hasattr(rngstream._thread, name) for name in ("chunk", "philox")])
 
-    thread = threading.Thread(target=draw_and_preprocess)
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive()
+    run_in_threads(draw_and_preprocess)
     assert per_thread == [[False, False]]
 
 

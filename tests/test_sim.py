@@ -4,12 +4,10 @@ import math
 import multiprocessing
 import os
 import re
-import sys
-import threading
 
 import numpy as np
 import pytest
-from conftest import blas_threads, fail_thread_starts
+from conftest import blas_threads, fail_thread_starts, run_in_threads
 
 import rbdmimo.blas as blas
 from rbdmimo.channel import ChannelScenario, generate_channel
@@ -282,10 +280,7 @@ class TestDrawFrames:
                 draw_frames(cfg, snr_to_sigma2(3.0, 8), mix_seed(7, 3, np.arange(128)))
                 sizes.append(rngstream._thread.chunk.nbytes)
 
-        thread = threading.Thread(target=draw)
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
+        run_in_threads(draw)
         # 128 frames of 1,024 channel and 128 noise entries, then 1,024 spare entries, 16 bytes each
         assert sizes == [128 * 1152 * 16, 128 * 2176 * 16]
 
@@ -303,10 +298,7 @@ class TestDrawFrames:
             run_sweep(cfg)
             sizes.append(rngstream._thread.chunk.nbytes)
 
-        thread = threading.Thread(target=sweep)
-        thread.start()
-        thread.join(timeout=120)
-        assert not thread.is_alive()
+        run_in_threads(sweep)
         bound = 16 * (1 + 1 / 8 + scenario.correlated) * sim.CHUNK_ENTRIES
         assert sizes and sizes[0] <= bound
         assert bound == (4.25 if scenario.correlated else 2.25) * 2**20
@@ -325,10 +317,7 @@ class TestDrawFrames:
                 seen.append(rngstream._thread.chunk is warm)
             seen.append(warm.nbytes)
 
-        thread = threading.Thread(target=draw)
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
+        run_in_threads(draw)
         # 64 frames of 1,024 channel and 128 noise entries, 16 bytes each
         assert seen == [True] * 4 + [64 * 1152 * 16]
 
@@ -347,17 +336,7 @@ class TestDrawFrames:
                                and np.array_equal(prob.y_mf, want[t][1].y_mf))
                 done[t] += 1
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=draw, args=(t,)) for t in cfgs]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        run_in_threads(lambda: draw(0), lambda: draw(1), switch_interval=1e-6)
         assert done == {0: rounds, 1: rounds} and bad == {0: 0, 1: 0}
 
 
@@ -487,6 +466,16 @@ class TestSweep:
     def test_serial_parallel_identical(self):
         cfg = small_config()
         assert run_sweep(cfg, workers=None) == run_sweep(cfg, workers=3)
+
+    def test_serial_parallel_identical_where_blas_threads_round_apart(self):
+        # at N = 256 a BS-correlated channel's products may round differently on a
+        # pool worker's one BLAS thread than on this process's several; the
+        # decided bits, and so the BerPoints, must not change
+        cfg = small_config(n=256, m=8, scenario=ChannelScenario("bs_correlated", zeta_r=0.3),
+                           snr_db_list=(-12.0, -8.0, -4.0), target_bit_errors=10**6, max_bits=100 * 32)
+        serial = run_sweep(cfg)
+        assert [p.frames for p in serial.points] == [100] * 3 and all(p.bit_errors for p in serial.points)
+        assert run_sweep(cfg, workers=2) == serial
 
     @pytest.mark.parametrize("detector", ["cholesky", "gmres", "cr"])
     def test_chunk_size_and_workers_invariant(self, monkeypatch, detector):
